@@ -33,6 +33,7 @@ from .estfun import (
     EstFunState,
     PtwModel,
     Theta,
+    _lambda_weights,
     estfun_state,
     godambe_covariance,
     pearson_score,
@@ -194,6 +195,15 @@ def step_control(
 _LAMBDA_INDEX = {"phi": 0, "p": 1}
 
 
+def _lambda_block(state: EstFunState, lam_idx: list[int]) -> np.ndarray:
+    """S_lambda for the free dispersion parameters, in the arithmetic of
+    ``sensitivity``'s lambda block (bit for bit) without its beta rows."""
+    wl = _lambda_weights(state)
+    with np.errstate(over="ignore", invalid="ignore"):  # see estfun_state
+        s_l = -(wl * state.C[:, None] ** 2).T @ wl
+    return s_l[lam_idx][:, lam_idx]
+
+
 def _sandwich(model: PtwModel, theta: Theta, free: tuple[str, ...]) -> np.ndarray:
     """Godambe covariance at theta, blockwise (cross-sensitivity omitted),
     restricted to the estimated parameters."""
@@ -209,7 +219,7 @@ def _sandwich(model: PtwModel, theta: Theta, free: tuple[str, ...]) -> np.ndarra
 def fit(model: PtwModel, config: FitConfig | None = None) -> FitResult:
     """Fit the Poisson-Tweedie regression by the modified chaser.
 
-    Returns the best iterate with ``converged=False`` (plus a warning)
+    Returns the last iterate with ``converged=False`` (plus a warning)
     when the iteration budget runs out; raises BoundaryTrapError when the
     variance constraint traps the dispersion step, and RankDeficiencyError
     when the design loses full column rank.
@@ -239,11 +249,8 @@ def fit(model: PtwModel, config: FitConfig | None = None) -> FitResult:
 
         if lam_idx:
             psi_l = pearson_score(model, theta, state)[lam_idx]
-            s_full = sensitivity(model, theta, state)
-            q = model.n_coef
-            s_l = s_full[np.ix_([q + i for i in lam_idx], [q + i for i in lam_idx])]
             delta = np.zeros(2)
-            delta[lam_idx] = config.alpha * solve_linear(s_l, psi_l)
+            delta[lam_idx] = config.alpha * solve_linear(_lambda_block(state, lam_idx), psi_l)
             before = np.array([theta.phi, theta.p])
             theta = step_control(theta, delta, model, config.phi_sign, p_floor)
             lambda_step_norm = float(np.max(np.abs(np.array([theta.phi, theta.p]) - before)))

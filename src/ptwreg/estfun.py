@@ -15,15 +15,16 @@ Parameter ordering everywhere: (beta_1..beta_Q, phi, p).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from .errors import (
     InvalidParameterError,
     SingularMatrixError,
     VarianceNonpositiveError,
 )
+from .numcore import _lu_solver
 
 LINK_LOG = "log"
 
@@ -113,7 +114,16 @@ class EstFunState:
     resid2: np.ndarray
     W_phi: np.ndarray
     W_p: np.ndarray
-    W_beta: np.ndarray  # n x Q
+    X: np.ndarray
+    theta: Theta
+
+    @cached_property
+    def W_beta(self) -> np.ndarray:
+        """n x Q, built on first use: only ``sensitivity``'s cross block reads it."""
+        phi, p = self.theta.phi, self.theta.p
+        with np.errstate(over="ignore", invalid="ignore"):  # see estfun_state
+            w = self.C**-2.0 * (1.0 + phi * p * self.mu ** (p - 1.0)) * self.mu
+        return w[:, None] * self.X
 
 
 def estfun_state(model: PtwModel, theta: Theta) -> EstFunState:
@@ -142,9 +152,8 @@ def estfun_state(model: PtwModel, theta: Theta) -> EstFunState:
         resid2 = resid**2
         w_phi = inv_c2 * mu_p
         w_p = inv_c2 * phi * mu_p * np.log(mu)
-        w_beta = (inv_c2 * (1.0 + phi * p * mu ** (p - 1.0)) * mu)[:, None] * model.X
     return EstFunState(
-        mu=mu, C=C, resid=resid, resid2=resid2, W_phi=w_phi, W_p=w_p, W_beta=w_beta
+        mu=mu, C=C, resid=resid, resid2=resid2, W_phi=w_phi, W_p=w_p, X=model.X, theta=theta
     )
 
 
@@ -223,14 +232,8 @@ def godambe_covariance(S: np.ndarray, V: np.ndarray) -> np.ndarray:
     """
     S = np.asarray(S, dtype=float)
     V = np.asarray(V, dtype=float)
-    scale = np.max(np.abs(S))
-    if scale == 0.0:
-        raise SingularMatrixError("zero sensitivity matrix")
-    lu, piv = lu_factor(S, check_finite=False)
-    if np.min(np.abs(np.diag(lu))) < 1e-12 * scale:
-        raise SingularMatrixError("sensitivity matrix is numerically singular")
-    sinv_v = lu_solve((lu, piv), V, check_finite=False)
-    cov = lu_solve((lu, piv), sinv_v.T, check_finite=False).T
+    solve = _lu_solver(S, "zero sensitivity matrix", "sensitivity matrix is numerically singular")
+    cov = solve(solve(V).T).T
     cov = 0.5 * (cov + cov.T)
     diag = np.diag(cov).copy()
     tiny = np.abs(diag) <= 1e-10 * max(np.trace(cov), 1e-300)

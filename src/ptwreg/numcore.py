@@ -10,11 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import warnings
-
 import numpy as np
 from numpy.random import PCG64, Generator, SeedSequence
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .errors import InvalidParameterError, SingularMatrixError
 
@@ -146,6 +144,21 @@ def gauss_laguerre(n: int) -> QuadratureRule:
     return QuadratureRule(nodes=nodes, weights=weights)
 
 
+def _lu_solver(A: np.ndarray, zero_msg: str, singular_msg: str):
+    """Pivoted LU of A by LAPACK getrf (as scipy's lu_factor, minus its
+    wrapper cost); returns b -> A^{-1} b by getrs.  Raises
+    SingularMatrixError(zero_msg) for A = 0, and singular_msg formatted with
+    ``pivot`` and ``bound`` when a pivot is below bound = 1e-12 * max|A|."""
+    scale = np.max(np.abs(A))
+    if scale == 0.0:
+        raise SingularMatrixError(zero_msg)
+    lu, piv, _ = dgetrf(A)
+    pivot = np.min(np.abs(np.diag(lu)))
+    if pivot < 1e-12 * scale:
+        raise SingularMatrixError(singular_msg.format(pivot=pivot, bound=1e-12 * scale))
+    return lambda b: dgetrs(lu, piv, b)[0]
+
+
 def solve_linear(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve the dense square system A x = b by pivoted LU factorization.
 
@@ -162,16 +175,5 @@ def solve_linear(A: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise InvalidParameterError("dimension mismatch between A and b")
     if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
         raise InvalidParameterError("A and b must be finite")
-    scale = np.max(np.abs(A))
-    if scale == 0.0:
-        raise SingularMatrixError("zero matrix")
-    with warnings.catch_warnings():
-        # scipy warns on exact zero pivots; the check below raises instead
-        warnings.simplefilter("ignore", LinAlgWarning)
-        lu, piv = lu_factor(A, check_finite=False)
-    pivots = np.abs(np.diag(lu))
-    if np.min(pivots) < 1e-12 * scale:
-        raise SingularMatrixError(
-            f"pivot {np.min(pivots):.3e} below 1e-12 * max|A| = {1e-12 * scale:.3e}"
-        )
-    return lu_solve((lu, piv), b, check_finite=False)
+    singular = "pivot {pivot:.3e} below 1e-12 * max|A| = {bound:.3e}"
+    return _lu_solver(A, "zero matrix", singular)(b)

@@ -3,14 +3,12 @@
 Scenarios cover overdispersed Poisson-Tweedie generators (power 1.1, 1.5, 2,
 3 crossed with dispersion indices 2, 5, 10, 20 at mu = 10) and underdispersed
 COM-Poisson / Gamma-Count generators (nu = 2, 4, 6, 8), each fitted with the
-extended model.  Replicates run on independent RNG substreams and aggregate
-by an ordered reduction, so results are identical for any worker count.
+extended model.  Replicates run serially, in a fixed order, each on its own
+independent RNG substream, so a seeded study reproduces exactly.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -208,10 +206,9 @@ def _one_replicate(scenario: Scenario, n: int, stream: RngStream):
 
 
 def _worker_count() -> int:
-    env = os.environ.get("PTW_THREADS", "").strip()
-    if env:
-        return max(1, int(env))
-    return min(4, os.cpu_count() or 1)
+    """How many replicates ``run_study`` fits at once: one, as it runs them
+    one after another (reported among the machine facts of a perfbench run)."""
+    return 1
 
 
 def run_study(scenario: Scenario, seed: int) -> StudyResult:
@@ -224,27 +221,10 @@ def run_study(scenario: Scenario, seed: int) -> StudyResult:
     names = scenario.parameter_names
     reps = scenario.replicates
 
-    tasks = [
-        (i, n, r)
-        for i, n in enumerate(scenario.sample_sizes)
-        for r in range(reps)
-    ]
-
-    def job(task):
-        i, n, r = task
-        return _one_replicate(scenario, n, RngStream(seed, (i, r)))
-
-    workers = _worker_count()
-    if workers == 1:
-        outcomes = [job(t) for t in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(job, tasks))
-
     cells: list[StudyCell] = []
     failures: list[tuple[int, int]] = []
     for i, n in enumerate(scenario.sample_sizes):
-        block = outcomes[i * reps : (i + 1) * reps]
+        block = [_one_replicate(scenario, n, RngStream(seed, (i, r))) for r in range(reps)]
         kept = [o for o in block if o is not None]
         failures.append((n, reps - len(kept)))
         if len(kept) < 2:

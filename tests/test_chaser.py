@@ -1,16 +1,31 @@
 import numpy as np
 import pytest
 
-from ptwreg.chaser import FitConfig, FitResult, fit, initialize, step_control
+from ptwreg.chaser import (
+    FitConfig,
+    FitResult,
+    _lambda_block,
+    fit,
+    initialize,
+    step_control,
+)
 from ptwreg.errors import (
     BoundaryTrapError,
     InvalidParameterError,
     RankDeficiencyError,
 )
-from ptwreg.estfun import PtwModel, Theta, pearson_score, quasi_score
+from ptwreg.estfun import (
+    PtwModel,
+    Theta,
+    estfun_state,
+    pearson_score,
+    quasi_score,
+    sensitivity,
+)
 from ptwreg.numcore import RngStream
 from ptwreg.ptwdist import sample_ptw_mu
 from ptwreg.refdists import gammacount_sample_lam
+from ptwreg.simstudy import _simulate, make_scenario
 
 from oracles import irls_poisson
 
@@ -221,3 +236,49 @@ def test_fit_result_is_frozen(dicentrics_model):
     assert isinstance(result, FitResult)
     with pytest.raises(AttributeError):
         result.converged = True
+
+
+# ---------------------------------------------------------------- lean kernel
+
+# Fits of one seeded study replicate per scenario, recorded before the chaser
+# stopped building the full sensitivity matrix every iteration:
+# (scenario, n, iterations, theta_hat, std_errors).
+_KERNEL_REFERENCE = (
+    ("ptw-p1.5-di5", 100, 31,
+     [2.3322135488045186, 0.8811864019302244, -1.0314645113708572,
+      1.3080044633934933, 1.6997544009788392],
+     [0.12287039704832982, 0.16512063561479795, 0.19365850413876978,
+      0.6905636736665182, 0.1917943677656261]),
+    ("ptw-p3-di2", 500, 37,
+     [2.2687620112868085, 0.817767147445131, -0.8891521607973704,
+      0.006370115751991481, 3.0815094607584106],
+     [0.02810516644708783, 0.03892461893680553, 0.04398911702502356,
+      0.007439866890701591, 0.44564980270303617]),
+    ("gammacount-nu4", 100, 49,
+     [1.9504724151898818, 1.0332939637696352, -0.7701764303241839,
+      0.9856384129507648],
+     [0.020284979243572487, 0.03284100131157609, 0.09507957264630877,
+      0.06205689025348803]),
+)
+
+
+@pytest.mark.parametrize("name,n,iterations,theta_ref,se_ref", _KERNEL_REFERENCE)
+def test_lean_kernel_matches_full_sensitivity(name, n, iterations, theta_ref, se_ref):
+    design, y = _simulate(make_scenario(name), n, RngStream(7, (0,)).generator())
+    model = PtwModel(design, y)
+    result = fit(model, FitConfig())
+    assert result.converged
+    assert result.iterations == iterations
+    assert result.theta_hat.as_array() == pytest.approx(theta_ref, rel=1e-8)
+    assert result.std_errors == pytest.approx(se_ref, rel=1e-8)
+
+    q = model.n_coef
+    for theta in (initialize(model), result.theta_hat):
+        s_full = sensitivity(model, theta)
+        state = estfun_state(model, theta)
+        for lam_idx in ([0, 1], [0], [1]):
+            idx = [q + i for i in lam_idx]
+            expected = s_full[np.ix_(idx, idx)]
+            got = _lambda_block(state, lam_idx)
+            assert got.shape == (len(lam_idx), len(lam_idx))
+            assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))

@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.polynomial.laguerre import laggauss
 from scipy.special import gammaln
 
 from ptwreg.errors import InvalidParameterError, SingularMatrixError
+from ptwreg.estfun import godambe_covariance
 from ptwreg.numcore import RngStream, gauss_laguerre, rng_substream, solve_linear
 
 
@@ -38,6 +41,22 @@ def test_solve_singular_raises():
     A = np.array([[1.0, 2.0], [2.0, 4.0]])  # rank 1
     with pytest.raises(SingularMatrixError):
         solve_linear(A, np.array([1.0, 1.0]))
+
+
+@pytest.mark.parametrize(
+    "A",
+    [np.array([[0.0, 1.0], [0.0, 1.0]]), np.array([[1.0, 2.0], [2.0, 4.0]])],
+    ids=["zero-column", "rank-one"],
+)
+def test_exact_zero_pivot_raises_without_warning(A):
+    # LAPACK getrf reports info > 0 for these; the pivot check must turn that
+    # into SingularMatrixError in both solvers with no warning escaping
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularMatrixError):
+            solve_linear(A, np.array([1.0, 1.0]))
+        with pytest.raises(SingularMatrixError):
+            godambe_covariance(A, np.eye(2))
 
 
 # --------------------------------------------------------------- gauss_laguerre
