@@ -34,6 +34,7 @@ from .estfun import (
     PtwModel,
     Theta,
     _lambda_weights,
+    _with_dispersion,
     estfun_state,
     godambe_covariance,
     pearson_score,
@@ -113,11 +114,13 @@ class FitResult:
     warnings: list = field(default_factory=list)
 
 
-def _beta_step(model: PtwModel, state: EstFunState, beta: np.ndarray) -> np.ndarray:
-    """One quasi-score Newton update; reads only S_beta and psi_beta."""
+def _beta_step(
+    model: PtwModel, state: EstFunState, beta: np.ndarray, psi_beta: np.ndarray
+) -> np.ndarray:
+    """One quasi-score Newton update from S_beta at ``state`` and the
+    quasi-score ``psi_beta`` evaluated there."""
     wx = (state.mu / state.C)[:, None] * model.X
     s_beta = -(state.mu[:, None] * model.X).T @ wx
-    psi_beta = model.X.T @ (state.mu * state.resid / state.C)
     try:
         return beta - solve_linear(s_beta, psi_beta)
     except SingularMatrixError as exc:
@@ -138,7 +141,7 @@ def initialize(model: PtwModel, config: FitConfig | None = None) -> Theta:
     theta = Theta(beta, 0.0, 1.0)
     for _ in range(100):
         state = estfun_state(model, theta)
-        beta_new = _beta_step(model, state, theta.beta)
+        beta_new = _beta_step(model, state, theta.beta, quasi_score(model, theta, state))
         done = np.max(np.abs(beta_new - theta.beta)) < 1e-10
         theta = Theta(beta_new, 0.0, 1.0)
         if done:
@@ -241,9 +244,10 @@ def fit(model: PtwModel, config: FitConfig | None = None) -> FitResult:
     iterations = 0
 
     state = estfun_state(model, theta)
+    psi_beta = quasi_score(model, theta, state)
     for iterations in range(1, config.max_iter + 1):
         prev = theta.as_array()
-        beta_new = _beta_step(model, state, theta.beta)
+        beta_new = _beta_step(model, state, theta.beta, psi_beta)
         theta = Theta(beta_new, theta.phi, theta.p)
         state = estfun_state(model, theta)
 
@@ -254,11 +258,13 @@ def fit(model: PtwModel, config: FitConfig | None = None) -> FitResult:
             before = np.array([theta.phi, theta.p])
             theta = step_control(theta, delta, model, config.phi_sign, p_floor)
             lambda_step_norm = float(np.max(np.abs(np.array([theta.phi, theta.p]) - before)))
-            state = estfun_state(model, theta)
+            state = _with_dispersion(state, theta)
 
-        score = quasi_score(model, theta, state)
+        # The quasi-score at this state is also the next beta step's psi_beta.
+        psi_beta = quasi_score(model, theta, state)
+        score = psi_beta
         if lam_idx:
-            score = np.concatenate([score, pearson_score(model, theta, state)[lam_idx]])
+            score = np.concatenate([psi_beta, pearson_score(model, theta, state)[lam_idx]])
         score_norm = float(np.max(np.abs(score)))
         param_change = float(np.max(np.abs(theta.as_array() - prev)))
         trace.append((theta.as_array(), score_norm))

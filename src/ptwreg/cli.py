@@ -10,6 +10,7 @@ order, and replicate-level RNG substreams independent of the worker count.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .dataio import (
@@ -35,9 +36,8 @@ from .numcore import RngStream
 from .ptwdist import (
     PmfConfig,
     PtwParams,
+    _check_ratio_denominator,
     dispersion_index,
-    heavy_tail_index,
-    ptw_pmf,
     ptw_pmf_curve,
     ptw_sample,
     zero_inflation_index,
@@ -143,10 +143,11 @@ def _cmd_indices(args) -> int:
         ["dispersion", "", dispersion_index(params), 0.0],
         ["zero-inflation", "", zero_inflation_index(params), 0.0],
     ]
+    estimates = ptw_pmf_curve(params, range(args.y_max + 2), budget)
     for y in range(args.y_max + 1):
-        value = heavy_tail_index(params, y, budget)
-        num = ptw_pmf(params, y + 1, budget)
-        den = ptw_pmf(params, y, budget)
+        den, num = estimates[y], estimates[y + 1]
+        _check_ratio_denominator(y, den)
+        value = num.value / den.value
         rel = 0.0
         if num.value > 0:
             rel = (num.mc_stderr / num.value) ** 2 + (den.mc_stderr / den.value) ** 2
@@ -281,9 +282,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except _USAGE_ERRORS as exc:

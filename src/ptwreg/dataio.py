@@ -28,7 +28,7 @@ from .errors import (
 )
 from .estfun import PtwModel
 from .numcore import RngStream
-from .ptwdist import LoglikResult, PmfConfig, PtwParams, ptw_loglik
+from .ptwdist import LoglikResult, PmfConfig, ptw_loglik
 from .simstudy import StudyResult
 
 COLUMN_KINDS = ("real", "integer", "categorical")
@@ -356,10 +356,9 @@ def loglik_at_fit(
             "pmf evaluation is not available"
         )
     mu = np.exp(model.linear_predictor(theta.beta))
-    params = [PtwParams(float(m), theta.phi, theta.p) for m in mu]
     budget = PmfConfig(mc_draws=config.mc_budget, rng=RngStream(config.seed))
     try:
-        return ptw_loglik(params, model.y, budget), None
+        return ptw_loglik(mu, theta.phi, theta.p, model.y, budget), None
     except NonpositivePmfError as exc:
         return None, str(exc)
 

@@ -14,7 +14,7 @@ Parameter ordering everywhere: (beta_1..beta_Q, phi, p).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -114,6 +114,7 @@ class EstFunState:
     resid2: np.ndarray
     W_phi: np.ndarray
     W_p: np.ndarray
+    log_mu: np.ndarray
     X: np.ndarray
     theta: Theta
 
@@ -140,7 +141,27 @@ def estfun_state(model: PtwModel, theta: Theta) -> EstFunState:
         mu = np.exp(model.linear_predictor(theta.beta))
         if not np.all(np.isfinite(mu)):
             raise InvalidParameterError("linear predictor overflow: mu is not finite")
-        phi, p = theta.phi, theta.p
+        resid = model.y - mu
+        resid2 = resid**2
+        log_mu = np.log(mu)
+    C, w_phi, w_p = _dispersion_weights(mu, log_mu, theta.phi, theta.p)
+    return EstFunState(
+        mu=mu, C=C, resid=resid, resid2=resid2, W_phi=w_phi, W_p=w_p, log_mu=log_mu,
+        X=model.X, theta=theta,
+    )
+
+
+def _with_dispersion(state: EstFunState, theta: Theta) -> EstFunState:
+    """The state at theta when only (phi, p) differ from ``state.theta``:
+    mu, the residuals and log mu carry over, C and the W weights are redone."""
+    C, w_phi, w_p = _dispersion_weights(state.mu, state.log_mu, theta.phi, theta.p)
+    return replace(state, C=C, W_phi=w_phi, W_p=w_p, theta=theta)
+
+
+def _dispersion_weights(mu, log_mu, phi, p):
+    """C = mu + phi mu^p, W_phi and W_p; raises VarianceNonpositiveError
+    when some C_i <= 0."""
+    with np.errstate(over="ignore", invalid="ignore"):  # see estfun_state
         mu_p = mu**p
         C = mu + phi * mu_p
         if np.any(C <= 0):
@@ -148,13 +169,7 @@ def estfun_state(model: PtwModel, theta: Theta) -> EstFunState:
                 f"min(mu + phi*mu^p) = {np.min(C):.6g} <= 0 at phi = {phi}, p = {p}"
             )
         inv_c2 = C**-2.0
-        resid = model.y - mu
-        resid2 = resid**2
-        w_phi = inv_c2 * mu_p
-        w_p = inv_c2 * phi * mu_p * np.log(mu)
-    return EstFunState(
-        mu=mu, C=C, resid=resid, resid2=resid2, W_phi=w_phi, W_p=w_p, X=model.X, theta=theta
-    )
+        return C, inv_c2 * mu_p, inv_c2 * phi * mu_p * log_mu
 
 
 def quasi_score(model: PtwModel, theta: Theta, state: EstFunState | None = None) -> np.ndarray:

@@ -230,6 +230,14 @@ def ptw_pmf(params: PtwParams, y: int, budget: PmfConfig | None = None) -> PmfEs
     budget = budget or PmfConfig()
     _check_probabilistic(params)
     y = _check_count(y)
+    est = _pmf_exact(params, y, budget)
+    return est if est is not None else _pmf_monte_carlo(params, y, budget)
+
+
+def _pmf_exact(params: PtwParams, y: int, budget: PmfConfig) -> PmfEstimate | None:
+    """The exact (non-Monte Carlo) route for checked (params, y), or None
+    where Monte Carlo is needed, including a Gauss-Laguerre fallback at p = 3
+    (which warns)."""
     if params.phi * params.mu**params.p <= _POISSON_LIMIT:
         return _pmf_closed_poisson(params.mu, y)
     if params.p == 2.0:
@@ -243,9 +251,9 @@ def ptw_pmf(params: PtwParams, y: int, budget: PmfConfig | None = None) -> PmfEs
         warnings.warn(
             f"Gauss-Laguerre rule ({budget.quad_nodes} nodes) cannot resolve "
             f"(mu={params.mu}, phi={params.phi}, y={y}); falling back to Monte Carlo",
-            stacklevel=2,
+            stacklevel=3,
         )
-    return _pmf_monte_carlo(params, y, budget)
+    return None
 
 
 def ptw_pmf_curve(params: PtwParams, ys, budget: PmfConfig | None = None) -> list[PmfEstimate]:
@@ -288,13 +296,19 @@ def heavy_tail_index(params: PtwParams, y: int, budget: PmfConfig | None = None)
     """
     y = _check_count(y)
     den = ptw_pmf(params, y, budget)
+    _check_ratio_denominator(y, den)
+    num = ptw_pmf(params, y + 1, budget)
+    return num.value / den.value
+
+
+def _check_ratio_denominator(y: int, den: PmfEstimate) -> None:
+    """Refuse a consecutive-probability ratio whose denominator pmf(y) is
+    zero or not above 10x its Monte Carlo standard error."""
     if den.value <= 10.0 * den.mc_stderr or den.value == 0.0:
         raise UnreliableEstimateError(
             f"pmf({y}) = {den.value:.3e} (MC s.e. {den.mc_stderr:.3e}) is too noisy "
             "for a consecutive-probability ratio; raise the MC budget"
         )
-    num = ptw_pmf(params, y + 1, budget)
-    return num.value / den.value
 
 
 @dataclass(frozen=True)
@@ -306,47 +320,83 @@ class LoglikResult:
     method: str
 
 
-def ptw_loglik(params_per_obs, y, budget: PmfConfig | None = None) -> LoglikResult:
-    """sum_i log P(Y = y_i) for per-observation parameters.
+def ptw_loglik(mu, phi, p, y, budget: PmfConfig | None = None) -> LoglikResult:
+    """sum_i log P(Y = y_i) at per-observation parameters (mu_i, phi_i, p_i).
 
-    Evaluation is cached per unique (mu, phi, p, y) combination.  For Monte
-    Carlo groups the standard error accounts for the draws being shared
-    across counts within a parameter set: with f_hat(y) the MC pmf and n_y
-    the multiplicity, the delta method gives
+    Each of ``mu``, ``phi`` and ``p`` is a scalar or an array of ``y``'s
+    shape; ``y`` holds non-negative integer counts.  Every unique
+    (mu, phi, p, y) combination is evaluated once, with its multiplicity,
+    and the parameter sets are visited in order of first occurrence (the
+    counts of a set likewise), so the floating-point sums have a fixed order.
+    A count with no exact route goes straight to the Monte Carlo aggregate
+    below.  For Monte Carlo groups the standard error accounts for the draws
+    being shared across counts within a parameter set: with f_hat(y) the MC
+    pmf and n_y the multiplicity, the delta method gives
     Var(sum n_y log f_hat(y)) = Var_k(g_k)/M per parameter set, where
     g_k = sum_y (n_y / f_hat(y)) P(y; Z_k).
 
     Raises
     ------
+    InvalidParameterError
+        If a shape does not match ``y``, a count is not a non-negative
+        integer, mu is not finite and positive, phi or p is not finite, or
+        p < 1.
+    NoDistributionError
+        If phi < 0.
     NonpositivePmfError
-        If any Monte Carlo pmf estimate is exactly zero (raise the budget).
+        If any pmf estimate is exactly zero (for Monte Carlo, raise the budget).
     """
     budget = budget or PmfConfig()
-    y = np.asarray(y)
-    params_per_obs = list(params_per_obs)
-    if len(params_per_obs) != len(y):
-        raise InvalidParameterError("params_per_obs and y must have equal length")
+    y = np.asarray(y, dtype=float)
+    columns = []
+    for name, values in (("mu", mu), ("phi", phi), ("p", p)):
+        values = np.asarray(values, dtype=float)
+        if values.ndim and values.shape != y.shape:
+            raise InvalidParameterError(
+                f"{name} has shape {values.shape}; expected a scalar or y's shape {y.shape}"
+            )
+        columns.append(np.broadcast_to(values, y.shape).ravel())
+    mu, phi, p = columns
+    y = y.ravel()
+    bad = ~np.isfinite(y) | (y < 0) | (y != np.floor(y))
+    if np.any(bad):
+        raise InvalidParameterError(f"y must be a non-negative integer, got {y[bad][0]}")
 
-    groups: dict[tuple[float, float, float], dict[int, int]] = {}
-    for params, yi in zip(params_per_obs, y):
-        yi = _check_count(yi)
-        key = (params.mu, params.phi, params.p)
-        groups.setdefault(key, {})
-        groups[key][yi] = groups[key].get(yi, 0) + 1
+    n = y.size
+    if n == 0:
+        return LoglikResult(0.0, 0.0, "closed-form")
+    # Sort rows by (mu, phi, p, y); lexsort is stable, so the first row of
+    # each run of equal keys is that combination's first occurrence.
+    order = np.lexsort((y, p, phi, mu))
+    new_set = np.ones(n, dtype=bool)
+    new_set[1:] = np.any([col[order][1:] != col[order][:-1] for col in (mu, phi, p)], axis=0)
+    new_y = new_set.copy()
+    new_y[1:] |= y[order][1:] != y[order][:-1]
+    starts = np.flatnonzero(new_y)
+    first = order[starts]
+    counts = np.diff(np.append(starts, n))
+    set_id = np.cumsum(new_set)[starts] - 1
+    set_first = np.minimum.reduceat(first, np.flatnonzero(new_set[starts]))
+    visit = np.lexsort((first, set_first[set_id]))
 
     total = 0.0
     var_total = 0.0
     methods = set()
-    for (mu, phi, p), counts in groups.items():
-        params = PtwParams(mu, phi, p)
-        mc_counts = {}
-        for yi, n_y in counts.items():
-            est = ptw_pmf(params, yi, budget)
-            if est.method == "monte-carlo":
-                mc_counts[yi] = n_y
+    for runs in np.split(visit, np.flatnonzero(np.diff(set_id[visit])) + 1):
+        i = first[runs[0]]
+        params = PtwParams(float(mu[i]), float(phi[i]), float(p[i]))
+        _check_probabilistic(params)
+        mc_counts = []
+        for j in runs:
+            yi, n_y = int(y[first[j]]), int(counts[j])
+            est = _pmf_exact(params, yi, budget)
+            if est is None:
+                mc_counts.append((yi, n_y))
                 continue
             if est.value <= 0.0:
-                raise NonpositivePmfError(f"pmf({yi}) = 0 at (mu={mu}, phi={phi}, p={p})")
+                raise NonpositivePmfError(
+                    f"pmf({yi}) = 0 at (mu={params.mu}, phi={params.phi}, p={params.p})"
+                )
             total += n_y * np.log(est.value)
             methods.add(est.method)
         if not mc_counts:
@@ -355,16 +405,16 @@ def ptw_loglik(params_per_obs, y, budget: PmfConfig | None = None) -> LoglikResu
         # draws, so their log-pmf errors are correlated; propagate through
         # the per-draw aggregate g_k rather than summing per-y variances.
         methods.add("monte-carlo")
-        z = _mixing_draws(mu, phi, p, budget.mc_draws, budget.rng)
+        z = _mixing_draws(params.mu, params.phi, params.p, budget.mc_draws, budget.rng)
         m = len(z)
         g = np.zeros(m)
-        for yi, n_y in mc_counts.items():
+        for yi, n_y in mc_counts:
             probs = np.exp(_poisson_logpmf(yi, z))
             f_hat = float(np.mean(probs))
             if f_hat <= 0.0:
                 raise NonpositivePmfError(
-                    f"Monte Carlo pmf({yi}) = 0 at (mu={mu}, phi={phi}, p={p}); "
-                    f"raise mc_draws above {budget.mc_draws}"
+                    f"Monte Carlo pmf({yi}) = 0 at (mu={params.mu}, phi={params.phi}, "
+                    f"p={params.p}); raise mc_draws above {budget.mc_draws}"
                 )
             total += n_y * np.log(f_hat)
             g += (n_y / f_hat) * probs

@@ -7,6 +7,8 @@ import sys
 import numpy as np
 import pytest
 
+import ptwreg.cli as cli
+import ptwreg.ptwdist as ptwdist
 from ptwreg.cli import main
 from ptwreg.datasets import dicentrics_csv
 
@@ -214,6 +216,43 @@ def test_indices_far_tail_with_starved_budget_is_numerical_failure(capsys):
     assert code == 2
     assert out == ""
     assert "numerical failure" in err
+
+
+def test_indices_evaluates_each_pmf_once(monkeypatch, capsys):
+    calls = []
+    original = ptwdist.ptw_pmf
+
+    def counting(params, y, budget=None):
+        calls.append(y)
+        return original(params, y, budget)
+
+    monkeypatch.setattr(ptwdist, "ptw_pmf", counting)
+    monkeypatch.setattr(cli, "ptw_pmf", counting, raising=False)
+    code, _, _ = run_cli(
+        ["indices", "--mu", "4", "--phi", "0.5", "--power", "1.5", "--y-max", "6",
+         "--mc-draws", "5000"],
+        capsys,
+    )
+    assert code == 0
+    assert sorted(calls) == list(range(8))
+
+
+def test_parser_is_built_once(monkeypatch, capsys):
+    builds = []
+    original = cli.build_parser
+
+    def counting():
+        builds.append(1)
+        return original()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    try:
+        for _ in range(3):
+            assert run_cli(["datasets", "list"], capsys)[0] == 0
+    finally:
+        cli._parser.cache_clear()
+    assert builds == [1]
 
 
 # ------------------------------------------------------------------- simstudy

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.stats import poisson
@@ -10,11 +12,14 @@ from ptwreg.errors import (
     UnreliableEstimateError,
     VarianceNonpositiveError,
 )
+import ptwreg.ptwdist as ptwdist
 from ptwreg.numcore import RngStream
 from ptwreg.ptwdist import (
     PmfConfig,
     PtwParams,
+    _mixing_draws,
     _pmf_monte_carlo,
+    _poisson_logpmf,
     dispersion_index,
     heavy_tail_index,
     params_as_tweedie,
@@ -223,20 +228,17 @@ def test_params_as_tweedie_roundtrip():
 
 
 def test_loglik_single_obs_closed_form():
-    res = ptw_loglik([PtwParams(10.0, 0.1, 2.0)], [3])
+    res = ptw_loglik([10.0], 0.1, 2.0, [3])
     assert res.method == "closed-form" and res.mc_stderr == 0.0
     assert res.value == pytest.approx(np.log(nb_pmf(10.0, 0.1, 3)), abs=1e-12)
 
 
 def test_loglik_mixed_methods_and_caching():
-    params = [
-        PtwParams(10.0, 0.1, 2.0),
-        PtwParams(10.0, 0.1, 2.0),
-        PtwParams(4.0, 0.6, 1.4),
-        PtwParams(4.0, 0.6, 1.4),
-    ]
+    mu = [10.0, 10.0, 4.0, 4.0]
+    phi = [0.1, 0.1, 0.6, 0.6]
+    p = [2.0, 2.0, 1.4, 1.4]
     y = [3, 3, 1, 6]
-    res = ptw_loglik(params, y, budget(seed=31))
+    res = ptw_loglik(mu, phi, p, y, budget(seed=31))
     assert res.method == "mixed"  # one closed-form group, one MC group
     exact = (
         2 * np.log(nb_pmf(10.0, 0.1, 3))
@@ -248,11 +250,11 @@ def test_loglik_mixed_methods_and_caching():
 
 def test_loglik_se_calibration():
     # the delta-method s.e. should match the seed-to-seed spread
-    params = [PtwParams(m, 0.8, 1.3) for m in (3.0, 3.0, 7.0, 7.0, 12.0)]
+    mu = [3.0, 3.0, 7.0, 7.0, 12.0]
     y = [2, 5, 6, 9, 14]
     values, ses = [], []
     for seed in range(12):
-        res = ptw_loglik(params, y, budget(seed=seed, draws=20_000))
+        res = ptw_loglik(mu, 0.8, 1.3, y, budget(seed=seed, draws=20_000))
         values.append(res.value)
         ses.append(res.mc_stderr)
     ratio = np.std(values, ddof=1) / np.mean(ses)
@@ -263,9 +265,97 @@ def test_loglik_zero_estimate_raises():
     # y far outside the reachable range with a tiny budget -> zero MC pmf
     with pytest.raises(NonpositivePmfError):
         # log pmf ~ -2000 underflows exp() to an exact MC zero
-        ptw_loglik([PtwParams(2.0, 0.5, 1.5)], [600], budget(seed=2, draws=500))
+        ptw_loglik([2.0], 0.5, 1.5, [600], budget(seed=2, draws=500))
 
 
 def test_loglik_length_mismatch():
     with pytest.raises(InvalidParameterError):
-        ptw_loglik([PtwParams(2.0, 0.5, 1.5)], [1, 2])
+        ptw_loglik([2.0], 0.5, 1.5, [1, 2])
+
+
+def _loglik_reference(mu, phi, p, y, budget):
+    """The per-observation dict loop that ``ptw_loglik`` replaced: group by
+    (mu, phi, p) then y in order of first occurrence, pmf via ``ptw_pmf``."""
+    groups = {}
+    for key, yi in zip(zip(mu, phi, p), y):
+        counts = groups.setdefault(key, {})
+        counts[int(yi)] = counts.get(int(yi), 0) + 1
+    total, var_total, methods = 0.0, 0.0, set()
+    for key, counts in groups.items():
+        params = PtwParams(*key)
+        mc_counts = {}
+        for yi, n_y in counts.items():
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                est = ptw_pmf(params, yi, budget)
+            if est.method == "monte-carlo":
+                mc_counts[yi] = n_y
+                continue
+            total += n_y * np.log(est.value)
+            methods.add(est.method)
+        if not mc_counts:
+            continue
+        methods.add("monte-carlo")
+        z = _mixing_draws(*key, budget.mc_draws, budget.rng)
+        g = np.zeros(len(z))
+        for yi, n_y in mc_counts.items():
+            probs = np.exp(_poisson_logpmf(yi, z))
+            f_hat = float(np.mean(probs))
+            total += n_y * np.log(f_hat)
+            g += (n_y / f_hat) * probs
+        var_total += float(np.var(g, ddof=1) / len(z))
+    method = methods.pop() if len(methods) == 1 else "mixed"
+    return float(total), float(np.sqrt(var_total)), method
+
+
+def test_loglik_matches_dict_loop_reference_exactly():
+    # every route: Poisson limit, NB, lattice, quadrature with a Monte Carlo
+    # fallback (mu = 60 at p = 3 is narrower than the node spacing), MC
+    gen = np.random.default_rng(5)
+    sets = [(10.0, 1e-9, 1.5), (4.0, 0.3, 2.0), (3.0, 0.7, 1.0), (5.0, 0.05, 3.0),
+            (60.0, 1e-5, 3.0), (6.0, 0.8, 1.3), (2.5, 0.4, 1.7)]
+    rows = gen.integers(len(sets), size=300)
+    mu, phi, p = (np.array([sets[k][j] for k in rows]) for j in range(3))
+    y = gen.poisson(mu * gen.gamma(2.0, 0.5, size=rows.size)).astype(float)
+    b = budget(seed=17, draws=5_000)
+    with pytest.warns(UserWarning, match="falling back to Monte Carlo"):
+        res = ptw_loglik(mu, phi, p, y, b)
+    assert res.method == "mixed"
+    assert (res.value, res.mc_stderr, res.method) == _loglik_reference(mu, phi, p, y, b)
+
+
+def test_loglik_evaluates_no_monte_carlo_pmf(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return _pmf_monte_carlo(*args, **kwargs)
+
+    monkeypatch.setattr(ptwdist, "_pmf_monte_carlo", counting)
+    res = ptw_loglik([4.0, 4.0, 4.0, 9.0], 0.6, 1.4, [1, 6, 1, 9], budget(seed=3, draws=2_000))
+    assert res.method == "monte-carlo" and res.mc_stderr > 0
+    assert calls == []
+    ptw_pmf(PtwParams(4.0, 0.6, 1.4), 1, budget(seed=3, draws=2_000))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "args, error",
+    [
+        (([np.nan, 2.0], 0.5, 1.5, [1, 2]), InvalidParameterError),
+        (([2.0, 0.0], 0.5, 1.5, [1, 2]), InvalidParameterError),
+        ((2.0, [0.5, np.inf], 1.5, [1, 2]), InvalidParameterError),
+        ((2.0, 0.5, [np.nan, 1.5], [1, 2]), InvalidParameterError),
+        ((2.0, [0.5, -0.1], 1.5, [1, 2]), NoDistributionError),
+        ((2.0, 0.5, [1.5, 0.9], [1, 2]), InvalidParameterError),
+        ((2.0, 0.5, 1.5, [1, -1]), InvalidParameterError),
+        ((2.0, 0.5, 1.5, [1, 2.5]), InvalidParameterError),
+        ((2.0, 0.5, 1.5, [1, np.nan]), InvalidParameterError),
+        ((2.0, 0.5, 1.5, [1, np.inf]), InvalidParameterError),
+        (([2.0, 3.0, 4.0], 0.5, 1.5, [1, 2]), InvalidParameterError),
+        ((2.0, [[0.5, 0.5]], 1.5, [1, 2]), InvalidParameterError),
+    ],
+)
+def test_loglik_array_validation(args, error):
+    with pytest.raises(error):
+        ptw_loglik(*args)
