@@ -165,6 +165,8 @@ def step_control(
     model: PtwModel,
     phi_sign: str = "any",
     p_floor: float | None = P_FLOOR,
+    *,
+    mu: np.ndarray | None = None,
 ) -> Theta:
     """Apply the proposed lambda update, halving it until feasible.
 
@@ -172,9 +174,11 @@ def step_control(
     every C_i > 0 and, when phi_sign is "nonnegative", phi >= 0.  A free
     power is floored at ``p_floor`` (pass None when the power is fixed).
     Raises BoundaryTrapError when 30 halvings cannot restore feasibility.
+    ``mu`` is exp(X beta) at ``theta.beta``, computed here when not given.
     """
     delta = np.asarray(delta, dtype=float).copy()
-    mu = np.exp(model.linear_predictor(theta.beta))
+    if mu is None:
+        mu = np.exp(model.linear_predictor(theta.beta))
     for _ in range(_MAX_HALVINGS + 1):
         phi_new = theta.phi - delta[0]
         p_new = theta.p - delta[1]
@@ -185,7 +189,7 @@ def step_control(
             # Trial points far out may overflow; that just means "infeasible".
             with np.errstate(over="ignore", invalid="ignore"):
                 c = mu + phi_new * mu**p_new
-            feasible = bool(np.all(c > 0) and np.all(np.isfinite(c)))
+            feasible = bool((c > 0).all() and np.isfinite(c).all())
         if feasible:
             return Theta(theta.beta, phi_new, p_new)
         delta /= 2.0
@@ -256,8 +260,8 @@ def fit(model: PtwModel, config: FitConfig | None = None) -> FitResult:
             delta = np.zeros(2)
             delta[lam_idx] = config.alpha * solve_linear(_lambda_block(state, lam_idx), psi_l)
             before = np.array([theta.phi, theta.p])
-            theta = step_control(theta, delta, model, config.phi_sign, p_floor)
-            lambda_step_norm = float(np.max(np.abs(np.array([theta.phi, theta.p]) - before)))
+            theta = step_control(theta, delta, model, config.phi_sign, p_floor, mu=state.mu)
+            lambda_step_norm = float(np.abs(np.array([theta.phi, theta.p]) - before).max())
             state = _with_dispersion(state, theta)
 
         # The quasi-score at this state is also the next beta step's psi_beta.
@@ -265,8 +269,8 @@ def fit(model: PtwModel, config: FitConfig | None = None) -> FitResult:
         score = psi_beta
         if lam_idx:
             score = np.concatenate([psi_beta, pearson_score(model, theta, state)[lam_idx]])
-        score_norm = float(np.max(np.abs(score)))
-        param_change = float(np.max(np.abs(theta.as_array() - prev)))
+        score_norm = float(np.abs(score).max())
+        param_change = float(np.abs(theta.as_array() - prev).max())
         trace.append((theta.as_array(), score_norm))
         if score_norm < config.tol and param_change < config.tol:
             converged = True
@@ -286,7 +290,7 @@ def fit(model: PtwModel, config: FitConfig | None = None) -> FitResult:
         covariance = np.full((k, k), np.nan)
         std_errors = np.full(k, np.nan)
 
-    if "p" in free and np.all(np.isfinite(std_errors)):
+    if "p" in free and np.isfinite(std_errors).all():
         se_phi = std_errors[model.n_coef]
         stalled = (not converged) and lambda_step_norm < config.tol and score_norm > config.tol
         if abs(theta.phi) <= 1.96 * se_phi and stalled:

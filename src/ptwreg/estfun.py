@@ -90,7 +90,7 @@ class Theta:
     def __post_init__(self):
         beta = np.atleast_1d(np.asarray(self.beta, dtype=float))
         object.__setattr__(self, "beta", beta)
-        if not np.all(np.isfinite(beta)):
+        if not np.isfinite(beta).all():
             raise InvalidParameterError("beta must be finite")
         if not (np.isfinite(self.phi) and np.isfinite(self.p)):
             raise InvalidParameterError("phi and p must be finite")
@@ -139,7 +139,7 @@ def estfun_state(model: PtwModel, theta: Theta) -> EstFunState:
     # callers handle, so the arithmetic itself should stay quiet.
     with np.errstate(over="ignore", invalid="ignore"):
         mu = np.exp(model.linear_predictor(theta.beta))
-        if not np.all(np.isfinite(mu)):
+        if not np.isfinite(mu).all():
             raise InvalidParameterError("linear predictor overflow: mu is not finite")
         resid = model.y - mu
         resid2 = resid**2
@@ -164,7 +164,7 @@ def _dispersion_weights(mu, log_mu, phi, p):
     with np.errstate(over="ignore", invalid="ignore"):  # see estfun_state
         mu_p = mu**p
         C = mu + phi * mu_p
-        if np.any(C <= 0):
+        if (C <= 0).any():
             raise VarianceNonpositiveError(
                 f"min(mu + phi*mu^p) = {np.min(C):.6g} <= 0 at phi = {phi}, p = {p}"
             )
@@ -184,7 +184,7 @@ def pearson_score(model: PtwModel, theta: Theta, state: EstFunState | None = Non
     st = state or estfun_state(model, theta)
     with np.errstate(over="ignore", invalid="ignore"):  # see estfun_state
         bracket = st.resid2 - st.C
-        return np.array([np.sum(st.W_phi * bracket), np.sum(st.W_p * bracket)])
+        return np.array([(st.W_phi * bracket).sum(), (st.W_p * bracket).sum()])
 
 
 def _lambda_weights(state: EstFunState) -> np.ndarray:

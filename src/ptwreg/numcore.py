@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import PCG64, Generator, SeedSequence
-from scipy.linalg.lapack import dgetrf, dgetrs
+from scipy.linalg.lapack import dgesv, dgetrf, dgetrs
 
 from .errors import InvalidParameterError, SingularMatrixError
 
@@ -144,23 +144,36 @@ def gauss_laguerre(n: int) -> QuadratureRule:
     return QuadratureRule(nodes=nodes, weights=weights)
 
 
-def _lu_solver(A: np.ndarray, zero_msg: str, singular_msg: str):
-    """Pivoted LU of A by LAPACK getrf (as scipy's lu_factor, minus its
-    wrapper cost); returns b -> A^{-1} b by getrs.  Raises
+def _factor(lapack, A: np.ndarray, zero_msg: str, singular_msg: str, *args):
+    """Run the LAPACK getrf-based routine ``lapack(A, *args)`` (getrf, or gesv
+    for factor-and-solve) and check its LU factor, the first output.  Raises
     SingularMatrixError(zero_msg) for A = 0, and singular_msg formatted with
     ``pivot`` and ``bound`` when a pivot is below bound = 1e-12 * max|A|."""
-    scale = np.max(np.abs(A))
+    scale = np.abs(A).max()
     if scale == 0.0:
         raise SingularMatrixError(zero_msg)
-    lu, piv, _ = dgetrf(A)
-    pivot = np.min(np.abs(np.diag(lu)))
+    out = lapack(A, *args)
+    pivot = np.abs(out[0].diagonal()).min()
     if pivot < 1e-12 * scale:
         raise SingularMatrixError(singular_msg.format(pivot=pivot, bound=1e-12 * scale))
+    return out
+
+
+def _lu_solver(A: np.ndarray, zero_msg: str, singular_msg: str):
+    """Pivoted LU of A by LAPACK getrf (as scipy's lu_factor, minus its
+    wrapper cost), checked by :func:`_factor`; returns b -> A^{-1} b by getrs."""
+    lu, piv, _ = _factor(dgetrf, A, zero_msg, singular_msg)
     return lambda b: dgetrs(lu, piv, b)[0]
+
+
+_SINGULAR = "pivot {pivot:.3e} below 1e-12 * max|A| = {bound:.3e}"
 
 
 def solve_linear(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve the dense square system A x = b by pivoted LU factorization.
+
+    One LAPACK gesv call (getrf then getrs, the same arithmetic as
+    :func:`_lu_solver`).
 
     Raises
     ------
@@ -173,7 +186,6 @@ def solve_linear(A: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise InvalidParameterError(f"A must be square, got shape {A.shape}")
     if b.shape[0] != A.shape[0]:
         raise InvalidParameterError("dimension mismatch between A and b")
-    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
+    if not (np.isfinite(A).all() and np.isfinite(b).all()):
         raise InvalidParameterError("A and b must be finite")
-    singular = "pivot {pivot:.3e} below 1e-12 * max|A| = {bound:.3e}"
-    return _lu_solver(A, "zero matrix", singular)(b)
+    return _factor(dgesv, A, "zero matrix", _SINGULAR, b)[2]

@@ -231,13 +231,21 @@ def ptw_pmf(params: PtwParams, y: int, budget: PmfConfig | None = None) -> PmfEs
     _check_probabilistic(params)
     y = _check_count(y)
     est = _pmf_exact(params, y, budget)
-    return est if est is not None else _pmf_monte_carlo(params, y, budget)
+    if est is not None:
+        return est
+    if params.p == 3.0:
+        warnings.warn(
+            f"Gauss-Laguerre rule ({budget.quad_nodes} nodes) cannot resolve "
+            f"(mu={params.mu}, phi={params.phi}, y={y}); falling back to Monte Carlo",
+            stacklevel=2,
+        )
+    return _pmf_monte_carlo(params, y, budget)
 
 
 def _pmf_exact(params: PtwParams, y: int, budget: PmfConfig) -> PmfEstimate | None:
     """The exact (non-Monte Carlo) route for checked (params, y), or None
-    where Monte Carlo is needed, including a Gauss-Laguerre fallback at p = 3
-    (which warns)."""
+    where Monte Carlo is needed.  At p = 3, None means the Gauss-Laguerre
+    rule could not resolve the integrand; callers warn about that fallback."""
     if params.phi * params.mu**params.p <= _POISSON_LIMIT:
         return _pmf_closed_poisson(params.mu, y)
     if params.p == 2.0:
@@ -245,14 +253,7 @@ def _pmf_exact(params: PtwParams, y: int, budget: PmfConfig) -> PmfEstimate | No
     if params.p == 1.0:
         return _pmf_lattice_p1(params, y, budget.lattice_tol)
     if params.p == 3.0:
-        est = _pmf_quadrature_p3(params, y, budget.quad_nodes)
-        if est is not None:
-            return est
-        warnings.warn(
-            f"Gauss-Laguerre rule ({budget.quad_nodes} nodes) cannot resolve "
-            f"(mu={params.mu}, phi={params.phi}, y={y}); falling back to Monte Carlo",
-            stacklevel=3,
-        )
+        return _pmf_quadrature_p3(params, y, budget.quad_nodes)
     return None
 
 
@@ -329,8 +330,10 @@ def ptw_loglik(mu, phi, p, y, budget: PmfConfig | None = None) -> LoglikResult:
     and the parameter sets are visited in order of first occurrence (the
     counts of a set likewise), so the floating-point sums have a fixed order.
     A count with no exact route goes straight to the Monte Carlo aggregate
-    below.  For Monte Carlo groups the standard error accounts for the draws
-    being shared across counts within a parameter set: with f_hat(y) the MC
+    below; p = 3 counts that the Gauss-Laguerre rule cannot resolve go there
+    too, with one warning per call that says how many (mu, y) pairs did.
+    For Monte Carlo groups the standard error accounts for the draws being
+    shared across counts within a parameter set: with f_hat(y) the MC
     pmf and n_y the multiplicity, the delta method gives
     Var(sum n_y log f_hat(y)) = Var_k(g_k)/M per parameter set, where
     g_k = sum_y (n_y / f_hat(y)) P(y; Z_k).
@@ -382,6 +385,7 @@ def ptw_loglik(mu, phi, p, y, budget: PmfConfig | None = None) -> LoglikResult:
     total = 0.0
     var_total = 0.0
     methods = set()
+    gl_fallbacks = 0
     for runs in np.split(visit, np.flatnonzero(np.diff(set_id[visit])) + 1):
         i = first[runs[0]]
         params = PtwParams(float(mu[i]), float(phi[i]), float(p[i]))
@@ -392,6 +396,8 @@ def ptw_loglik(mu, phi, p, y, budget: PmfConfig | None = None) -> LoglikResult:
             est = _pmf_exact(params, yi, budget)
             if est is None:
                 mc_counts.append((yi, n_y))
+                if params.p == 3.0:  # the Gauss-Laguerre rule fell back
+                    gl_fallbacks += 1
                 continue
             if est.value <= 0.0:
                 raise NonpositivePmfError(
@@ -420,6 +426,12 @@ def ptw_loglik(mu, phi, p, y, budget: PmfConfig | None = None) -> LoglikResult:
             g += (n_y / f_hat) * probs
         var_total += float(np.var(g, ddof=1) / m)
 
+    if gl_fallbacks:
+        warnings.warn(
+            f"Gauss-Laguerre rule ({budget.quad_nodes} nodes) cannot resolve "
+            f"{gl_fallbacks} (mu, y) pair(s) at p = 3; falling back to Monte Carlo",
+            stacklevel=2,
+        )
     if not methods:
         methods.add("closed-form")
     method = methods.pop() if len(methods) == 1 else "mixed"

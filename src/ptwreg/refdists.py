@@ -11,6 +11,7 @@ E(Y) = exp(beta0 + beta1 x1) and Var(Y) = E(Y) + phi E(Y)**p.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import gammainc, gammaln
@@ -84,12 +85,37 @@ def _invert_cdf(cdf: np.ndarray, inv: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.minimum(counts, cdf.shape[0] - 1)
 
 
+def _cached_table(build):
+    """Turn ``build(uniq, nu) -> cdf``, a (Y*+1) x n_unique CDF table over
+    sorted unique lambdas, into ``table(lam.tobytes(), nu) -> (cdf, inv)``
+    memoized by the content of the lambda vector, with ``inv`` mapping each
+    entry of ``lam`` to its column.
+
+    Every replicate of a study cell has the same lambda vector, so its table
+    is built once.  The compact table is cached, not the table expanded to
+    one column per draw, and both arrays are read-only.
+    """
+
+    @lru_cache(maxsize=16)
+    def table(key: bytes, nu: float) -> tuple[np.ndarray, np.ndarray]:
+        uniq, inv = np.unique(np.frombuffer(key), return_inverse=True)
+        cdf = build(uniq, nu)
+        cdf.setflags(write=False)
+        inv.setflags(write=False)
+        return cdf, inv
+
+    return table
+
+
+@_cached_table
+def _compoisson_table(uniq: np.ndarray, nu: float) -> np.ndarray:
+    return np.cumsum(np.exp(_compoisson_log_weights(uniq, nu)), axis=0)
+
+
 def compoisson_sample_lam(lam, nu: float, gen) -> np.ndarray:
     """One CP(lam_i, nu) draw per entry of ``lam`` by CDF inversion."""
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    uniq, inv = np.unique(lam, return_inverse=True)
-    logw = _compoisson_log_weights(uniq, nu)
-    cdf = np.cumsum(np.exp(logw), axis=0)
+    cdf, inv = _compoisson_table(lam.tobytes(), nu)
     return _invert_cdf(cdf, inv, gen.random(lam.shape[0]))
 
 
@@ -109,19 +135,21 @@ def gammacount_pmf(params: GammaCountParams, y) -> np.ndarray | float:
     return out if out.ndim else float(out)
 
 
-def gammacount_sample_lam(lam, nu: float, gen) -> np.ndarray:
-    """One GC(lam_i, nu) draw per entry of ``lam`` by CDF inversion.
-
-    The CDF telescopes: P(Y <= y) = 1 - G((y+1) nu, nu lambda).
-    """
-    lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    uniq, inv = np.unique(lam, return_inverse=True)
+@_cached_table
+def _gammacount_table(uniq: np.ndarray, nu: float) -> np.ndarray:
+    """The CDF telescopes: P(Y <= y) = 1 - G((y+1) nu, nu lambda)."""
     t = nu * uniq
-    y_max = int(np.max(uniq) + 30.0 * np.sqrt(np.max(uniq) / nu + 1.0) + 30.0)
-    while np.any(gammainc((y_max + 1) * nu, t) >= _CDF_TAIL):
+    y_max = int(uniq.max() + 30.0 * np.sqrt(uniq.max() / nu + 1.0) + 30.0)
+    while (gammainc((y_max + 1) * nu, t) >= _CDF_TAIL).any():
         y_max *= 2
     y = np.arange(y_max + 1)
-    cdf = 1.0 - gammainc((y[:, None] + 1) * nu, t[None, :])
+    return 1.0 - gammainc((y[:, None] + 1) * nu, t[None, :])
+
+
+def gammacount_sample_lam(lam, nu: float, gen) -> np.ndarray:
+    """One GC(lam_i, nu) draw per entry of ``lam`` by CDF inversion."""
+    lam = np.atleast_1d(np.asarray(lam, dtype=float))
+    cdf, inv = _gammacount_table(lam.tobytes(), nu)
     return _invert_cdf(cdf, inv, gen.random(lam.shape[0]))
 
 

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -365,6 +366,19 @@ def test_dicentrics_loglik_is_bit_stable(variant, overrides, value, method):
     config = ModelSpecConfig(response="y", terms=("dose", "dose^2"), seed=0, **overrides)
     loglik = fit_table(table, config)["loglik"]
     assert (loglik["value"], loglik["method"]) == (value, method)
+
+
+def test_dicentrics_p3_loglik_warns_once():
+    # 20 (mu, y) pairs fall back from Gauss-Laguerre to Monte Carlo; the
+    # log-likelihood says so in one warning, not one per pair
+    table = dataset_table("dicentrics", expand_counts=True)
+    config = ModelSpecConfig(response="y", terms=("dose", "dose^2"), seed=0, power_mode=3.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fit_table(table, config)
+    fallbacks = [str(w.message) for w in caught if "falling back to Monte Carlo" in str(w.message)]
+    assert len(fallbacks) == 1
+    assert "cannot resolve 20 (mu, y) pair(s)" in fallbacks[0]
 
 
 def test_nan_fields_serialize_as_null():

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 from numpy.polynomial.laguerre import laggauss
+from scipy.linalg.lapack import dgetrf, dgetrs
 from scipy.special import gammaln
 
 from ptwreg.errors import InvalidParameterError, SingularMatrixError
@@ -57,6 +58,45 @@ def test_exact_zero_pivot_raises_without_warning(A):
             solve_linear(A, np.array([1.0, 1.0]))
         with pytest.raises(SingularMatrixError):
             godambe_covariance(A, np.eye(2))
+
+
+def test_solve_matches_getrf_getrs_bitwise():
+    # one gesv call runs the same getrf and getrs as two separate calls
+    gen = np.random.default_rng(31)
+    for k in range(20_000):
+        q = 2 + k % 2
+        scale = 10.0 ** gen.uniform(-8.0, 14.0)
+        A = scale * gen.normal(size=(q, q))
+        b = 10.0 ** gen.uniform(-8.0, 14.0) * gen.normal(size=q)
+        lu, piv, _ = dgetrf(A)
+        assert np.abs(np.diag(lu)).min() >= 1e-12 * np.abs(A).max()
+        assert solve_linear(A, b).tobytes() == dgetrs(lu, piv, b)[0].tobytes(), k
+
+
+@pytest.mark.parametrize(
+    "A, b, error, message",
+    [
+        (np.zeros((2, 2)), np.ones(2), SingularMatrixError, "zero matrix"),
+        (np.array([[1.0, 2.0], [2.0, 4.0]]), np.ones(2), SingularMatrixError,
+         "pivot 0.000e+00 below 1e-12 * max|A| = 4.000e-12"),
+        (np.array([[1.0, 1.0], [1.0, 1.0 + 1e-13]]), np.ones(2), SingularMatrixError,
+         "pivot 9.992e-14 below 1e-12 * max|A| = 1.000e-12"),
+        (np.array([[1e14, 1.0], [1.0, 1e-8]]), np.ones(2), SingularMatrixError,
+         "pivot 1.000e-08 below 1e-12 * max|A| = 1.000e+02"),
+        (np.array([[1.0, np.nan], [0.0, 1.0]]), np.ones(2), InvalidParameterError,
+         "A and b must be finite"),
+        (np.eye(2), np.array([1.0, np.inf]), InvalidParameterError, "A and b must be finite"),
+        (np.ones((2, 3)), np.ones(2), InvalidParameterError, "A must be square, got shape (2, 3)"),
+        (np.eye(2), np.ones(3), InvalidParameterError, "dimension mismatch between A and b"),
+    ],
+    ids=["zero", "rank-one", "near-singular", "scaled", "nan-A", "inf-b", "non-square",
+         "mismatch"],
+)
+def test_solve_errors_and_messages(A, b, error, message):
+    # the classes and messages of the two-call solver
+    with pytest.raises(error) as info:
+        solve_linear(A, b)
+    assert str(info.value) == message
 
 
 # --------------------------------------------------------------- gauss_laguerre

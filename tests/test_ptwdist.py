@@ -324,6 +324,22 @@ def test_loglik_matches_dict_loop_reference_exactly():
     assert (res.value, res.mc_stderr, res.method) == _loglik_reference(mu, phi, p, y, b)
 
 
+def test_pmf_gauss_laguerre_fallback_warns_per_call():
+    # a direct pmf call names its own (mu, phi, y); the log-likelihood
+    # counts its fallbacks in one warning
+    params = PtwParams(60.0, 1e-5, 3.0)
+    with pytest.warns(UserWarning, match=r"\(mu=60.0, phi=1e-05, y=55\); falling back"):
+        est = ptw_pmf(params, 55, budget(seed=2, draws=2_000))
+    assert est.method == "monte-carlo"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ptw_loglik([60.0] * 4, 1e-5, 3.0, [55, 58, 55, 61], budget(seed=2, draws=2_000))
+    assert [str(w.message) for w in caught] == [
+        "Gauss-Laguerre rule (128 nodes) cannot resolve 3 (mu, y) pair(s) at p = 3; "
+        "falling back to Monte Carlo"
+    ]
+
+
 def test_loglik_evaluates_no_monte_carlo_pmf(monkeypatch):
     calls = []
 

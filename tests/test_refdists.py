@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import gammainc
 
+from ptwreg import refdists
 from ptwreg.errors import InvalidParameterError
 from ptwreg.numcore import RngStream
 from ptwreg.refdists import (
@@ -10,8 +12,10 @@ from ptwreg.refdists import (
     MomentMapDesign,
     compoisson_pmf,
     compoisson_sample,
+    compoisson_sample_lam,
     gammacount_pmf,
     gammacount_sample,
+    gammacount_sample_lam,
     moment_map,
 )
 
@@ -119,6 +123,71 @@ def test_samplers_deterministic():
     assert np.array_equal(
         gammacount_sample(g, 500, RngStream(11)), gammacount_sample(g, 500, RngStream(11))
     )
+
+
+def _uncached_compoisson_cdf(uniq, nu):
+    return np.cumsum(np.exp(refdists._compoisson_log_weights(uniq, nu)), axis=0)
+
+
+def _uncached_gammacount_cdf(uniq, nu):
+    t = nu * uniq
+    y_max = int(np.max(uniq) + 30.0 * np.sqrt(np.max(uniq) / nu + 1.0) + 30.0)
+    while np.any(gammainc((y_max + 1) * nu, t) >= 1e-12):
+        y_max *= 2
+    y = np.arange(y_max + 1)
+    return 1.0 - gammainc((y[:, None] + 1) * nu, t[None, :])
+
+
+_SAMPLERS = {
+    "com-poisson": (compoisson_sample_lam, _uncached_compoisson_cdf, (8.0, 4.0)),
+    "gamma-count": (gammacount_sample_lam, _uncached_gammacount_cdf, (2.0, 1.0)),
+}
+
+
+def _reference_draws(family, lam, nu, seed):
+    """Inverse-CDF draws against a table rebuilt from scratch."""
+    uniq, inv = np.unique(lam, return_inverse=True)
+    cdf = _SAMPLERS[family][1](uniq, nu)
+    u = np.random.default_rng(seed).random(lam.shape[0])
+    return np.minimum(np.sum(cdf[:, inv] < u[None, :], axis=0), cdf.shape[0] - 1)
+
+
+@pytest.mark.parametrize("family", sorted(_SAMPLERS))
+@pytest.mark.parametrize("shape", ["study-cell", "moment-map"])
+def test_sampler_draws_match_uncached_reference(family, shape):
+    sampler, _, (lambda0, lambda1) = _SAMPLERS[family]
+    if shape == "study-cell":
+        lam = np.exp(lambda0 + lambda1 * np.linspace(-1.0, 1.0, 500))
+    else:
+        lam = np.full(1000, np.exp(lambda0 + 0.3 * lambda1))
+    ref = _reference_draws(family, lam, 4.0, 8)
+    refdists._compoisson_table.cache_clear()
+    refdists._gammacount_table.cache_clear()
+    for _ in range(2):  # cold cache, then warm
+        draws = sampler(lam, 4.0, np.random.default_rng(8))
+        assert np.array_equal(draws, ref)
+
+
+@pytest.mark.parametrize("family", sorted(_SAMPLERS))
+def test_equal_length_lam_vectors_get_their_own_tables(family):
+    sampler, _, (lambda0, lambda1) = _SAMPLERS[family]
+    x = np.linspace(-1.0, 1.0, 200)
+    lam_a = np.exp(lambda0 + lambda1 * x)
+    lam_b = np.exp(lambda0 - 0.5 + lambda1 * x)
+    for lam in (lam_a, lam_b, lam_a):
+        draws = sampler(lam, 6.0, np.random.default_rng(2))
+        assert np.array_equal(draws, _reference_draws(family, lam, 6.0, 2))
+
+
+@pytest.mark.parametrize("table", [refdists._compoisson_table, refdists._gammacount_table])
+def test_cached_tables_are_read_only(table):
+    lam = np.exp(np.linspace(0.0, 2.0, 50))
+    cdf, inv = table(lam.tobytes(), 4.0)
+    assert not cdf.flags.writeable and not inv.flags.writeable
+    with pytest.raises(ValueError):
+        cdf[0, 0] = 0.5
+    with pytest.raises(ValueError):
+        inv[0] = 1
 
 
 # ---------------------------------------------------------------- moment map

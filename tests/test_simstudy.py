@@ -1,6 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from ptwreg import refdists
+from ptwreg.dataio import study_result_json
 from ptwreg.errors import InvalidParameterError, MissingBaselineError
 from ptwreg.simstudy import (
     Scenario,
@@ -137,6 +141,33 @@ def test_run_study_worker_count_invariant(small_study, monkeypatch):
     threaded = run_study(scenario, seed=4)
     assert serial == small_study
     assert threaded == small_study
+
+
+@pytest.mark.parametrize(
+    "name, sha256",
+    [
+        ("gammacount-nu4", "c9a034df63df7f1946b453bded56125a8e1337c65ce29adf946640d57e7c9030"),
+        ("compoisson-nu4", "e08610a3ac1a42237a6fe153c151b4820716c32257b8b0bb887e5968317cf22d"),
+        ("ptw-p3-di2", "506fa52902de498e543e10bdf85b4c2a3d5047be87375df020d9f745f0fcd9e8"),
+    ],
+)
+def test_study_json_is_bit_stable(name, sha256):
+    # seeded study outputs are pinned byte for byte; a change that only
+    # removes repeated work must leave them exactly as they are
+    scenario = make_scenario(name, sample_sizes=(100,), replicates=50)
+    text = study_result_json(run_study(scenario, seed=0))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == sha256
+
+
+def test_run_study_cold_and_warm_table_cache_agree():
+    scenario = make_scenario("gammacount-nu4", sample_sizes=(100,), replicates=50)
+    scenario_truth(scenario)  # the moment mapping fills the cache with its own tables
+    refdists._gammacount_table.cache_clear()
+    cold = study_result_json(run_study(scenario, seed=2))
+    assert refdists._gammacount_table.cache_info().misses == 1
+    warm = study_result_json(run_study(scenario, seed=2))
+    assert refdists._gammacount_table.cache_info().misses == 1
+    assert cold == warm
 
 
 def test_run_study_seed_matters(small_study):
