@@ -33,13 +33,13 @@ from .estfun import (
     EstFunState,
     PtwModel,
     Theta,
-    _lambda_weights,
+    _s_beta,
+    _s_lambda,
     _with_dispersion,
     estfun_state,
     godambe_covariance,
     pearson_score,
     quasi_score,
-    sensitivity,
     variability,
 )
 from .numcore import solve_linear
@@ -114,15 +114,11 @@ class FitResult:
     warnings: list = field(default_factory=list)
 
 
-def _beta_step(
-    model: PtwModel, state: EstFunState, beta: np.ndarray, psi_beta: np.ndarray
-) -> np.ndarray:
+def _beta_step(state: EstFunState, beta: np.ndarray, psi_beta: np.ndarray) -> np.ndarray:
     """One quasi-score Newton update from S_beta at ``state`` and the
     quasi-score ``psi_beta`` evaluated there."""
-    wx = (state.mu / state.C)[:, None] * model.X
-    s_beta = -(state.mu[:, None] * model.X).T @ wx
     try:
-        return beta - solve_linear(s_beta, psi_beta)
+        return beta - solve_linear(_s_beta(state), psi_beta)
     except SingularMatrixError as exc:
         raise RankDeficiencyError(f"design matrix is rank deficient: {exc}") from exc
 
@@ -141,7 +137,7 @@ def initialize(model: PtwModel, config: FitConfig | None = None) -> Theta:
     theta = Theta(beta, 0.0, 1.0)
     for _ in range(100):
         state = estfun_state(model, theta)
-        beta_new = _beta_step(model, state, theta.beta, quasi_score(model, theta, state))
+        beta_new = _beta_step(state, theta.beta, quasi_score(model, theta, state))
         done = np.max(np.abs(beta_new - theta.beta)) < 1e-10
         theta = Theta(beta_new, 0.0, 1.0)
         if done:
@@ -162,11 +158,9 @@ def initialize(model: PtwModel, config: FitConfig | None = None) -> Theta:
 def step_control(
     theta: Theta,
     delta: np.ndarray,
-    model: PtwModel,
+    mu: np.ndarray,
     phi_sign: str = "any",
     p_floor: float | None = P_FLOOR,
-    *,
-    mu: np.ndarray | None = None,
 ) -> Theta:
     """Apply the proposed lambda update, halving it until feasible.
 
@@ -174,11 +168,9 @@ def step_control(
     every C_i > 0 and, when phi_sign is "nonnegative", phi >= 0.  A free
     power is floored at ``p_floor`` (pass None when the power is fixed).
     Raises BoundaryTrapError when 30 halvings cannot restore feasibility.
-    ``mu`` is exp(X beta) at ``theta.beta``, computed here when not given.
+    ``mu`` is exp(X beta) at ``theta.beta``: the beta-step state's mean.
     """
     delta = np.asarray(delta, dtype=float).copy()
-    if mu is None:
-        mu = np.exp(model.linear_predictor(theta.beta))
     for _ in range(_MAX_HALVINGS + 1):
         phi_new = theta.phi - delta[0]
         p_new = theta.p - delta[1]
@@ -202,23 +194,15 @@ def step_control(
 _LAMBDA_INDEX = {"phi": 0, "p": 1}
 
 
-def _lambda_block(state: EstFunState, lam_idx: list[int]) -> np.ndarray:
-    """S_lambda for the free dispersion parameters, in the arithmetic of
-    ``sensitivity``'s lambda block (bit for bit) without its beta rows."""
-    wl = _lambda_weights(state)
-    with np.errstate(over="ignore", invalid="ignore"):  # see estfun_state
-        s_l = -(wl * state.C[:, None] ** 2).T @ wl
-    return s_l[lam_idx][:, lam_idx]
-
-
 def _sandwich(model: PtwModel, theta: Theta, free: tuple[str, ...]) -> np.ndarray:
     """Godambe covariance at theta, blockwise (cross-sensitivity omitted),
     restricted to the estimated parameters."""
     q = model.n_coef
     state = estfun_state(model, theta)
-    s = sensitivity(model, theta, state)
+    s = np.zeros((q + 2, q + 2))  # block diagonal: see module docstring
+    s[:q, :q] = _s_beta(state)
+    s[q:, q:] = _s_lambda(state)
     v = variability(model, theta, state)
-    s[q:, :q] = 0.0  # blockwise assembly: see module docstring
     idx = list(range(q)) + [q + _LAMBDA_INDEX[name] for name in free]
     return godambe_covariance(s[np.ix_(idx, idx)], v[np.ix_(idx, idx)])
 
@@ -238,6 +222,7 @@ def fit(model: PtwModel, config: FitConfig | None = None) -> FitResult:
 
     theta = initialize(model, config)
     lam_idx = [_LAMBDA_INDEX[name] for name in free]
+    lam_block = np.ix_(lam_idx, lam_idx)
     p_floor = P_FLOOR if "p" in free else None
 
     trace: list = []
@@ -251,16 +236,16 @@ def fit(model: PtwModel, config: FitConfig | None = None) -> FitResult:
     psi_beta = quasi_score(model, theta, state)
     for iterations in range(1, config.max_iter + 1):
         prev = theta.as_array()
-        beta_new = _beta_step(model, state, theta.beta, psi_beta)
+        beta_new = _beta_step(state, theta.beta, psi_beta)
         theta = Theta(beta_new, theta.phi, theta.p)
         state = estfun_state(model, theta)
 
         if lam_idx:
             psi_l = pearson_score(model, theta, state)[lam_idx]
             delta = np.zeros(2)
-            delta[lam_idx] = config.alpha * solve_linear(_lambda_block(state, lam_idx), psi_l)
+            delta[lam_idx] = config.alpha * solve_linear(_s_lambda(state)[lam_block], psi_l)
             before = np.array([theta.phi, theta.p])
-            theta = step_control(theta, delta, model, config.phi_sign, p_floor, mu=state.mu)
+            theta = step_control(theta, delta, state.mu, config.phi_sign, p_floor)
             lambda_step_norm = float(np.abs(np.array([theta.phi, theta.p]) - before).max())
             state = _with_dispersion(state, theta)
 

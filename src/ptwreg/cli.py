@@ -13,6 +13,7 @@ import argparse
 import functools
 import sys
 
+from .chaser import FitConfig
 from .dataio import (
     ModelSpecConfig,
     counts_csv,
@@ -89,9 +90,7 @@ def _cmd_fit(args) -> int:
         terms=tuple(_split_list(args.terms)),
         offset=args.offset,
         offset_log=args.offset_log,
-        power_mode=args.power,
-        phi_sign=args.phi_sign,
-        phi_fixed=args.phi,
+        fit=FitConfig(power_mode=args.power, phi_sign=args.phi_sign, phi_fixed=args.phi),
         seed=args.seed,
         mc_budget=args.mc_draws,
     )

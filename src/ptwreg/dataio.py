@@ -198,12 +198,7 @@ class ModelSpecConfig:
     terms: tuple[str, ...] = ()
     offset: str | None = None
     offset_log: bool = True  # apply log() to the offset column (raw exposures)
-    power_mode: float | str = "free"
-    phi_sign: str = "any"
-    phi_fixed: float | None = None
-    alpha: float = 0.5
-    max_iter: int = 200
-    tol: float = 1e-6
+    fit: FitConfig = FitConfig()  # the chaser: power mode, dispersion sign or pin, budget
     seed: int = 0
     mc_budget: int = 100_000
 
@@ -212,16 +207,6 @@ class ModelSpecConfig:
             raise InvalidParameterError("response column name must be non-empty")
         if self.mc_budget < 2:
             raise InvalidParameterError("mc_budget must be at least 2")
-
-    def fit_config(self) -> FitConfig:
-        return FitConfig(
-            alpha=self.alpha,
-            max_iter=self.max_iter,
-            tol=self.tol,
-            power_mode=self.power_mode,
-            phi_sign=self.phi_sign,
-            phi_fixed=self.phi_fixed,
-        )
 
 
 def _levels(col: Column) -> list:
@@ -438,7 +423,7 @@ def fit_result_json(payload: dict) -> str:
 def fit_table(table: DatasetTable, config: ModelSpecConfig) -> dict:
     """The full pipeline: build design, fit, evaluate loglik, serialize."""
     model, names = build_design(table, config)
-    result = fit(model, config.fit_config())
+    result = fit(model, config.fit)
     loglik, reason = loglik_at_fit(result, model, config)
     return fit_result_dict(result, names, loglik, reason)
 

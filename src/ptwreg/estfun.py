@@ -26,29 +26,22 @@ from .errors import (
 )
 from .numcore import _lu_solver
 
-LINK_LOG = "log"
-
-
 @dataclass(frozen=True)
 class PtwModel:
     """Count-regression data: design X (n x Q), counts y, optional offset.
 
-    The offset is additive on the linear predictor (log) scale.  Only the
-    log link is supported.
+    The link is log; the offset is additive on the linear predictor scale.
     """
 
     X: np.ndarray
     y: np.ndarray
     offset: np.ndarray | None = None
-    link: str = LINK_LOG
 
     def __post_init__(self):
         X = np.atleast_2d(np.asarray(self.X, dtype=float))
         y = np.asarray(self.y, dtype=float)
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "y", y)
-        if self.link != LINK_LOG:
-            raise InvalidParameterError(f"only the log link is supported, got {self.link!r}")
         n, q = X.shape
         if y.shape != (n,):
             raise InvalidParameterError(f"y must have length {n}, got shape {y.shape}")
@@ -191,6 +184,19 @@ def _lambda_weights(state: EstFunState) -> np.ndarray:
     return np.column_stack([state.W_phi, state.W_p])
 
 
+def _s_beta(state: EstFunState) -> np.ndarray:
+    """S_beta_jk = -sum_i mu_i x_ij C_i^{-1} x_ik mu_i (Q x Q)."""
+    with np.errstate(over="ignore", invalid="ignore"):  # see estfun_state
+        return -(state.mu[:, None] * state.X).T @ ((state.mu / state.C)[:, None] * state.X)
+
+
+def _s_lambda(state: EstFunState) -> np.ndarray:
+    """S_lambda_jk = -sum_i W_{i lambda_j} C_i^2 W_{i lambda_k} over (phi, p) (2 x 2)."""
+    wl = _lambda_weights(state)
+    with np.errstate(over="ignore", invalid="ignore"):  # see estfun_state
+        return -(wl * state.C[:, None] ** 2).T @ wl
+
+
 def sensitivity(model: PtwModel, theta: Theta, state: EstFunState | None = None) -> np.ndarray:
     """The (Q+2) x (Q+2) sensitivity matrix E(d psi / d theta).
 
@@ -199,19 +205,16 @@ def sensitivity(model: PtwModel, theta: Theta, state: EstFunState | None = None)
         [[S_beta,        0   ],
          [S_lambda_beta, S_lambda]]
 
-    with S_beta_jk = -sum_i mu_i x_ij C_i^{-1} x_ik mu_i,
-    S_lambda_jk = -sum_i W_{i lambda_j} C_i^2 W_{i lambda_k}, and
+    with S_beta and S_lambda from ``_s_beta`` and ``_s_lambda``, and
     S_lambda_beta_jk = -sum_i W_{i lambda_j} C_i^2 W_{i beta_k}.
     """
     st = state or estfun_state(model, theta)
     q = model.n_coef
-    wl = _lambda_weights(st)
     s = np.zeros((q + 2, q + 2))
+    s[:q, :q] = _s_beta(st)
+    s[q:, q:] = _s_lambda(st)
     with np.errstate(over="ignore", invalid="ignore"):  # see estfun_state
-        s[:q, :q] = -(st.mu[:, None] * model.X).T @ ((st.mu / st.C)[:, None] * model.X)
-        wl_c2 = wl * st.C[:, None] ** 2
-        s[q:, q:] = -wl_c2.T @ wl
-        s[q:, :q] = -wl_c2.T @ st.W_beta
+        s[q:, :q] = -(_lambda_weights(st) * st.C[:, None] ** 2).T @ st.W_beta
     return s
 
 
@@ -226,10 +229,10 @@ def variability(model: PtwModel, theta: Theta, state: EstFunState | None = None)
     st = state or estfun_state(model, theta)
     q = model.n_coef
     v = np.zeros((q + 2, q + 2))
+    v[:q, :q] = -_s_beta(st)
     with np.errstate(over="ignore", invalid="ignore"):  # see estfun_state
         psi_beta_i = (st.mu * st.resid / st.C)[:, None] * model.X
         psi_lambda_i = _lambda_weights(st) * (st.resid2 - st.C)[:, None]
-        v[:q, :q] = (st.mu[:, None] * model.X).T @ ((st.mu / st.C)[:, None] * model.X)
         v[q:, q:] = psi_lambda_i.T @ psi_lambda_i
         cross = psi_lambda_i.T @ psi_beta_i
         v[q:, :q] = cross

@@ -34,6 +34,10 @@ from .tweedie import TweedieParams, sample_tweedie_mu, tweedie_density, tweedie_
 # With phi * mu**p at or below this, the mixing distribution is numerically
 # degenerate at mu and the pmf is Poisson to more digits than MC can resolve.
 _POISSON_LIMIT = 1e-6
+# Order of the Gauss-Laguerre rule used at p = 3.
+_QUAD_NODES = 128
+# Poisson tail mass of the mixing lattice left out of the p = 1 sum.
+_LATTICE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -76,11 +80,9 @@ class PmfEstimate:
 
 @dataclass(frozen=True)
 class PmfConfig:
-    """Evaluation budget: MC draw count, quadrature order, truncation, stream."""
+    """Evaluation budget: Monte Carlo draw count and random stream."""
 
     mc_draws: int = 100_000
-    quad_nodes: int = 128
-    lattice_tol: float = 1e-12
     rng: RngStream = field(default=RngStream(0))
 
 
@@ -158,12 +160,12 @@ def _pmf_closed_nb(params: PtwParams, y: int) -> PmfEstimate:
     return PmfEstimate(float(np.exp(logp)), 0.0, "closed-form")
 
 
-def _pmf_lattice_p1(params: PtwParams, y: int, tol: float) -> PmfEstimate:
+def _pmf_lattice_p1(params: PtwParams, y: int) -> PmfEstimate:
     """Exact lattice sum at p = 1, where Z = phi * N with N ~ Poisson(mu/phi):
     P(Y=y) = sum_k Poisson(y; phi*k) Poisson(k; mu/phi), truncated once the
-    Poisson tail mass of N beyond the last term is below ``tol``."""
+    Poisson tail mass of N beyond the last term is below ``_LATTICE_TOL``."""
     lam = params.mu / params.phi
-    k_max = int(_poisson_dist.ppf(1.0 - tol, lam)) + 10
+    k_max = int(_poisson_dist.ppf(1.0 - _LATTICE_TOL, lam)) + 10
     k = np.arange(k_max + 1)
     log_prior = k * np.log(lam) - lam - gammaln(k + 1)
     z = params.phi * k
@@ -172,12 +174,12 @@ def _pmf_lattice_p1(params: PtwParams, y: int, tol: float) -> PmfEstimate:
     return PmfEstimate(min(value, 1.0), 0.0, "exact-sum")
 
 
-@lru_cache(maxsize=8)
-def _gl_rule(n: int):
-    return gauss_laguerre(n)
+@lru_cache(maxsize=1)
+def _gl_rule():
+    return gauss_laguerre(_QUAD_NODES)
 
 
-def _pmf_quadrature_p3(params: PtwParams, y: int, n_nodes: int) -> PmfEstimate | None:
+def _pmf_quadrature_p3(params: PtwParams, y: int) -> PmfEstimate | None:
     """Gauss-Laguerre evaluation of the p = 3 mixture integral
     f(y) = int_0^inf Poisson(y; z) IG(z; mu, 1/phi) dz.
 
@@ -185,7 +187,7 @@ def _pmf_quadrature_p3(params: PtwParams, y: int, n_nodes: int) -> PmfEstimate |
     the node range, mixing density narrower than the local node spacing, or
     a non-finite / out-of-range result), signalling the Monte Carlo fallback.
     """
-    rule = _gl_rule(n_nodes)
+    rule = _gl_rule()
     x, w = rule.nodes, rule.weights
     if y > 0.5 * x[-1]:
         return None
@@ -230,19 +232,19 @@ def ptw_pmf(params: PtwParams, y: int, budget: PmfConfig | None = None) -> PmfEs
     budget = budget or PmfConfig()
     _check_probabilistic(params)
     y = _check_count(y)
-    est = _pmf_exact(params, y, budget)
+    est = _pmf_exact(params, y)
     if est is not None:
         return est
     if params.p == 3.0:
         warnings.warn(
-            f"Gauss-Laguerre rule ({budget.quad_nodes} nodes) cannot resolve "
+            f"Gauss-Laguerre rule ({_QUAD_NODES} nodes) cannot resolve "
             f"(mu={params.mu}, phi={params.phi}, y={y}); falling back to Monte Carlo",
             stacklevel=2,
         )
     return _pmf_monte_carlo(params, y, budget)
 
 
-def _pmf_exact(params: PtwParams, y: int, budget: PmfConfig) -> PmfEstimate | None:
+def _pmf_exact(params: PtwParams, y: int) -> PmfEstimate | None:
     """The exact (non-Monte Carlo) route for checked (params, y), or None
     where Monte Carlo is needed.  At p = 3, None means the Gauss-Laguerre
     rule could not resolve the integrand; callers warn about that fallback."""
@@ -251,21 +253,25 @@ def _pmf_exact(params: PtwParams, y: int, budget: PmfConfig) -> PmfEstimate | No
     if params.p == 2.0:
         return _pmf_closed_nb(params, y)
     if params.p == 1.0:
-        return _pmf_lattice_p1(params, y, budget.lattice_tol)
+        return _pmf_lattice_p1(params, y)
     if params.p == 3.0:
-        return _pmf_quadrature_p3(params, y, budget.quad_nodes)
+        return _pmf_quadrature_p3(params, y)
     return None
 
 
 def ptw_pmf_curve(params: PtwParams, ys, budget: PmfConfig | None = None) -> list[PmfEstimate]:
     """pmf estimates over a y grid, sharing one set of mixing draws."""
-    return [ptw_pmf(params, int(y), budget) for y in ys]
+    return [ptw_pmf(params, y, budget) for y in ys]
 
 
 def _check_count(y) -> int:
-    if y != int(y) or int(y) < 0:
+    try:
+        count = int(y)
+    except (ValueError, OverflowError):  # nan, inf
+        count = None
+    if count is None or y != count or count < 0:
         raise InvalidParameterError(f"y must be a non-negative integer, got {y}")
-    return int(y)
+    return count
 
 
 def ptw_pzero(params: PtwParams) -> float:
@@ -393,7 +399,7 @@ def ptw_loglik(mu, phi, p, y, budget: PmfConfig | None = None) -> LoglikResult:
         mc_counts = []
         for j in runs:
             yi, n_y = int(y[first[j]]), int(counts[j])
-            est = _pmf_exact(params, yi, budget)
+            est = _pmf_exact(params, yi)
             if est is None:
                 mc_counts.append((yi, n_y))
                 if params.p == 3.0:  # the Gauss-Laguerre rule fell back
@@ -428,7 +434,7 @@ def ptw_loglik(mu, phi, p, y, budget: PmfConfig | None = None) -> LoglikResult:
 
     if gl_fallbacks:
         warnings.warn(
-            f"Gauss-Laguerre rule ({budget.quad_nodes} nodes) cannot resolve "
+            f"Gauss-Laguerre rule ({_QUAD_NODES} nodes) cannot resolve "
             f"{gl_fallbacks} (mu, y) pair(s) at p = 3; falling back to Monte Carlo",
             stacklevel=2,
         )

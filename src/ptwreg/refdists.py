@@ -72,10 +72,11 @@ def _compoisson_log_weights(lam: np.ndarray, nu: float) -> np.ndarray:
 
 
 def compoisson_pmf(params: ComPoissonParams, y) -> np.ndarray | float:
-    """Exact pmf, normalized by the truncated series."""
+    """Exact pmf, normalized by the truncated series; 0 outside 0..Y*."""
     logw = _compoisson_log_weights(np.array([params.lam]), params.nu)[:, 0]
     y = np.asarray(y)
-    out = np.where(y <= len(logw) - 1, np.exp(logw[np.minimum(y, len(logw) - 1)]), 0.0)
+    inside = (y >= 0) & (y <= len(logw) - 1)
+    out = np.where(inside, np.exp(logw[np.clip(y, 0, len(logw) - 1)]), 0.0)
     return out if out.ndim else float(out)
 
 

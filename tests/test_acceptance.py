@@ -61,7 +61,7 @@ def tweedie_fit():
         table = expand_count_column(dataset_table("dicentrics"))
         config = _dicentrics_config()
         model, names = build_design(table, config)
-        result = fit(model, config.fit_config())
+        result = fit(model, config.fit)
         loglik, reason = loglik_at_fit(result, model, config)
         payload = fit_result_dict(result, names, loglik, reason)
         return SimpleNamespace(
@@ -136,9 +136,9 @@ def test_criterion_1_tweedie_fit_on_dicentrics(tweedie_fit, capsys):
 def test_criterion_2_poisson_fit_on_dicentrics(capsys):
     label = "Poisson fit on dicentrics reproduces reference estimates"
     table = expand_count_column(dataset_table("dicentrics"))
-    config = _dicentrics_config(phi_fixed=0.0)
+    config = _dicentrics_config(fit=FitConfig(phi_fixed=0.0))
     model, names = build_design(table, config)
-    result = fit(model, config.fit_config())
+    result = fit(model, config.fit)
     loglik, reason = loglik_at_fit(result, model, config)
 
     problems = []

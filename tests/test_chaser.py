@@ -4,7 +4,6 @@ import pytest
 from ptwreg.chaser import (
     FitConfig,
     FitResult,
-    _lambda_block,
     fit,
     initialize,
     step_control,
@@ -17,6 +16,7 @@ from ptwreg.errors import (
 from ptwreg.estfun import (
     PtwModel,
     Theta,
+    _s_lambda,
     estfun_state,
     pearson_score,
     quasi_score,
@@ -92,7 +92,8 @@ def test_initialize_respects_fixed_modes():
 def test_step_control_feasible_step_unchanged():
     model = poisson_model(n=50)
     theta = Theta(np.array([1.2, 0.5]), 0.3, 1.5)
-    out = step_control(theta, np.array([0.1, -0.2]), model)
+    mu = np.exp(model.linear_predictor(theta.beta))
+    out = step_control(theta, np.array([0.1, -0.2]), mu)
     assert out.phi == pytest.approx(0.2, abs=1e-15)
     assert out.p == pytest.approx(1.7, abs=1e-15)
     assert np.array_equal(out.beta, theta.beta)
@@ -102,7 +103,8 @@ def test_step_control_halves_until_feasible():
     model = poisson_model(n=50)
     theta = Theta(np.array([1.2, 0.5]), 0.3, 1.5)
     # a raw step to phi = -9.7 would make every C negative
-    out = step_control(theta, np.array([10.0, 0.0]), model)
+    mu = np.exp(model.linear_predictor(theta.beta))
+    out = step_control(theta, np.array([10.0, 0.0]), mu)
     mu = np.exp(model.linear_predictor(out.beta))
     assert np.all(mu + out.phi * mu**out.p > 0)
     halved = (0.3 - out.phi) * 2 ** np.arange(31)
@@ -112,7 +114,8 @@ def test_step_control_halves_until_feasible():
 def test_step_control_power_floor():
     model = poisson_model(n=50)
     theta = Theta(np.array([1.2, 0.5]), 0.3, 1.5)
-    out = step_control(theta, np.array([0.0, 5.0]), model)
+    mu = np.exp(model.linear_predictor(theta.beta))
+    out = step_control(theta, np.array([0.0, 5.0]), mu)
     assert out.p == pytest.approx(1e-4)
 
 
@@ -120,8 +123,9 @@ def test_step_control_boundary_trap():
     model = poisson_model(n=50)
     theta = Theta(np.array([1.2, 0.5]), 0.0, 1.5)
     # nonnegativity pins phi at 0; any downhill step stays infeasible
+    mu = np.exp(model.linear_predictor(theta.beta))
     with pytest.raises(BoundaryTrapError):
-        step_control(theta, np.array([1.0, 0.0]), model, phi_sign="nonnegative")
+        step_control(theta, np.array([1.0, 0.0]), mu, phi_sign="nonnegative")
 
 
 # ----------------------------------------------------------------- full fits
@@ -279,6 +283,6 @@ def test_lean_kernel_matches_full_sensitivity(name, n, iterations, theta_ref, se
         for lam_idx in ([0, 1], [0], [1]):
             idx = [q + i for i in lam_idx]
             expected = s_full[np.ix_(idx, idx)]
-            got = _lambda_block(state, lam_idx)
+            got = _s_lambda(state)[np.ix_(lam_idx, lam_idx)]
             assert got.shape == (len(lam_idx), len(lam_idx))
             assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))

@@ -23,7 +23,7 @@ from ptwreg.dataio import (
     study_result_json,
     table_csv,
 )
-from ptwreg.chaser import FitResult
+from ptwreg.chaser import FitConfig, FitResult
 from ptwreg.datasets import DATASET_NAMES, dataset_table, dicentrics_csv
 from ptwreg.errors import CsvParseError, InvalidParameterError, RankDeficiencyError
 from ptwreg.estfun import Theta
@@ -256,7 +256,7 @@ def test_model_spec_validation():
 @pytest.fixture(scope="module")
 def poisson_payload():
     table = dataset_table("dicentrics", expand_counts=True)
-    config = ModelSpecConfig(response="y", terms=("dose", "dose^2"), phi_fixed=0.0)
+    config = ModelSpecConfig(response="y", terms=("dose", "dose^2"), fit=FitConfig(phi_fixed=0.0))
     return fit_table(table, config)
 
 
@@ -298,7 +298,7 @@ def test_fit_json_round_trip(poisson_payload):
     assert text.endswith("\n")
     assert json.loads(text) == poisson_payload
     table = dataset_table("dicentrics", expand_counts=True)
-    config = ModelSpecConfig(response="y", terms=("dose", "dose^2"), phi_fixed=0.0)
+    config = ModelSpecConfig(response="y", terms=("dose", "dose^2"), fit=FitConfig(phi_fixed=0.0))
     assert fit_result_json(fit_table(table, config)) == text
 
 
@@ -313,11 +313,24 @@ def test_underdispersed_fit_reports_loglik_reason():
             Column("x", "real", tuple(x)),
         )
     )
-    payload = fit_table(table, ModelSpecConfig(response="y", terms=("x",), power_mode=1.0))
+    payload = fit_table(
+        table, ModelSpecConfig(response="y", terms=("x",), fit=FitConfig(power_mode=1.0))
+    )
     assert "loglik" not in payload
     assert "no probability distribution" in payload["loglik_reason"]
     assert payload["dispersion"]["phi"] < 0
     assert payload["dispersion"]["fixed"] == {"phi": False, "p": True}
+
+
+def test_fit_table_passes_the_fit_config_through():
+    # the iteration budget set on the spec's FitConfig reaches the chaser
+    table = dataset_table("dicentrics", expand_counts=True)
+    config = ModelSpecConfig(
+        response="y", terms=("dose", "dose^2"), fit=FitConfig(max_iter=2)
+    )
+    convergence = fit_table(table, config)["convergence"]
+    assert convergence["iterations"] == 2
+    assert any("did not converge in 2 iterations" in w for w in convergence["warnings"])
 
 
 def test_loglik_reasons_for_unreachable_powers():
@@ -363,7 +376,9 @@ def test_dicentrics_loglik_is_bit_stable(variant, overrides, value, method):
     # recorded from the per-observation dict loop at seed 0; the grouped
     # evaluation sums in the same order, so the values are exactly equal
     table = dataset_table("dicentrics", expand_counts=True)
-    config = ModelSpecConfig(response="y", terms=("dose", "dose^2"), seed=0, **overrides)
+    config = ModelSpecConfig(
+        response="y", terms=("dose", "dose^2"), seed=0, fit=FitConfig(**overrides)
+    )
     loglik = fit_table(table, config)["loglik"]
     assert (loglik["value"], loglik["method"]) == (value, method)
 
@@ -372,7 +387,9 @@ def test_dicentrics_p3_loglik_warns_once():
     # 20 (mu, y) pairs fall back from Gauss-Laguerre to Monte Carlo; the
     # log-likelihood says so in one warning, not one per pair
     table = dataset_table("dicentrics", expand_counts=True)
-    config = ModelSpecConfig(response="y", terms=("dose", "dose^2"), seed=0, power_mode=3.0)
+    config = ModelSpecConfig(
+        response="y", terms=("dose", "dose^2"), seed=0, fit=FitConfig(power_mode=3.0)
+    )
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         fit_table(table, config)

@@ -145,6 +145,23 @@ def test_pmf_rejects_bad_inputs():
         ptw_pmf(PtwParams(10.0, 0.1, 2.0), -1)
 
 
+@pytest.mark.parametrize("y", [np.nan, np.inf, -np.inf])
+def test_non_finite_counts_are_invalid(y):
+    params = PtwParams(5.0, 0.5, 2.0)
+    with pytest.raises(InvalidParameterError):
+        ptw_pmf(params, y)
+    with pytest.raises(InvalidParameterError):
+        heavy_tail_index(params, y)
+
+
+def test_pmf_curve_rejects_fractional_counts():
+    # no silent truncation: 2.5 is refused, as by ptw_pmf itself
+    params = PtwParams(5.0, 0.5, 2.0)
+    with pytest.raises(InvalidParameterError):
+        ptw_pmf_curve(params, [2.5])
+    assert ptw_pmf_curve(params, [2.0]) == [ptw_pmf(params, 2)]
+
+
 # --------------------------------------------------------------------- pzero
 
 

@@ -80,6 +80,14 @@ def test_gammacount_pmf_scalar_and_out_of_support():
     assert gammacount_pmf(params, 500) == pytest.approx(0.0, abs=1e-300)
 
 
+def test_pmfs_are_zero_at_negative_counts():
+    # a negative count must not index the end of the CDF table
+    assert compoisson_pmf(ComPoissonParams(3.0, 2.0), -1) == 0.0
+    assert gammacount_pmf(GammaCountParams(3.0, 2.0), -1) == 0.0
+    probs = compoisson_pmf(ComPoissonParams(3.0, 2.0), np.array([-2, -1, 0]))
+    assert probs[0] == probs[1] == 0.0 and probs[2] > 0.0
+
+
 # -------------------------------------------------------------------- samplers
 
 
