@@ -35,6 +35,7 @@ from .estfun import (
     Theta,
     _s_beta,
     _s_lambda,
+    _weigh,
     _with_dispersion,
     estfun_state,
     godambe_covariance,
@@ -130,10 +131,15 @@ def initialize(model: PtwModel, config: FitConfig | None = None) -> Theta:
     iteration from a least-squares fit to log(y + 0.5).  p0 is 1.5 unless
     fixed.  phi0 matches the average squared residual,
     sum[(y - mu)^2 - mu] / sum mu^p0, floored so that every fitted
-    variance stays above 0.1 * mu.
+    variance stays above 0.1 * mu.  Frequency weights weight both the
+    least squares and the phi0 sums.
     """
     config = config or FitConfig()
-    beta = np.linalg.lstsq(model.X, np.log(model.y + 0.5), rcond=None)[0]
+    X, z = model.X, np.log(model.y + 0.5)
+    if model.weights is not None:
+        root_w = np.sqrt(model.weights)
+        X, z = root_w[:, None] * X, root_w * z
+    beta = np.linalg.lstsq(X, z, rcond=None)[0]
     theta = Theta(beta, 0.0, 1.0)
     for _ in range(100):
         state = estfun_state(model, theta)
@@ -147,7 +153,8 @@ def initialize(model: PtwModel, config: FitConfig | None = None) -> Theta:
     if config.phi_fixed is not None:
         return Theta(theta.beta, float(config.phi_fixed), p0)
     mu = np.exp(model.linear_predictor(theta.beta))
-    phi0 = float(np.sum((model.y - mu) ** 2 - mu) / np.sum(mu**p0))
+    w = model.weights
+    phi0 = float(np.sum(_weigh(w, (model.y - mu) ** 2 - mu)) / np.sum(_weigh(w, mu**p0)))
     phi_floor = -0.9 * float(np.min(mu ** (1.0 - p0)))
     phi0 = max(phi0, phi_floor)
     if config.phi_sign == "nonnegative":
@@ -202,7 +209,7 @@ def _sandwich(model: PtwModel, theta: Theta, free: tuple[str, ...]) -> np.ndarra
     s = np.zeros((q + 2, q + 2))  # block diagonal: see module docstring
     s[:q, :q] = _s_beta(state)
     s[q:, q:] = _s_lambda(state)
-    v = variability(model, theta, state)
+    v = variability(model, theta, state, s_beta=s[:q, :q])
     idx = list(range(q)) + [q + _LAMBDA_INDEX[name] for name in free]
     return godambe_covariance(s[np.ix_(idx, idx)], v[np.ix_(idx, idx)])
 

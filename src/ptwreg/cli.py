@@ -84,7 +84,8 @@ def _emit(text: str, out: str | None) -> None:
 
 def _cmd_fit(args) -> int:
     schema = {name: "categorical" for name in _split_list(args.categorical)}
-    table = load_csv(args.data, schema=schema or None)
+    # A count column stays in the table: build_design fits it as frequency weights.
+    table = load_csv(args.data, schema=schema or None, expand_counts=False)
     config = ModelSpecConfig(
         response=args.response,
         terms=tuple(_split_list(args.terms)),

@@ -123,8 +123,8 @@ def _infer_kind(raw: list[str]) -> str:
         return "categorical"
 
 
-def expand_count_column(table: DatasetTable, count: str = "count") -> DatasetTable:
-    """Repeat each row by its frequency and drop the frequency column."""
+def _frequencies(table: DatasetTable, count: str) -> np.ndarray:
+    """The frequency column as integers, checked non-negative."""
     col = table.column(count)
     if col.kind != "integer":
         raise CsvParseError(f"column {count!r} must contain non-negative integers")
@@ -133,14 +133,30 @@ def expand_count_column(table: DatasetTable, count: str = "count") -> DatasetTab
             raise CsvParseError(
                 f"row {row_idx + 2}, column {count!r}: negative frequency {v}"
             )
-    reps = np.asarray(col.values, dtype=int)
-    idx = np.repeat(np.arange(table.n_rows), reps)
-    expanded = tuple(
+    return np.asarray(col.values, dtype=int)
+
+
+def _take_rows(table: DatasetTable, idx: np.ndarray, drop: str) -> DatasetTable:
+    """Rows ``idx`` of every column except ``drop``."""
+    return DatasetTable(tuple(
         Column(c.name, c.kind, tuple(np.asarray(c.values, dtype=object)[idx]))
         for c in table.columns
-        if c.name != count
-    )
-    return DatasetTable(expanded)
+        if c.name != drop
+    ))
+
+
+def expand_count_column(table: DatasetTable, count: str = "count") -> DatasetTable:
+    """Repeat each row by its frequency and drop the frequency column."""
+    reps = _frequencies(table, count)
+    return _take_rows(table, np.repeat(np.arange(table.n_rows), reps), count)
+
+
+def _collapse_counts(table: DatasetTable, count: str = "count") -> tuple[DatasetTable, np.ndarray]:
+    """The rows with a positive frequency, without the frequency column,
+    and those frequencies: the weighted form of ``expand_count_column``."""
+    freq = _frequencies(table, count)
+    keep = np.flatnonzero(freq)
+    return _take_rows(table, keep, count), freq[keep]
 
 
 def load_csv(
@@ -153,7 +169,8 @@ def load_csv(
     Column types are inferred (integer, then real, else categorical) unless
     overridden by ``schema``.  When a column named ``count`` is present and
     ``expand_counts`` is set, rows are expanded by frequency and the column
-    is dropped.
+    is dropped; otherwise it stays, and ``build_design`` fits it as
+    frequency weights.
     """
     schema = schema or {}
     with open(path, encoding="utf-8", newline="") as handle:
@@ -276,8 +293,14 @@ def build_design(
     """Assemble the regression model: intercept first, then terms in order.
 
     Returns the model plus the design column names (for reporting).  The
-    offset column, when named, enters additively on the log scale.
+    offset column, when named, enters additively on the log scale.  A
+    ``count`` column holds frequencies: it becomes the model's weights,
+    rows with frequency 0 are dropped, and like the expanded table the
+    design has no ``count`` column to name as response, term or offset.
     """
+    weights = None
+    if "count" in table.names:
+        table, weights = _collapse_counts(table)
     y = table.numeric(config.response)
     names = [INTERCEPT]
     columns = [np.ones(table.n_rows)]
@@ -303,7 +326,7 @@ def build_design(
             offset = np.log(raw)
         else:
             offset = raw
-    return PtwModel(design, y, offset=offset), tuple(names)
+    return PtwModel(design, y, offset=offset, weights=weights), tuple(names)
 
 
 # --------------------------------------------------------------------------
@@ -341,9 +364,13 @@ def loglik_at_fit(
             "pmf evaluation is not available"
         )
     mu = np.exp(model.linear_predictor(theta.beta))
+    y = model.y
+    if model.weights is not None:  # one row per observation, in row order
+        reps = model.weights.astype(int)
+        mu, y = np.repeat(mu, reps), np.repeat(y, reps)
     budget = PmfConfig(mc_draws=config.mc_budget, rng=RngStream(config.seed))
     try:
-        return ptw_loglik(mu, theta.phi, theta.p, model.y, budget), None
+        return ptw_loglik(mu, theta.phi, theta.p, y, budget), None
     except NonpositivePmfError as exc:
         return None, str(exc)
 

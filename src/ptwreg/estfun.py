@@ -9,6 +9,12 @@ weights W are derivatives of -C_i^{-1}.  Together with the sensitivity S
 lambda blocks), the asymptotic covariance is the inverse Godambe
 information S^{-1} V S^{-T}.
 
+A model may carry frequency weights w_i: row i then stands for w_i
+identical observations, and every sum over i above (the scores, S, and
+the empirical V_lambda = sum_i w_i psi_i psi_i^T with its cross block)
+becomes sum_i w_i (...).  This equals the same sum over the expanded
+rows, up to summation order.  Unweighted models skip the products.
+
 Parameter ordering everywhere: (beta_1..beta_Q, phi, p).
 """
 
@@ -28,14 +34,18 @@ from .numcore import _lu_solver
 
 @dataclass(frozen=True)
 class PtwModel:
-    """Count-regression data: design X (n x Q), counts y, optional offset.
+    """Count-regression data: design X (n x Q), counts y, optional offset,
+    and optional frequency weights.
 
     The link is log; the offset is additive on the linear predictor scale.
+    ``weights`` are positive integers: row i stands for ``weights[i]``
+    identical observations.
     """
 
     X: np.ndarray
     y: np.ndarray
     offset: np.ndarray | None = None
+    weights: np.ndarray | None = None
 
     def __post_init__(self):
         X = np.atleast_2d(np.asarray(self.X, dtype=float))
@@ -56,10 +66,21 @@ class PtwModel:
             if off.shape != (n,) or not np.all(np.isfinite(off)):
                 raise InvalidParameterError(f"offset must be a finite vector of length {n}")
             object.__setattr__(self, "offset", off)
+        if self.weights is not None:
+            w = np.asarray(self.weights, dtype=float)
+            if w.shape != (n,) or not np.all(np.isfinite(w)) or np.any(w < 1) \
+                    or np.any(w != np.round(w)):
+                raise InvalidParameterError(
+                    f"weights must be a vector of {n} positive integers"
+                )
+            object.__setattr__(self, "weights", w)
 
     @property
     def n_obs(self) -> int:
-        return self.X.shape[0]
+        """Observations: rows, or the sum of the frequency weights."""
+        if self.weights is None:
+            return self.X.shape[0]
+        return int(self.weights.sum())
 
     @property
     def n_coef(self) -> int:
@@ -91,11 +112,6 @@ class Theta:
     def as_array(self) -> np.ndarray:
         return np.concatenate([self.beta, [self.phi, self.p]])
 
-    @staticmethod
-    def from_array(values: np.ndarray) -> "Theta":
-        values = np.asarray(values, dtype=float)
-        return Theta(values[:-2], float(values[-2]), float(values[-1]))
-
 
 @dataclass(frozen=True)
 class EstFunState:
@@ -109,6 +125,7 @@ class EstFunState:
     W_p: np.ndarray
     log_mu: np.ndarray
     X: np.ndarray
+    weights: np.ndarray | None
     theta: Theta
 
     @cached_property
@@ -130,17 +147,20 @@ def estfun_state(model: PtwModel, theta: Theta) -> EstFunState:
     # Divergent trial iterates can overflow mu**p; the resulting non-finite
     # weights propagate to a failed step or a non-converged fit, which the
     # callers handle, so the arithmetic itself should stay quiet.
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         mu = np.exp(model.linear_predictor(theta.beta))
-        if not np.isfinite(mu).all():
+        log_mu = np.log(mu)
+        # log mu is finite exactly when 0 < mu < inf: one check covers both ends.
+        if not np.isfinite(log_mu).all():
+            if np.isfinite(mu).all():
+                raise InvalidParameterError("linear predictor underflow: mu is 0")
             raise InvalidParameterError("linear predictor overflow: mu is not finite")
         resid = model.y - mu
         resid2 = resid**2
-        log_mu = np.log(mu)
     C, w_phi, w_p = _dispersion_weights(mu, log_mu, theta.phi, theta.p)
     return EstFunState(
         mu=mu, C=C, resid=resid, resid2=resid2, W_phi=w_phi, W_p=w_p, log_mu=log_mu,
-        X=model.X, theta=theta,
+        X=model.X, weights=model.weights, theta=theta,
     )
 
 
@@ -165,10 +185,17 @@ def _dispersion_weights(mu, log_mu, phi, p):
         return C, inv_c2 * mu_p, inv_c2 * phi * mu_p * log_mu
 
 
+def _weigh(weights: np.ndarray | None, values: np.ndarray) -> np.ndarray:
+    """``values`` (rows first) times the frequency weights; as is when unweighted."""
+    if weights is None:
+        return values
+    return weights * values if values.ndim == 1 else weights[:, None] * values
+
+
 def quasi_score(model: PtwModel, theta: Theta, state: EstFunState | None = None) -> np.ndarray:
     """psi_beta: component j = sum_i mu_i x_ij C_i^{-1} (y_i - mu_i)."""
     st = state or estfun_state(model, theta)
-    return model.X.T @ (st.mu * st.resid / st.C)
+    return model.X.T @ _weigh(st.weights, st.mu * st.resid / st.C)
 
 
 def pearson_score(model: PtwModel, theta: Theta, state: EstFunState | None = None) -> np.ndarray:
@@ -176,7 +203,7 @@ def pearson_score(model: PtwModel, theta: Theta, state: EstFunState | None = Non
     (y - mu)^2 - C contracted against the W_phi and W_p weights."""
     st = state or estfun_state(model, theta)
     with np.errstate(over="ignore", invalid="ignore"):  # see estfun_state
-        bracket = st.resid2 - st.C
+        bracket = _weigh(st.weights, st.resid2 - st.C)
         return np.array([(st.W_phi * bracket).sum(), (st.W_p * bracket).sum()])
 
 
@@ -187,14 +214,16 @@ def _lambda_weights(state: EstFunState) -> np.ndarray:
 def _s_beta(state: EstFunState) -> np.ndarray:
     """S_beta_jk = -sum_i mu_i x_ij C_i^{-1} x_ik mu_i (Q x Q)."""
     with np.errstate(over="ignore", invalid="ignore"):  # see estfun_state
-        return -(state.mu[:, None] * state.X).T @ ((state.mu / state.C)[:, None] * state.X)
+        return -(state.mu[:, None] * state.X).T @ (
+            _weigh(state.weights, state.mu / state.C)[:, None] * state.X
+        )
 
 
 def _s_lambda(state: EstFunState) -> np.ndarray:
     """S_lambda_jk = -sum_i W_{i lambda_j} C_i^2 W_{i lambda_k} over (phi, p) (2 x 2)."""
     wl = _lambda_weights(state)
     with np.errstate(over="ignore", invalid="ignore"):  # see estfun_state
-        return -(wl * state.C[:, None] ** 2).T @ wl
+        return -(wl * _weigh(state.weights, state.C**2)[:, None]).T @ wl
 
 
 def sensitivity(model: PtwModel, theta: Theta, state: EstFunState | None = None) -> np.ndarray:
@@ -214,27 +243,34 @@ def sensitivity(model: PtwModel, theta: Theta, state: EstFunState | None = None)
     s[:q, :q] = _s_beta(st)
     s[q:, q:] = _s_lambda(st)
     with np.errstate(over="ignore", invalid="ignore"):  # see estfun_state
-        s[q:, :q] = -(_lambda_weights(st) * st.C[:, None] ** 2).T @ st.W_beta
+        s[q:, :q] = -(_lambda_weights(st) * _weigh(st.weights, st.C**2)[:, None]).T @ st.W_beta
     return s
 
 
-def variability(model: PtwModel, theta: Theta, state: EstFunState | None = None) -> np.ndarray:
+def variability(
+    model: PtwModel,
+    theta: Theta,
+    state: EstFunState | None = None,
+    s_beta: np.ndarray | None = None,
+) -> np.ndarray:
     """The (Q+2) x (Q+2) variability matrix Var(psi).
 
-    The beta block is analytic (V_beta = -S_beta); the lambda and
-    cross blocks are the empirical sums of per-observation
+    The beta block is analytic (V_beta = -S_beta, from ``s_beta`` when the
+    caller already has it at this state); the lambda and cross blocks are
+    the empirical (frequency-weighted) sums of per-observation
     estimating-function products evaluated at the supplied theta, with no
     degrees-of-freedom correction.  Symmetric by construction.
     """
     st = state or estfun_state(model, theta)
     q = model.n_coef
     v = np.zeros((q + 2, q + 2))
-    v[:q, :q] = -_s_beta(st)
+    v[:q, :q] = -(_s_beta(st) if s_beta is None else s_beta)
     with np.errstate(over="ignore", invalid="ignore"):  # see estfun_state
         psi_beta_i = (st.mu * st.resid / st.C)[:, None] * model.X
         psi_lambda_i = _lambda_weights(st) * (st.resid2 - st.C)[:, None]
-        v[q:, q:] = psi_lambda_i.T @ psi_lambda_i
-        cross = psi_lambda_i.T @ psi_beta_i
+        weighted = _weigh(st.weights, psi_lambda_i)
+        v[q:, q:] = weighted.T @ psi_lambda_i
+        cross = weighted.T @ psi_beta_i
         v[q:, :q] = cross
         v[:q, q:] = cross.T
     return v

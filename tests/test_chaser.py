@@ -77,6 +77,19 @@ def test_initialize_near_zero_for_poisson_data():
     assert abs(theta0.phi) < 0.05
 
 
+def test_initialize_weighted_matches_expanded():
+    # frequency weights enter the least squares and the phi0 sums as the
+    # repeated rows would
+    model = poisson_model(n=40)
+    weights = 1 + np.arange(40) % 5
+    weighted = PtwModel(X=model.X, y=model.y, weights=weights)
+    expanded = PtwModel(X=np.repeat(model.X, weights, axis=0), y=np.repeat(model.y, weights))
+    for config in (FitConfig(), FitConfig(power_mode=2.0)):
+        got = initialize(weighted, config).as_array()
+        want = initialize(expanded, config).as_array()
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-14)
+
+
 def test_initialize_respects_fixed_modes():
     model = poisson_model()
     assert initialize(model, FitConfig(power_mode=3.0)).p == 3.0
@@ -222,6 +235,24 @@ def test_fit_needs_enough_observations_for_free_power():
     model = PtwModel(X=X, y=np.array([1, 2, 3]))
     with pytest.raises(InvalidParameterError):
         fit(model)
+
+
+def test_free_power_guard_counts_weighted_observations():
+    # observations, not rows: the frequency form of the same guard
+    with pytest.raises(InvalidParameterError, match="n > Q"):
+        fit(PtwModel(X=np.ones((2, 1)), y=np.array([1, 2]), weights=np.array([2, 1])))
+    assert PtwModel(X=np.ones((2, 1)), y=np.array([1, 2]), weights=np.array([2, 2])).n_obs == 4
+
+
+@pytest.mark.filterwarnings("error")
+def test_fit_with_underflowing_mean_fails_quietly():
+    # paper-scale ptw-p3-di5, n = 250, stream (1, 3): the power step reaches
+    # p near 15.8 and exp(X beta) underflows to 0; that is rejected like an
+    # overflow, with no RuntimeWarning from log(0)
+    design, y = _simulate(make_scenario("ptw-p3-di5", scale="paper"), 250,
+                          RngStream(0, (1, 3)).generator())
+    with pytest.raises(InvalidParameterError, match="underflow"):
+        fit(PtwModel(design, y), FitConfig())
 
 
 def test_fit_rank_deficient_design():

@@ -10,7 +10,8 @@ import pytest
 import ptwreg.cli as cli
 import ptwreg.ptwdist as ptwdist
 from ptwreg.cli import main
-from ptwreg.datasets import dicentrics_csv
+from ptwreg.dataio import table_csv
+from ptwreg.datasets import dataset_table, dicentrics_csv
 
 from oracles import nb_pmf
 
@@ -61,6 +62,28 @@ def test_fit_free_power_matches_published(dicentrics_file, capsys):
     assert payload["dispersion"]["phi"] == pytest.approx(0.2507, abs=1e-3)
     assert payload["dispersion"]["p"] == pytest.approx(1.0873, abs=1e-3)
     assert payload["dispersion"]["fixed"] == {"phi": False, "p": False}
+
+
+def test_fit_frequency_file_matches_expanded_file(dicentrics_file, tmp_path, capsys):
+    # the count column is fitted as frequency weights, with no expansion
+    expanded_file = tmp_path / "expanded.csv"
+    expanded_file.write_text(table_csv(dataset_table("dicentrics", expand_counts=True)))
+    payloads = []
+    for path in (dicentrics_file, str(expanded_file)):
+        code, out, _ = run_cli(
+            ["fit", "--data", path, "--response", "y", "--terms", "dose,dose^2",
+             "--power", "2"],
+            capsys,
+        )
+        assert code == 0
+        payloads.append(json.loads(out))
+    weighted, expanded = payloads
+    for key in ("iterations", "warnings"):
+        assert weighted["convergence"][key] == expanded["convergence"][key]
+    for got, want in zip(weighted["coefficients"], expanded["coefficients"]):
+        assert got["estimate"] == pytest.approx(want["estimate"], rel=1e-10)
+        assert got["std_error"] == pytest.approx(want["std_error"], rel=1e-10)
+    assert weighted["loglik"]["value"] == pytest.approx(expanded["loglik"]["value"], rel=1e-12)
 
 
 def test_fit_unknown_column_names_it(dicentrics_file, capsys):

@@ -23,7 +23,7 @@ from ptwreg.dataio import (
     study_result_json,
     table_csv,
 )
-from ptwreg.chaser import FitConfig, FitResult
+from ptwreg.chaser import FitConfig, FitResult, fit
 from ptwreg.datasets import DATASET_NAMES, dataset_table, dicentrics_csv
 from ptwreg.errors import CsvParseError, InvalidParameterError, RankDeficiencyError
 from ptwreg.estfun import Theta
@@ -241,6 +241,71 @@ def test_design_offset_must_be_positive():
     )
     with pytest.raises(InvalidParameterError, match="positive"):
         build_design(table, ModelSpecConfig(response="y", offset="t"))
+
+
+def test_design_reads_count_as_frequency_weights():
+    table = DatasetTable(
+        (
+            Column("x", "real", (0.1, 0.2, 0.3, 0.4)),
+            Column("y", "integer", (0, 1, 2, 3)),
+            Column("count", "integer", (3, 0, 1, 2)),
+        )
+    )
+    model, names = build_design(table, ModelSpecConfig(response="y", terms=("x",)))
+    assert names == ("intercept", "x")
+    assert np.array_equal(model.X[:, 1], [0.1, 0.3, 0.4])  # the zero-count row is gone
+    assert np.array_equal(model.y, [0, 2, 3])
+    assert np.array_equal(model.weights, [3, 1, 2])
+    assert model.n_obs == 6
+    plain, _ = build_design(table.drop("count"), ModelSpecConfig(response="y", terms=("x",)))
+    assert plain.weights is None and plain.n_obs == 4
+    # as in the expanded table, there is no count column to model
+    for spec in (
+        ModelSpecConfig(response="count"),
+        ModelSpecConfig(response="y", terms=("count",)),
+        ModelSpecConfig(response="y", terms=("x:count",)),
+        ModelSpecConfig(response="y", offset="count"),
+    ):
+        with pytest.raises(InvalidParameterError, match="'count' not in table"):
+            build_design(table, spec)
+    bad = DatasetTable((Column("y", "integer", (1,)), Column("count", "integer", (-1,))))
+    with pytest.raises(CsvParseError, match="negative frequency"):
+        build_design(bad, ModelSpecConfig(response="y"))
+
+
+_VARIANTS = {
+    "free": {},
+    "phi 0": {"phi_fixed": 0.0},
+    "p1": {"power_mode": 1.0},
+    "p2": {"power_mode": 2.0},
+    "p3": {"power_mode": 3.0},
+}
+
+
+@pytest.mark.parametrize("overrides", _VARIANTS.values(), ids=list(_VARIANTS))
+@pytest.mark.filterwarnings("ignore:Gauss-Laguerre rule")
+def test_weighted_dicentrics_fit_matches_expanded(overrides):
+    config = ModelSpecConfig(response="y", terms=("dose", "dose^2"), fit=FitConfig(**overrides))
+    weighted, _ = build_design(dataset_table("dicentrics"), config)
+    expanded, _ = build_design(dataset_table("dicentrics", expand_counts=True), config)
+    assert weighted.X.shape == (26, 3) and expanded.X.shape == (5232, 3)
+    assert weighted.n_obs == expanded.n_obs
+    got, want = fit(weighted, config.fit), fit(expanded, config.fit)
+    assert got.iterations == want.iterations
+    assert got.converged == want.converged
+    assert got.warnings == want.warnings
+    assert got.covariance_layout == want.covariance_layout
+    assert got.theta_hat.as_array() == pytest.approx(want.theta_hat.as_array(), rel=1e-10)
+    assert got.std_errors == pytest.approx(want.std_errors, rel=1e-10)
+    # at one shared mu vector, the repeated rows are the expanded rows, so the
+    # log-likelihood is the same sum in the same order on every pmf route
+    reps = weighted.weights.astype(int)
+    beta = want.theta_hat.beta
+    assert np.array_equal(
+        np.repeat(np.exp(weighted.linear_predictor(beta)), reps),
+        np.exp(expanded.linear_predictor(beta)),
+    )
+    assert loglik_at_fit(want, weighted, config) == loglik_at_fit(want, expanded, config)
 
 
 def test_model_spec_validation():

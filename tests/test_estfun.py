@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from ptwreg.errors import SingularMatrixError, VarianceNonpositiveError
+from ptwreg.errors import InvalidParameterError, SingularMatrixError, VarianceNonpositiveError
 from ptwreg.estfun import (
     PtwModel,
     Theta,
+    _s_beta,
+    _s_lambda,
     _with_dispersion,
     estfun_state,
     godambe_covariance,
@@ -118,6 +120,95 @@ def test_dispersion_update_matches_fresh_state():
     assert reused.theta is moved
     with pytest.raises(VarianceNonpositiveError):
         _with_dispersion(fresh, Theta(theta.beta, -5.0, 1.9))
+
+
+@pytest.mark.filterwarnings("error")
+def test_mu_underflow_is_rejected_quietly():
+    # exp(-800) is 0: log mu would be -inf, and C = 0 at any phi and p
+    model = PtwModel(X=np.array([[1.0], [2.0]]), y=np.array([0, 1]))
+    with pytest.raises(InvalidParameterError, match="underflow"):
+        estfun_state(model, Theta(np.array([-400.0]), 0.3, 1.5))
+    with pytest.raises(InvalidParameterError, match="overflow"):
+        estfun_state(model, Theta(np.array([400.0]), 0.3, 1.5))
+
+
+# ------------------------------------------------------------ frequency weights
+
+
+def weighted_model(seed=0):
+    """20 distinct rows with frequencies 1..4, and the same data expanded."""
+    model, theta, _ = sim_model(n=20, seed=seed)
+    weights = 1 + np.arange(20) % 4
+    weighted = PtwModel(X=model.X, y=model.y, offset=np.full(20, 0.1), weights=weights)
+    expanded = PtwModel(
+        X=np.repeat(model.X, weights, axis=0),
+        y=np.repeat(model.y, weights),
+        offset=np.full(int(weights.sum()), 0.1),
+    )
+    return weighted, expanded, theta
+
+
+def test_weights_validated_and_counted():
+    weighted, expanded, _ = weighted_model()
+    assert weighted.n_obs == expanded.n_obs == 50
+    X, y = weighted.X, weighted.y
+    for bad in (np.zeros(20), np.full(20, 1.5), -np.ones(20), np.ones(19), np.full(20, np.nan)):
+        with pytest.raises(InvalidParameterError, match="weights"):
+            PtwModel(X=X, y=y, weights=bad)
+
+
+def test_weighted_sums_equal_expanded_sums():
+    weighted, expanded, theta = weighted_model()
+    for func in (quasi_score, pearson_score, sensitivity, variability):
+        got, want = func(weighted, theta), func(expanded, theta)
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want))), func
+    for block in (_s_beta, _s_lambda):
+        got = block(estfun_state(weighted, theta))
+        want = block(estfun_state(expanded, theta))
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0), block
+    # unit weights multiply by 1.0: exactly the unweighted sums
+    unit = PtwModel(X=weighted.X, y=weighted.y, weights=np.ones(20))
+    plain = PtwModel(X=weighted.X, y=weighted.y)
+    for func in (quasi_score, pearson_score, sensitivity, variability):
+        assert np.array_equal(func(unit, theta), func(plain, theta)), func
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+def test_lean_blocks_match_averaged_score_differences(weighted):
+    # _s_beta and _s_lambda against central differences of the quasi- and
+    # Pearson scores averaged over 200 datasets held fixed while theta moves,
+    # as criterion 7 checks the full sensitivity matrix
+    model, theta, mu = sim_model(n=80)
+    weights = 1 + np.arange(80) % 3 if weighted else None
+    gen = RngStream(78).generator()
+    models = [
+        PtwModel(X=model.X, y=sample_ptw_mu(mu, theta.phi, theta.p, gen), weights=weights)
+        for _ in range(200)
+    ]
+    state = estfun_state(models[0], theta)
+    q = model.n_coef
+
+    def averaged(score, beta, phi, p):
+        th = Theta(beta, phi, p)
+        return np.mean([score(m, th) for m in models], axis=0)
+
+    fd_beta = np.zeros((q, q))
+    for k in range(q):
+        h = 1e-4 * max(1.0, abs(theta.beta[k]))
+        step = h * np.eye(q)[k]
+        hi = averaged(quasi_score, theta.beta + step, theta.phi, theta.p)
+        lo = averaged(quasi_score, theta.beta - step, theta.phi, theta.p)
+        fd_beta[:, k] = (hi - lo) / (2 * h)
+    fd_lambda = np.zeros((2, 2))
+    for k in range(2):
+        h = 1e-4 * max(1.0, abs((theta.phi, theta.p)[k]))
+        dphi, dp = h * np.eye(2)[k]
+        hi = averaged(pearson_score, theta.beta, theta.phi + dphi, theta.p + dp)
+        lo = averaged(pearson_score, theta.beta, theta.phi - dphi, theta.p - dp)
+        fd_lambda[:, k] = (hi - lo) / (2 * h)
+
+    for analytic, fd in ((_s_beta(state), fd_beta), (_s_lambda(state), fd_lambda)):
+        assert np.all(np.abs(fd - analytic) <= 0.05 * np.abs(analytic)), (analytic, fd)
 
 
 # ----------------------------------------------------------------- sensitivity
