@@ -206,10 +206,10 @@ def _sandwich(model: PtwModel, theta: Theta, free: tuple[str, ...]) -> np.ndarra
     restricted to the estimated parameters."""
     q = model.n_coef
     state = estfun_state(model, theta)
+    v = variability(model, theta, state)
     s = np.zeros((q + 2, q + 2))  # block diagonal: see module docstring
-    s[:q, :q] = _s_beta(state)
+    s[:q, :q] = -v[:q, :q]  # V_beta = -S_beta exactly, so S_beta is formed once
     s[q:, q:] = _s_lambda(state)
-    v = variability(model, theta, state, s_beta=s[:q, :q])
     idx = list(range(q)) + [q + _LAMBDA_INDEX[name] for name in free]
     return godambe_covariance(s[np.ix_(idx, idx)], v[np.ix_(idx, idx)])
 

@@ -170,7 +170,9 @@ def load_csv(
     overridden by ``schema``.  When a column named ``count`` is present and
     ``expand_counts`` is set, rows are expanded by frequency and the column
     is dropped; otherwise it stays, and ``build_design`` fits it as
-    frequency weights.
+    frequency weights.  ``build_design`` always reads ``count`` that way, so
+    with ``expand_counts=False`` the column can no longer be modelled as an
+    ordinary response, term or offset.
     """
     schema = schema or {}
     with open(path, encoding="utf-8", newline="") as handle:

@@ -247,24 +247,19 @@ def sensitivity(model: PtwModel, theta: Theta, state: EstFunState | None = None)
     return s
 
 
-def variability(
-    model: PtwModel,
-    theta: Theta,
-    state: EstFunState | None = None,
-    s_beta: np.ndarray | None = None,
-) -> np.ndarray:
+def variability(model: PtwModel, theta: Theta, state: EstFunState | None = None) -> np.ndarray:
     """The (Q+2) x (Q+2) variability matrix Var(psi).
 
-    The beta block is analytic (V_beta = -S_beta, from ``s_beta`` when the
-    caller already has it at this state); the lambda and cross blocks are
-    the empirical (frequency-weighted) sums of per-observation
-    estimating-function products evaluated at the supplied theta, with no
-    degrees-of-freedom correction.  Symmetric by construction.
+    The beta block is analytic (V_beta = -S_beta); the lambda and
+    cross blocks are the empirical (frequency-weighted) sums of
+    per-observation estimating-function products evaluated at the
+    supplied theta, with no degrees-of-freedom correction.  Symmetric by
+    construction.
     """
     st = state or estfun_state(model, theta)
     q = model.n_coef
     v = np.zeros((q + 2, q + 2))
-    v[:q, :q] = -(_s_beta(st) if s_beta is None else s_beta)
+    v[:q, :q] = -_s_beta(st)
     with np.errstate(over="ignore", invalid="ignore"):  # see estfun_state
         psi_beta_i = (st.mu * st.resid / st.C)[:, None] * model.X
         psi_lambda_i = _lambda_weights(st) * (st.resid2 - st.C)[:, None]
