@@ -4,7 +4,7 @@ Exit codes: 0 on success, 1 on usage errors (bad flags, malformed input,
 unknown columns, collinear terms), 2 on numerical failures (singular
 systems, boundary traps, non-convergence, unusable Monte Carlo estimates).
 All output is deterministic for a given seed: no timestamps, stable key
-order, and replicate-level RNG substreams independent of the worker count.
+order, and replicate-level RNG substreams.
 """
 
 from __future__ import annotations
@@ -84,8 +84,7 @@ def _emit(text: str, out: str | None) -> None:
 
 def _cmd_fit(args) -> int:
     schema = {name: "categorical" for name in _split_list(args.categorical)}
-    # A count column stays in the table: build_design fits it as frequency weights.
-    table = load_csv(args.data, schema=schema or None, expand_counts=False)
+    table = load_csv(args.data, schema=schema or None)
     config = ModelSpecConfig(
         response=args.response,
         terms=tuple(_split_list(args.terms)),

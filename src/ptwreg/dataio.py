@@ -159,20 +159,14 @@ def _collapse_counts(table: DatasetTable, count: str = "count") -> tuple[Dataset
     return _take_rows(table, keep, count), freq[keep]
 
 
-def load_csv(
-    path,
-    schema: dict[str, str] | None = None,
-    expand_counts: bool = True,
-) -> DatasetTable:
+def load_csv(path, schema: dict[str, str] | None = None) -> DatasetTable:
     """Load a UTF-8, comma-delimited, header-first CSV into a typed table.
 
     Column types are inferred (integer, then real, else categorical) unless
-    overridden by ``schema``.  When a column named ``count`` is present and
-    ``expand_counts`` is set, rows are expanded by frequency and the column
-    is dropped; otherwise it stays, and ``build_design`` fits it as
-    frequency weights.  ``build_design`` always reads ``count`` that way, so
-    with ``expand_counts=False`` the column can no longer be modelled as an
-    ordinary response, term or offset.
+    overridden by ``schema``.  A column named ``count`` is checked to hold
+    non-negative integers and kept: ``build_design`` fits it as frequency
+    weights, so it cannot be modelled as an ordinary response, term or
+    offset.
     """
     schema = schema or {}
     with open(path, encoding="utf-8", newline="") as handle:
@@ -199,8 +193,8 @@ def load_csv(
         kind = schema.get(name) or _infer_kind(raw)
         columns.append(_parse_typed(raw, name, kind))
     table = DatasetTable(tuple(columns))
-    if expand_counts and "count" in header:
-        table = expand_count_column(table)
+    if "count" in header:
+        _frequencies(table, "count")
     return table
 
 

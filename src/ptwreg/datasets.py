@@ -2,14 +2,14 @@
 
 The dicentrics data record, for each of five absorbed radiation doses, how
 many blood cells carried y = 0..7 dicentric chromosome aberrations.  The
-table is stored in frequency form (dose, y, count) and expands to one row
-per cell; the classical model for these data is a quadratic dose effect on
-the log mean.
+table is stored in frequency form (dose, y, count), and fits read ``count``
+as frequency weights; the classical model for these data is a quadratic
+dose effect on the log mean.
 """
 
 from __future__ import annotations
 
-from .dataio import Column, DatasetTable, expand_count_column, table_csv
+from .dataio import Column, DatasetTable, table_csv
 from .errors import InvalidParameterError
 
 _DOSES = (0.1, 0.3, 0.5, 0.7, 1.0)
@@ -26,26 +26,23 @@ _FREQUENCIES = (
 DATASET_NAMES = ("dicentrics",)
 
 
-def dicentrics_table(expand_counts: bool = False) -> DatasetTable:
-    """The dicentrics data as a typed table.
-
-    In frequency form the table has 40 rows (dose, y, count); with
-    ``expand_counts`` it expands to one row per observed cell.
-    """
+def dicentrics_table() -> DatasetTable:
+    """The dicentrics data as a typed table in frequency form: 40 rows
+    (dose, y, count), which ``build_design`` fits with ``count`` as
+    frequency weights."""
     dose, y, count = [], [], []
     for d, freqs in zip(_DOSES, _FREQUENCIES):
         for k, n in enumerate(freqs):
             dose.append(d)
             y.append(k)
             count.append(n)
-    table = DatasetTable(
+    return DatasetTable(
         (
             Column("dose", "real", tuple(dose)),
             Column("y", "integer", tuple(y)),
             Column("count", "integer", tuple(count)),
         )
     )
-    return expand_count_column(table) if expand_counts else table
 
 
 def dicentrics_csv() -> str:
@@ -53,9 +50,9 @@ def dicentrics_csv() -> str:
     return table_csv(dicentrics_table())
 
 
-def dataset_table(name: str, expand_counts: bool = False) -> DatasetTable:
+def dataset_table(name: str) -> DatasetTable:
     if name == "dicentrics":
-        return dicentrics_table(expand_counts)
+        return dicentrics_table()
     raise InvalidParameterError(
         f"unknown dataset {name!r}; available: {', '.join(DATASET_NAMES)}"
     )

@@ -3,9 +3,9 @@
 Both families produce genuinely underdispersed counts and serve as data
 generators for benchmarking the extended (negative-dispersion) model.  The
 moment mapping translates generator parameters (lambda0, lambda1, nu) into
-the implied (beta0, beta1, phi, p) by simulating means and variances over a
-covariate grid and fitting the two nonlinear moment models
-E(Y) = exp(beta0 + beta1 x1) and Var(Y) = E(Y) + phi E(Y)**p.
+the implied (beta0, beta1, phi, p): it reads exact means and variances off
+the cached CDF tables over a covariate grid and fits the two nonlinear
+moment models E(Y) = exp(beta0 + beta1 x1) and Var(Y) = E(Y) + phi E(Y)**p.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import gammainc, gammaln
 
 from .errors import InvalidParameterError, NonConvergenceError
-from .numcore import RngStream, rng_substream, solve_linear
+from .numcore import RngStream, solve_linear
 
 _SERIES_TOL = 1e-12
 _CDF_TAIL = 1e-12
@@ -161,18 +161,6 @@ def gammacount_sample(params: GammaCountParams, n: int, rng: RngStream) -> np.nd
 
 
 @dataclass(frozen=True)
-class MomentMapDesign:
-    """Simulation design for the mapping: covariate grid and replicate count."""
-
-    grid_length: int = 1000
-    replicates: int = 1000
-
-    def __post_init__(self):
-        if self.grid_length < 3 or self.replicates < 2:
-            raise InvalidParameterError("need grid_length >= 3 and replicates >= 2")
-
-
-@dataclass(frozen=True)
 class MomentMap:
     """Implied moment parameters of a generator, with NLS fit diagnostics."""
 
@@ -209,45 +197,39 @@ def _gauss_newton(model_fn, jac_fn, target, x0, max_iter=100, tol=1e-10):
     raise NonConvergenceError(f"Gauss-Newton did not converge in {max_iter} iterations")
 
 
-_FAMILIES = {
-    "com-poisson": compoisson_sample_lam,
-    "gamma-count": gammacount_sample_lam,
-}
+_GRID_LENGTH = 1000
+_TABLES = {"com-poisson": _compoisson_table, "gamma-count": _gammacount_table}
 
 
-def moment_map(
-    family: str,
-    lambda0: float,
-    lambda1: float,
-    nu: float,
-    design: MomentMapDesign | None = None,
-    rng: RngStream | None = None,
-) -> MomentMap:
+def _table_moments(table, lam: np.ndarray, nu: float) -> tuple[np.ndarray, np.ndarray]:
+    """Exact mean and variance for each entry of ``lam`` from a cached CDF table."""
+    cdf, inv = table(lam.tobytes(), nu)
+    pmf = np.diff(cdf, axis=0, prepend=0.0)[:, inv]
+    y = np.arange(cdf.shape[0], dtype=float)[:, None]
+    means = np.sum(y * pmf, axis=0)
+    return means, np.sum((y - means) ** 2 * pmf, axis=0)
+
+
+def moment_map(family: str, lambda0: float, lambda1: float, nu: float) -> MomentMap:
     """Map generator parameters to the implied (beta0, beta1, phi, p).
 
-    Simulates ``design.replicates`` counts at each point of an equally
-    spaced x1 grid on [-1, 1] with lambda_i = exp(lambda0 + lambda1 x1),
-    records the empirical mean and variance per point, and fits
+    On an equally spaced grid of 1,000 x1 values in [-1, 1], with
+    lambda_i = exp(lambda0 + lambda1 x1), takes each point's exact mean and
+    variance from the generator's CDF table, then fits
     E(Y) = exp(beta0 + beta1 x1) followed by Var(Y) - E(Y) = phi E(Y)**p
     on the fitted means, both by Gauss-Newton least squares.
-    """
-    if family not in _FAMILIES:
-        raise InvalidParameterError(
-            f"family must be one of {sorted(_FAMILIES)}, got {family!r}"
-        )
-    design = design or MomentMapDesign()
-    rng = rng or RngStream(0)
-    sampler = _FAMILIES[family]
 
-    x1 = np.linspace(-1.0, 1.0, design.grid_length)
+    When every excess Var(Y) - E(Y) is at rounding level (nu = 1, where both
+    families are Poisson) the variance fit is singular; phi is then 0 and p
+    is reported as 1, since at phi = 0 the variance is E(Y) for every p.
+    """
+    if family not in _TABLES:
+        raise InvalidParameterError(
+            f"family must be one of {sorted(_TABLES)}, got {family!r}"
+        )
+    x1 = np.linspace(-1.0, 1.0, _GRID_LENGTH)
     lam = np.exp(lambda0 + lambda1 * x1)
-    means = np.empty(design.grid_length)
-    variances = np.empty(design.grid_length)
-    for i in range(design.grid_length):
-        gen = rng_substream(rng, i).generator()
-        draws = sampler(np.full(design.replicates, lam[i]), nu, gen)
-        means[i] = np.mean(draws)
-        variances[i] = np.var(draws, ddof=1)
+    means, variances = _table_moments(_TABLES[family], lam, nu)
 
     design_mat = np.column_stack([np.ones_like(x1), x1])
 
@@ -273,7 +255,13 @@ def moment_map(
         m_p = fitted**p
         return np.column_stack([m_p, phi * m_p * log_fitted])
 
-    (phi, p), var_resid = _gauss_newton(var_model, var_jac, excess, np.array([-0.5, 1.1]))
+    if np.all(np.abs(excess) <= 1e-9 * fitted):
+        phi, p = 0.0, 1.0
+        var_resid = float(np.linalg.norm(excess))
+    else:
+        (phi, p), var_resid = _gauss_newton(
+            var_model, var_jac, excess, np.array([-0.5, 1.1])
+        )
 
     return MomentMap(
         beta0=float(beta[0]),

@@ -10,7 +10,7 @@ import pytest
 import ptwreg.cli as cli
 import ptwreg.ptwdist as ptwdist
 from ptwreg.cli import main
-from ptwreg.dataio import table_csv
+from ptwreg.dataio import expand_count_column, table_csv
 from ptwreg.datasets import dataset_table, dicentrics_csv
 
 from oracles import nb_pmf
@@ -67,7 +67,7 @@ def test_fit_free_power_matches_published(dicentrics_file, capsys):
 def test_fit_frequency_file_matches_expanded_file(dicentrics_file, tmp_path, capsys):
     # the count column is fitted as frequency weights, with no expansion
     expanded_file = tmp_path / "expanded.csv"
-    expanded_file.write_text(table_csv(dataset_table("dicentrics", expand_counts=True)))
+    expanded_file.write_text(table_csv(expand_count_column(dataset_table("dicentrics"))))
     payloads = []
     for path in (dicentrics_file, str(expanded_file)):
         code, out, _ = run_cli(

@@ -94,15 +94,16 @@ def test_load_csv_typed_parse_error_names_cell(tmp_path):
 
 def test_count_expansion_repeats_rows(tmp_path):
     path = write(tmp_path, "dose,y,count\n0.1,0,3\n0.1,1,0\n0.2,2,2\n")
-    table = load_csv(path)
+    table = expand_count_column(load_csv(path))
     assert table.names == ("dose", "y")
     assert table.column("dose").values == (0.1, 0.1, 0.1, 0.2, 0.2)
     assert table.column("y").values == (0, 0, 0, 2, 2)
 
 
 def test_count_expansion_opt_out(tmp_path):
+    # loading never expands: the count column stays for build_design to weight
     path = write(tmp_path, "y,count\n1,3\n")
-    table = load_csv(path, expand_counts=False)
+    table = load_csv(path)
     assert table.names == ("y", "count")
     assert table.n_rows == 1
 
@@ -128,7 +129,7 @@ def test_count_expansion_rejects_bad_frequencies(tmp_path):
 
 def test_dicentrics_expansion_size():
     assert dataset_table("dicentrics").n_rows == 40
-    expanded = dataset_table("dicentrics", expand_counts=True)
+    expanded = expand_count_column(dataset_table("dicentrics"))
     assert expanded.n_rows == 5232
     assert expanded.names == ("dose", "y")
     assert sorted(set(expanded.column("dose").values)) == [0.1, 0.3, 0.5, 0.7, 1.0]
@@ -287,7 +288,7 @@ _VARIANTS = {
 def test_weighted_dicentrics_fit_matches_expanded(overrides):
     config = ModelSpecConfig(response="y", terms=("dose", "dose^2"), fit=FitConfig(**overrides))
     weighted, _ = build_design(dataset_table("dicentrics"), config)
-    expanded, _ = build_design(dataset_table("dicentrics", expand_counts=True), config)
+    expanded, _ = build_design(expand_count_column(dataset_table("dicentrics")), config)
     assert weighted.X.shape == (26, 3) and expanded.X.shape == (5232, 3)
     assert weighted.n_obs == expanded.n_obs
     got, want = fit(weighted, config.fit), fit(expanded, config.fit)
@@ -320,7 +321,7 @@ def test_model_spec_validation():
 
 @pytest.fixture(scope="module")
 def poisson_payload():
-    table = dataset_table("dicentrics", expand_counts=True)
+    table = expand_count_column(dataset_table("dicentrics"))
     config = ModelSpecConfig(response="y", terms=("dose", "dose^2"), fit=FitConfig(phi_fixed=0.0))
     return fit_table(table, config)
 
@@ -362,7 +363,7 @@ def test_fit_json_round_trip(poisson_payload):
     text = fit_result_json(poisson_payload)
     assert text.endswith("\n")
     assert json.loads(text) == poisson_payload
-    table = dataset_table("dicentrics", expand_counts=True)
+    table = expand_count_column(dataset_table("dicentrics"))
     config = ModelSpecConfig(response="y", terms=("dose", "dose^2"), fit=FitConfig(phi_fixed=0.0))
     assert fit_result_json(fit_table(table, config)) == text
 
@@ -389,7 +390,7 @@ def test_underdispersed_fit_reports_loglik_reason():
 
 def test_fit_table_passes_the_fit_config_through():
     # the iteration budget set on the spec's FitConfig reaches the chaser
-    table = dataset_table("dicentrics", expand_counts=True)
+    table = expand_count_column(dataset_table("dicentrics"))
     config = ModelSpecConfig(
         response="y", terms=("dose", "dose^2"), fit=FitConfig(max_iter=2)
     )
@@ -440,7 +441,7 @@ def test_loglik_reasons_for_unreachable_powers():
 def test_dicentrics_loglik_is_bit_stable(variant, overrides, value, method):
     # recorded from the per-observation dict loop at seed 0; the grouped
     # evaluation sums in the same order, so the values are exactly equal
-    table = dataset_table("dicentrics", expand_counts=True)
+    table = expand_count_column(dataset_table("dicentrics"))
     config = ModelSpecConfig(
         response="y", terms=("dose", "dose^2"), seed=0, fit=FitConfig(**overrides)
     )
@@ -451,7 +452,7 @@ def test_dicentrics_loglik_is_bit_stable(variant, overrides, value, method):
 def test_dicentrics_p3_loglik_warns_once():
     # 20 (mu, y) pairs fall back from Gauss-Laguerre to Monte Carlo; the
     # log-likelihood says so in one warning, not one per pair
-    table = dataset_table("dicentrics", expand_counts=True)
+    table = expand_count_column(dataset_table("dicentrics"))
     config = ModelSpecConfig(
         response="y", terms=("dose", "dose^2"), seed=0, fit=FitConfig(power_mode=3.0)
     )
@@ -510,7 +511,7 @@ def test_table_csv_round_trip(tmp_path):
     assert lines[0] == "dose,y,count"
     assert lines[1] == "0.1,0,2281"
     assert len(lines) == 41
-    reloaded = load_csv(write(tmp_path, text), expand_counts=False)
+    reloaded = load_csv(write(tmp_path, text))
     original = dataset_table("dicentrics")
     assert reloaded.names == original.names
     for name in original.names:

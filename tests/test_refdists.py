@@ -9,7 +9,6 @@ from ptwreg.numcore import RngStream
 from ptwreg.refdists import (
     ComPoissonParams,
     GammaCountParams,
-    MomentMapDesign,
     compoisson_pmf,
     compoisson_sample,
     compoisson_sample_lam,
@@ -204,27 +203,45 @@ def test_cached_tables_are_read_only(table):
 def test_moment_map_validation():
     with pytest.raises(InvalidParameterError):
         moment_map("binomial", 1.0, 0.5, 2.0)
-    with pytest.raises(InvalidParameterError):
-        MomentMapDesign(grid_length=2)
-    with pytest.raises(InvalidParameterError):
-        MomentMapDesign(replicates=1)
 
 
 def test_moment_map_poisson_reduction():
-    # nu = 1 is exactly Poisson: the mean model recovers (lambda0, lambda1)
-    # and the implied excess dispersion phi*m**p is negligible against m
-    # everywhere on the fitted range (phi and p are not separately
-    # identified when the excess is zero)
-    result = moment_map("com-poisson", 1.0, 0.5, 1.0, rng=RngStream(7))
-    assert result.beta0 == pytest.approx(1.0, abs=0.02)
-    assert result.beta1 == pytest.approx(0.5, abs=0.02)
-    m = np.exp(result.beta0 + result.beta1 * np.linspace(-1, 1, 41))
-    implied_di = 1.0 + result.phi * m**result.p / m
-    assert np.max(np.abs(implied_di - 1.0)) < 0.03
+    # nu = 1 is exactly Poisson for both families: the mean model recovers
+    # (lambda0, lambda1) and the excess variance is zero, so phi = 0 (p is
+    # not identified there and is reported as 1)
+    for family in ("com-poisson", "gamma-count"):
+        result = moment_map(family, 1.0, 0.5, 1.0)
+        assert result.beta0 == pytest.approx(1.0, abs=1e-9), family
+        assert result.beta1 == pytest.approx(0.5, abs=1e-9), family
+        assert result.phi == 0.0 and result.p == 1.0, family
+
+
+@pytest.mark.parametrize("nu", [2.0, 4.0])
+@pytest.mark.parametrize(
+    "family, table, pmf_fn, lambda0, lambda1",
+    [
+        ("com-poisson", refdists._compoisson_table,
+         lambda lam, nu, y: compoisson_pmf(ComPoissonParams(lam, nu), y), 8.0, 4.0),
+        ("gamma-count", refdists._gammacount_table,
+         lambda lam, nu, y: gammacount_pmf(GammaCountParams(lam, nu), y), 2.0, 1.0),
+    ],
+    ids=["com-poisson", "gamma-count"],
+)
+def test_table_moments_match_pointwise_pmfs(family, table, pmf_fn, lambda0, lambda1, nu):
+    # lambdas out of order, so every column is reached through ``inv``
+    lam = np.exp(lambda0 + lambda1 * np.array([0.5, -1.0, 1.0, -0.2, 0.0, -0.6, 0.9]))
+    means, variances = refdists._table_moments(table, lam, nu)
+    y = np.arange(3000)
+    for i, lam_i in enumerate(lam):
+        probs = pmf_fn(lam_i, nu, y)
+        mean = np.sum(y * probs)
+        var = np.sum((y - mean) ** 2 * probs)
+        assert means[i] == pytest.approx(mean, rel=1e-9), (family, lam_i)
+        assert variances[i] == pytest.approx(var, rel=1e-8), (family, lam_i)
 
 
 def test_moment_map_compoisson_spot_values():
-    result = moment_map("com-poisson", 8.0, 4.0, 4.0, rng=RngStream(313))
+    result = moment_map("com-poisson", 8.0, 4.0, 4.0)
     assert result.beta0 == pytest.approx(1.941, abs=0.03)
     assert result.beta1 == pytest.approx(1.047, abs=0.03)
     assert result.phi == pytest.approx(-0.714, abs=0.05)
@@ -232,7 +249,7 @@ def test_moment_map_compoisson_spot_values():
 
 
 def test_moment_map_gammacount_spot_values():
-    result = moment_map("gamma-count", 2.0, 1.0, 6.0, rng=RngStream(313))
+    result = moment_map("gamma-count", 2.0, 1.0, 6.0)
     assert result.beta0 == pytest.approx(1.936, abs=0.03)
     assert result.beta1 == pytest.approx(1.048, abs=0.03)
     assert result.phi == pytest.approx(-0.779, abs=0.05)
@@ -240,10 +257,6 @@ def test_moment_map_gammacount_spot_values():
 
 
 def test_moment_map_deterministic_and_diagnosed():
-    design = MomentMapDesign(grid_length=60, replicates=400)
-    a = moment_map("gamma-count", 2.0, 1.0, 4.0, design=design, rng=RngStream(5))
-    b = moment_map("gamma-count", 2.0, 1.0, 4.0, design=design, rng=RngStream(5))
-    assert (a.beta0, a.beta1, a.phi, a.p) == (b.beta0, b.beta1, b.phi, b.p)
-    assert a.mean_resid_norm == b.mean_resid_norm
+    a = moment_map("gamma-count", 2.0, 1.0, 4.0)
     assert np.isfinite(a.mean_resid_norm) and a.mean_resid_norm >= 0
     assert np.isfinite(a.var_resid_norm) and a.var_resid_norm >= 0
