@@ -37,7 +37,7 @@ from .numcore import RngStream
 from .ptwdist import (
     PmfConfig,
     PtwParams,
-    _check_ratio_denominator,
+    _heavy_tail_ratio,
     dispersion_index,
     ptw_pmf_curve,
     ptw_sample,
@@ -91,8 +91,7 @@ def _cmd_fit(args) -> int:
         offset=args.offset,
         offset_log=args.offset_log,
         fit=FitConfig(power_mode=args.power, phi_sign=args.phi_sign, phi_fixed=args.phi),
-        seed=args.seed,
-        mc_budget=args.mc_draws,
+        pmf=PmfConfig(mc_draws=args.mc_draws, rng=RngStream(args.seed)),
     )
     _emit(fit_result_json(fit_table(table, config)), args.out)
     return 0
@@ -144,13 +143,7 @@ def _cmd_indices(args) -> int:
     ]
     estimates = ptw_pmf_curve(params, range(args.y_max + 2), budget)
     for y in range(args.y_max + 1):
-        den, num = estimates[y], estimates[y + 1]
-        _check_ratio_denominator(y, den)
-        value = num.value / den.value
-        rel = 0.0
-        if num.value > 0:
-            rel = (num.mc_stderr / num.value) ** 2 + (den.mc_stderr / den.value) ** 2
-        rows.append(["heavy-tail", y, value, abs(value) * rel**0.5])
+        rows.append(["heavy-tail", y, *_heavy_tail_ratio(y, estimates[y], estimates[y + 1])])
     _emit(_write_csv(["index", "y", "value", "mc_stderr"], rows), args.out)
     return 0
 

@@ -27,7 +27,6 @@ from .errors import (
     RankDeficiencyError,
 )
 from .estfun import PtwModel
-from .numcore import RngStream
 from .ptwdist import LoglikResult, PmfConfig, ptw_loglik
 from .simstudy import StudyResult
 
@@ -212,14 +211,11 @@ class ModelSpecConfig:
     offset: str | None = None
     offset_log: bool = True  # apply log() to the offset column (raw exposures)
     fit: FitConfig = FitConfig()  # the chaser: power mode, dispersion sign or pin, budget
-    seed: int = 0
-    mc_budget: int = 100_000
+    pmf: PmfConfig = PmfConfig()  # the log-likelihood's Monte Carlo draws and stream
 
     def __post_init__(self):
         if not self.response:
             raise InvalidParameterError("response column name must be non-empty")
-        if self.mc_budget < 2:
-            raise InvalidParameterError("mc_budget must be at least 2")
 
 
 def _levels(col: Column) -> list:
@@ -360,13 +356,8 @@ def loglik_at_fit(
             "pmf evaluation is not available"
         )
     mu = np.exp(model.linear_predictor(theta.beta))
-    y = model.y
-    if model.weights is not None:  # one row per observation, in row order
-        reps = model.weights.astype(int)
-        mu, y = np.repeat(mu, reps), np.repeat(y, reps)
-    budget = PmfConfig(mc_draws=config.mc_budget, rng=RngStream(config.seed))
     try:
-        return ptw_loglik(mu, theta.phi, theta.p, y, budget), None
+        return ptw_loglik(mu, theta.phi, theta.p, model.y, config.pmf, model.weights), None
     except NonpositivePmfError as exc:
         return None, str(exc)
 

@@ -80,10 +80,14 @@ class PmfEstimate:
 
 @dataclass(frozen=True)
 class PmfConfig:
-    """Evaluation budget: Monte Carlo draw count and random stream."""
+    """Evaluation budget: Monte Carlo draw count (>= 2) and random stream."""
 
     mc_draws: int = 100_000
     rng: RngStream = field(default=RngStream(0))
+
+    def __post_init__(self):
+        if not isinstance(self.mc_draws, (int, np.integer)) or self.mc_draws < 2:
+            raise InvalidParameterError(f"mc_draws must be an integer >= 2, got {self.mc_draws!r}")
 
 
 def _check_probabilistic(params: PtwParams) -> None:
@@ -100,6 +104,8 @@ def ptw_sample(params: PtwParams, n: int, rng: RngStream) -> np.ndarray:
     _check_probabilistic(params)
     if params.phi == 0:
         raise InvalidParameterError("sampling requires phi > 0 (phi = 0 is Poisson)")
+    if int(n) < 0:
+        raise InvalidParameterError("n must be non-negative")
     gen = rng.generator()
     return sample_ptw_mu(np.full(int(n), params.mu), params.phi, params.p, gen)
 
@@ -303,19 +309,22 @@ def heavy_tail_index(params: PtwParams, y: int, budget: PmfConfig | None = None)
     """
     y = _check_count(y)
     den = ptw_pmf(params, y, budget)
-    _check_ratio_denominator(y, den)
-    num = ptw_pmf(params, y + 1, budget)
-    return num.value / den.value
+    return _heavy_tail_ratio(y, den, ptw_pmf(params, y + 1, budget))[0]
 
 
-def _check_ratio_denominator(y: int, den: PmfEstimate) -> None:
-    """Refuse a consecutive-probability ratio whose denominator pmf(y) is
-    zero or not above 10x its Monte Carlo standard error."""
+def _heavy_tail_ratio(y: int, den: PmfEstimate, num: PmfEstimate) -> tuple[float, float]:
+    """HT(y) = num/den with its delta-method Monte Carlo s.e.; refused when
+    pmf(y) = ``den`` is zero or not above 10x its Monte Carlo s.e."""
     if den.value <= 10.0 * den.mc_stderr or den.value == 0.0:
         raise UnreliableEstimateError(
             f"pmf({y}) = {den.value:.3e} (MC s.e. {den.mc_stderr:.3e}) is too noisy "
             "for a consecutive-probability ratio; raise the MC budget"
         )
+    value = num.value / den.value
+    rel = 0.0
+    if num.value > 0:
+        rel = (num.mc_stderr / num.value) ** 2 + (den.mc_stderr / den.value) ** 2
+    return value, abs(value) * rel**0.5
 
 
 @dataclass(frozen=True)
@@ -327,65 +336,66 @@ class LoglikResult:
     method: str
 
 
-def ptw_loglik(mu, phi, p, y, budget: PmfConfig | None = None) -> LoglikResult:
-    """sum_i log P(Y = y_i) at per-observation parameters (mu_i, phi_i, p_i).
+def ptw_loglik(mu, phi, p, y, budget: PmfConfig | None = None, weights=None) -> LoglikResult:
+    """sum_i w_i log P(Y = y_i) at per-observation means mu_i and one (phi, p).
 
-    Each of ``mu``, ``phi`` and ``p`` is a scalar or an array of ``y``'s
-    shape; ``y`` holds non-negative integer counts.  Every unique
-    (mu, phi, p, y) combination is evaluated once, with its multiplicity,
-    and the parameter sets are visited in order of first occurrence (the
-    counts of a set likewise), so the floating-point sums have a fixed order.
+    ``mu`` is a scalar or an array of ``y``'s shape; ``y`` holds
+    non-negative integer counts and ``weights``, when given, positive integer
+    frequencies of ``y``'s shape (row i stands for w_i observations).  Every
+    unique (mu, y) pair is evaluated once, with its summed weight as
+    multiplicity, and the means are visited in order of first occurrence
+    (the counts of a mean likewise), so the floating-point sums have a fixed
+    order and a weighted call equals the call on its rows repeated.
     A count with no exact route goes straight to the Monte Carlo aggregate
     below; p = 3 counts that the Gauss-Laguerre rule cannot resolve go there
     too, with one warning per call that says how many (mu, y) pairs did.
     For Monte Carlo groups the standard error accounts for the draws being
-    shared across counts within a parameter set: with f_hat(y) the MC
-    pmf and n_y the multiplicity, the delta method gives
-    Var(sum n_y log f_hat(y)) = Var_k(g_k)/M per parameter set, where
+    shared across counts within a mean: with f_hat(y) the MC pmf and n_y
+    the multiplicity, the delta method gives
+    Var(sum n_y log f_hat(y)) = Var_k(g_k)/M per mean, where
     g_k = sum_y (n_y / f_hat(y)) P(y; Z_k).
 
     Raises
     ------
     InvalidParameterError
-        If a shape does not match ``y``, a count is not a non-negative
-        integer, mu is not finite and positive, phi or p is not finite, or
-        p < 1.
+        If phi or p is an array, a shape does not match ``y``, a count is
+        not a non-negative integer or a weight a positive one, mu is not
+        finite and positive, phi or p is not finite, or p < 1.
     NoDistributionError
         If phi < 0.
     NonpositivePmfError
         If any pmf estimate is exactly zero (for Monte Carlo, raise the budget).
     """
     budget = budget or PmfConfig()
+    if np.ndim(phi) or np.ndim(p):
+        raise InvalidParameterError("phi and p must be scalars")
+    phi, p = float(phi), float(p)
     y = np.asarray(y, dtype=float)
-    columns = []
-    for name, values in (("mu", mu), ("phi", phi), ("p", p)):
-        values = np.asarray(values, dtype=float)
-        if values.ndim and values.shape != y.shape:
-            raise InvalidParameterError(
-                f"{name} has shape {values.shape}; expected a scalar or y's shape {y.shape}"
-            )
-        columns.append(np.broadcast_to(values, y.shape).ravel())
-    mu, phi, p = columns
-    y = y.ravel()
-    bad = ~np.isfinite(y) | (y < 0) | (y != np.floor(y))
-    if np.any(bad):
-        raise InvalidParameterError(f"y must be a non-negative integer, got {y[bad][0]}")
+    mu = np.asarray(mu, dtype=float)
+    w = np.ones(y.shape) if weights is None else np.asarray(weights, dtype=float)
+    if (mu.ndim and mu.shape != y.shape) or w.shape != y.shape:
+        raise InvalidParameterError(f"mu {mu.shape} and weights {w.shape} need y's shape {y.shape}")
+    mu, y, w = np.broadcast_to(mu, y.shape).ravel(), y.ravel(), w.ravel()
+    for name, values, low in (("y", y, 0), ("weights", w, 1)):
+        bad = ~np.isfinite(values) | (values < low) | (values != np.floor(values))
+        if np.any(bad):
+            raise InvalidParameterError(f"{name} must be integers >= {low}, got {values[bad][0]}")
 
     n = y.size
     if n == 0:
         return LoglikResult(0.0, 0.0, "closed-form")
-    # Sort rows by (mu, phi, p, y); lexsort is stable, so the first row of
-    # each run of equal keys is that combination's first occurrence.
-    order = np.lexsort((y, p, phi, mu))
-    new_set = np.ones(n, dtype=bool)
-    new_set[1:] = np.any([col[order][1:] != col[order][:-1] for col in (mu, phi, p)], axis=0)
-    new_y = new_set.copy()
+    # Sort rows by (mu, y); lexsort is stable, so the first row of each run
+    # of equal keys is that pair's first occurrence.
+    order = np.lexsort((y, mu))
+    new_mu = np.ones(n, dtype=bool)
+    new_mu[1:] = mu[order][1:] != mu[order][:-1]
+    new_y = new_mu.copy()
     new_y[1:] |= y[order][1:] != y[order][:-1]
     starts = np.flatnonzero(new_y)
     first = order[starts]
-    counts = np.diff(np.append(starts, n))
-    set_id = np.cumsum(new_set)[starts] - 1
-    set_first = np.minimum.reduceat(first, np.flatnonzero(new_set[starts]))
+    counts = np.add.reduceat(w[order], starts)
+    set_id = np.cumsum(new_mu)[starts] - 1
+    set_first = np.minimum.reduceat(first, np.flatnonzero(new_mu[starts]))
     visit = np.lexsort((first, set_first[set_id]))
 
     total = 0.0
@@ -393,8 +403,7 @@ def ptw_loglik(mu, phi, p, y, budget: PmfConfig | None = None) -> LoglikResult:
     methods = set()
     gl_fallbacks = 0
     for runs in np.split(visit, np.flatnonzero(np.diff(set_id[visit])) + 1):
-        i = first[runs[0]]
-        params = PtwParams(float(mu[i]), float(phi[i]), float(p[i]))
+        params = PtwParams(float(mu[first[runs[0]]]), phi, p)
         _check_probabilistic(params)
         mc_counts = []
         for j in runs:

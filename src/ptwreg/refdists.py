@@ -122,6 +122,8 @@ def compoisson_sample_lam(lam, nu: float, gen) -> np.ndarray:
 
 def compoisson_sample(params: ComPoissonParams, n: int, rng: RngStream) -> np.ndarray:
     """n i.i.d. COM-Poisson counts."""
+    if int(n) < 0:
+        raise InvalidParameterError("n must be non-negative")
     gen = rng.generator()
     return compoisson_sample_lam(np.full(int(n), params.lam), params.nu, gen)
 
@@ -156,6 +158,8 @@ def gammacount_sample_lam(lam, nu: float, gen) -> np.ndarray:
 
 def gammacount_sample(params: GammaCountParams, n: int, rng: RngStream) -> np.ndarray:
     """n i.i.d. Gamma-Count counts."""
+    if int(n) < 0:
+        raise InvalidParameterError("n must be non-negative")
     gen = rng.generator()
     return gammacount_sample_lam(np.full(int(n), params.lam), params.nu, gen)
 

@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -166,6 +167,21 @@ def test_simulate_requires_family_parameters(argv, capsys):
     assert code == 1
     assert out == ""
     assert "requires" in err
+
+
+@pytest.mark.parametrize(
+    "family",
+    [
+        ["--family", "ptw", "--mu", "5", "--phi", "0.4"],
+        ["--family", "compoisson", "--lam", "8", "--nu", "4"],
+        ["--family", "gammacount", "--lam", "2", "--nu", "4"],
+    ],
+)
+def test_simulate_negative_n_is_usage_error(family, capsys):
+    code, out, err = run_cli(["simulate", *family, "--n", "-1"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "ptwreg: error: n must be non-negative\n"
 
 
 def test_simulate_reference_families(capsys):
@@ -383,6 +399,22 @@ def test_datasets_unknown_name(capsys):
         main(["datasets", "export", "nope"])
     assert info.value.code == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("draws", ["0", "1", "-1"])
+@pytest.mark.parametrize("command", ["pmf", "indices", "fit"])
+def test_mc_draws_below_two_is_usage_error(command, draws, dicentrics_file, capsys):
+    argv = {
+        "pmf": ["pmf", "--mu", "5", "--phi", "0.5", "--power", "1.5"],
+        "indices": ["indices", "--mu", "5", "--phi", "0.5", "--power", "1.5"],
+        "fit": ["fit", "--data", dicentrics_file, "--response", "y"],
+    }[command]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no nan table behind numpy warnings
+        code, out, err = run_cli(argv + ["--mc-draws", draws], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("ptwreg: error: mc_draws must be an integer >= 2")
 
 
 # ------------------------------------------------------------- parser basics

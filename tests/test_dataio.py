@@ -28,6 +28,7 @@ from ptwreg.datasets import DATASET_NAMES, dataset_table, dicentrics_csv
 from ptwreg.errors import CsvParseError, InvalidParameterError, RankDeficiencyError
 from ptwreg.estfun import Theta
 from ptwreg.numcore import RngStream
+from ptwreg.ptwdist import PmfConfig
 from ptwreg.refdists import gammacount_sample_lam
 from ptwreg.simstudy import make_scenario, run_study
 
@@ -313,7 +314,7 @@ def test_model_spec_validation():
     with pytest.raises(InvalidParameterError):
         ModelSpecConfig(response="")
     with pytest.raises(InvalidParameterError):
-        ModelSpecConfig(response="y", mc_budget=1)
+        ModelSpecConfig(response="y", pmf=PmfConfig(mc_draws=1))
 
 
 # -------------------------------------------------------- result serialization
@@ -443,7 +444,8 @@ def test_dicentrics_loglik_is_bit_stable(variant, overrides, value, method):
     # evaluation sums in the same order, so the values are exactly equal
     table = expand_count_column(dataset_table("dicentrics"))
     config = ModelSpecConfig(
-        response="y", terms=("dose", "dose^2"), seed=0, fit=FitConfig(**overrides)
+        response="y", terms=("dose", "dose^2"), pmf=PmfConfig(rng=RngStream(0)),
+        fit=FitConfig(**overrides)
     )
     loglik = fit_table(table, config)["loglik"]
     assert (loglik["value"], loglik["method"]) == (value, method)
@@ -454,7 +456,8 @@ def test_dicentrics_p3_loglik_warns_once():
     # log-likelihood says so in one warning, not one per pair
     table = expand_count_column(dataset_table("dicentrics"))
     config = ModelSpecConfig(
-        response="y", terms=("dose", "dose^2"), seed=0, fit=FitConfig(power_mode=3.0)
+        response="y", terms=("dose", "dose^2"), pmf=PmfConfig(rng=RngStream(0)),
+        fit=FitConfig(power_mode=3.0)
     )
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

@@ -36,6 +36,14 @@ def budget(seed=0, draws=100_000):
     return PmfConfig(mc_draws=draws, rng=RngStream(seed))
 
 
+@pytest.mark.parametrize("draws", [1, 0, -1, 2.5, True, None])
+def test_pmf_config_needs_two_draws(draws):
+    # one draw has no Monte Carlo standard error; fewer are no sample at all
+    with pytest.raises(InvalidParameterError, match="mc_draws"):
+        PmfConfig(mc_draws=draws)
+    assert PmfConfig(mc_draws=np.int64(2)).mc_draws == 2
+
+
 # ------------------------------------------------------------------ sampling
 
 
@@ -251,14 +259,14 @@ def test_loglik_single_obs_closed_form():
 
 
 def test_loglik_mixed_methods_and_caching():
-    mu = [10.0, 10.0, 4.0, 4.0]
-    phi = [0.1, 0.1, 0.6, 0.6]
-    p = [2.0, 2.0, 1.4, 1.4]
-    y = [3, 3, 1, 6]
-    res = ptw_loglik(mu, phi, p, y, budget(seed=31))
+    # at mu = 1e-7, phi * mu**p is below the Poisson limit (closed form);
+    # at mu = 4 the pmf is Monte Carlo, with one set of draws for both counts
+    mu = [1e-7, 1e-7, 4.0, 4.0]
+    y = [0, 0, 1, 6]
+    res = ptw_loglik(mu, 0.6, 1.4, y, budget(seed=31))
     assert res.method == "mixed"  # one closed-form group, one MC group
     exact = (
-        2 * np.log(nb_pmf(10.0, 0.1, 3))
+        2 * poisson.logpmf(0, 1e-7)
         + np.log(cpg_pmf(4.0, 0.6, 1.4, 1))
         + np.log(cpg_pmf(4.0, 0.6, 1.4, 6))
     )
@@ -292,14 +300,14 @@ def test_loglik_length_mismatch():
 
 def _loglik_reference(mu, phi, p, y, budget):
     """The per-observation dict loop that ``ptw_loglik`` replaced: group by
-    (mu, phi, p) then y in order of first occurrence, pmf via ``ptw_pmf``."""
+    mu then y in order of first occurrence, pmf via ``ptw_pmf``."""
     groups = {}
-    for key, yi in zip(zip(mu, phi, p), y):
-        counts = groups.setdefault(key, {})
+    for mu_i, yi in zip(mu, y):
+        counts = groups.setdefault(mu_i, {})
         counts[int(yi)] = counts.get(int(yi), 0) + 1
     total, var_total, methods = 0.0, 0.0, set()
-    for key, counts in groups.items():
-        params = PtwParams(*key)
+    for mu_i, counts in groups.items():
+        params = PtwParams(mu_i, phi, p)
         mc_counts = {}
         for yi, n_y in counts.items():
             with warnings.catch_warnings():
@@ -313,7 +321,7 @@ def _loglik_reference(mu, phi, p, y, budget):
         if not mc_counts:
             continue
         methods.add("monte-carlo")
-        z = _mixing_draws(*key, budget.mc_draws, budget.rng)
+        z = _mixing_draws(mu_i, phi, p, budget.mc_draws, budget.rng)
         g = np.zeros(len(z))
         for yi, n_y in mc_counts.items():
             probs = np.exp(_poisson_logpmf(yi, z))
@@ -325,20 +333,57 @@ def _loglik_reference(mu, phi, p, y, budget):
     return float(total), float(np.sqrt(var_total)), method
 
 
+# (phi, p, means) per call, covering every route: Poisson limit, NB, lattice,
+# quadrature beside a Poisson-limit mean, quadrature with a Monte Carlo
+# fallback (mu = 60 is narrower than the node spacing) beside a Poisson-limit
+# mean, Monte Carlo beside a Poisson-limit mean, Monte Carlo alone
+_ROUTE_SETS = [
+    (1e-9, 1.5, (10.0, 4.0)),
+    (0.3, 2.0, (4.0, 9.0)),
+    (0.7, 1.0, (3.0, 5.0)),
+    (0.05, 3.0, (5.0, 1e-3)),
+    (1e-5, 3.0, (60.0, 1e-2)),
+    (0.8, 1.3, (6.0, 1e-5)),
+    (0.4, 1.7, (2.5, 7.0)),
+]
+_ROUTE_METHODS = [
+    "closed-form", "closed-form", "exact-sum", "mixed", "mixed", "mixed", "monte-carlo",
+]
+
+
+def _route_rows(gen, means, size):
+    mu = np.array(means)[gen.integers(len(means), size=size)]
+    return mu, gen.poisson(mu * gen.gamma(2.0, 0.5, size=size)).astype(float)
+
+
 def test_loglik_matches_dict_loop_reference_exactly():
-    # every route: Poisson limit, NB, lattice, quadrature with a Monte Carlo
-    # fallback (mu = 60 at p = 3 is narrower than the node spacing), MC
     gen = np.random.default_rng(5)
-    sets = [(10.0, 1e-9, 1.5), (4.0, 0.3, 2.0), (3.0, 0.7, 1.0), (5.0, 0.05, 3.0),
-            (60.0, 1e-5, 3.0), (6.0, 0.8, 1.3), (2.5, 0.4, 1.7)]
-    rows = gen.integers(len(sets), size=300)
-    mu, phi, p = (np.array([sets[k][j] for k in rows]) for j in range(3))
-    y = gen.poisson(mu * gen.gamma(2.0, 0.5, size=rows.size)).astype(float)
     b = budget(seed=17, draws=5_000)
-    with pytest.warns(UserWarning, match="falling back to Monte Carlo"):
-        res = ptw_loglik(mu, phi, p, y, b)
-    assert res.method == "mixed"
-    assert (res.value, res.mc_stderr, res.method) == _loglik_reference(mu, phi, p, y, b)
+    for (phi, p, means), method in zip(_ROUTE_SETS, _ROUTE_METHODS):
+        mu, y = _route_rows(gen, means, 60)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = ptw_loglik(mu, phi, p, y, b)
+        fell_back = [w for w in caught if "falling back to Monte Carlo" in str(w.message)]
+        assert len(fell_back) == (phi == 1e-5)
+        assert res.method == method
+        assert (res.value, res.mc_stderr, res.method) == _loglik_reference(mu, phi, p, y, b)
+
+
+@pytest.mark.filterwarnings("ignore:Gauss-Laguerre rule")
+def test_loglik_weighted_matches_expanded():
+    # frequency weights give the same sum, in the same order, as their rows
+    # repeated, with duplicate (mu, y) pairs among the weighted rows
+    gen = np.random.default_rng(7)
+    b = budget(seed=17, draws=5_000)
+    for phi, p, means in _ROUTE_SETS:
+        mu, y = _route_rows(gen, means, 40)
+        w = gen.integers(1, 5, size=y.size)
+        assert len(set(zip(mu, y))) < y.size
+        weighted = ptw_loglik(mu, phi, p, y, b, w)
+        assert weighted == ptw_loglik(np.repeat(mu, w), phi, p, np.repeat(y, w), b)
+        assert weighted == ptw_loglik(mu, phi, p, y, b, w.astype(float))
+        assert ptw_loglik(mu, phi, p, y, b, np.ones(y.size)) == ptw_loglik(mu, phi, p, y, b)
 
 
 def test_pmf_gauss_laguerre_fallback_warns_per_call():
@@ -377,16 +422,27 @@ def test_loglik_evaluates_no_monte_carlo_pmf(monkeypatch):
     [
         (([np.nan, 2.0], 0.5, 1.5, [1, 2]), InvalidParameterError),
         (([2.0, 0.0], 0.5, 1.5, [1, 2]), InvalidParameterError),
-        ((2.0, [0.5, np.inf], 1.5, [1, 2]), InvalidParameterError),
-        ((2.0, 0.5, [np.nan, 1.5], [1, 2]), InvalidParameterError),
-        ((2.0, [0.5, -0.1], 1.5, [1, 2]), NoDistributionError),
-        ((2.0, 0.5, [1.5, 0.9], [1, 2]), InvalidParameterError),
+        ((2.0, np.inf, 1.5, [1, 2]), InvalidParameterError),
+        ((2.0, 0.5, np.nan, [1, 2]), InvalidParameterError),
+        ((2.0, -0.1, 1.5, [1, 2]), NoDistributionError),
+        ((2.0, 0.5, 0.9, [1, 2]), InvalidParameterError),
         ((2.0, 0.5, 1.5, [1, -1]), InvalidParameterError),
         ((2.0, 0.5, 1.5, [1, 2.5]), InvalidParameterError),
         ((2.0, 0.5, 1.5, [1, np.nan]), InvalidParameterError),
         ((2.0, 0.5, 1.5, [1, np.inf]), InvalidParameterError),
         (([2.0, 3.0, 4.0], 0.5, 1.5, [1, 2]), InvalidParameterError),
+        (([[2.0, 3.0]], 0.5, 1.5, [1, 2]), InvalidParameterError),
+        # phi and p are one scalar each; per-row arrays are refused
+        ((2.0, [0.5, 0.5], 1.5, [1, 2]), InvalidParameterError),
         ((2.0, [[0.5, 0.5]], 1.5, [1, 2]), InvalidParameterError),
+        ((2.0, 0.5, [1.5, 1.5], [1, 2]), InvalidParameterError),
+        # frequency weights are positive integers of y's shape
+        ((2.0, 0.5, 1.5, [1, 2], None, [1, 0]), InvalidParameterError),
+        ((2.0, 0.5, 1.5, [1, 2], None, [1, -1]), InvalidParameterError),
+        ((2.0, 0.5, 1.5, [1, 2], None, [1, 2.5]), InvalidParameterError),
+        ((2.0, 0.5, 1.5, [1, 2], None, [1, np.nan]), InvalidParameterError),
+        ((2.0, 0.5, 1.5, [1, 2], None, [1, 1, 1]), InvalidParameterError),
+        ((2.0, 0.5, 1.5, [1, 2], None, 2), InvalidParameterError),
     ],
 )
 def test_loglik_array_validation(args, error):
