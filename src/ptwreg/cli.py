@@ -122,10 +122,16 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _y_max(args) -> int:
+    if args.y_max < 0:
+        raise InvalidParameterError(f"--y-max must be >= 0, got {args.y_max}")
+    return args.y_max
+
+
 def _cmd_pmf(args) -> int:
     params = PtwParams(args.mu, args.phi, args.power)
     budget = PmfConfig(mc_draws=args.mc_draws, rng=RngStream(args.seed))
-    estimates = ptw_pmf_curve(params, range(args.y_max + 1), budget)
+    estimates = ptw_pmf_curve(params, range(_y_max(args) + 1), budget)
     rows = [
         [y, est.value, est.mc_stderr, est.method]
         for y, est in enumerate(estimates)
@@ -135,14 +141,15 @@ def _cmd_pmf(args) -> int:
 
 
 def _cmd_indices(args) -> int:
+    y_max = _y_max(args)
     params = PtwParams(args.mu, args.phi, args.power)
     budget = PmfConfig(mc_draws=args.mc_draws, rng=RngStream(args.seed))
     rows = [
         ["dispersion", "", dispersion_index(params), 0.0],
         ["zero-inflation", "", zero_inflation_index(params), 0.0],
     ]
-    estimates = ptw_pmf_curve(params, range(args.y_max + 2), budget)
-    for y in range(args.y_max + 1):
+    estimates = ptw_pmf_curve(params, range(y_max + 2), budget)
+    for y in range(y_max + 1):
         rows.append(["heavy-tail", y, *_heavy_tail_ratio(y, estimates[y], estimates[y + 1])])
     _emit(_write_csv(["index", "y", "value", "mc_stderr"], rows), args.out)
     return 0

@@ -136,37 +136,46 @@ def _mixing_draws(mu: float, phi: float, p: float, m: int, rng: RngStream) -> np
     return z
 
 
-def _poisson_logpmf(y: int, z: np.ndarray) -> np.ndarray:
-    """log Poisson(y; z) over a vector of intensities, z = 0 handled exactly."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logp = y * np.log(z) - z - gammaln(y + 1)
-    if y == 0:
-        logp = np.where(z == 0, 0.0, logp)
-    else:
-        logp = np.where(z == 0, -np.inf, logp)
-    return logp
+def _poisson_logpmf(z: np.ndarray):
+    """y -> log Poisson(y; z) over a vector of intensities, z = 0 handled
+    exactly.  log z and the zero mask are taken once per vector, so each
+    count costs one pass over z; neither is cached beside the draws."""
+    with np.errstate(divide="ignore"):
+        log_z = np.log(z)
+    zero = z == 0
+
+    def logpmf(y: int) -> np.ndarray:
+        if y > 0:  # y * log(0) - 0 - c is already -inf
+            return y * log_z - z - gammaln(y + 1)
+        with np.errstate(invalid="ignore"):
+            return np.where(zero, 0.0, y * log_z - z - gammaln(y + 1))
+
+    return logpmf
 
 
-def _pmf_closed_poisson(mu: float, y: int) -> PmfEstimate:
-    logp = y * np.log(mu) - mu - gammaln(y + 1)
-    return PmfEstimate(float(np.exp(logp)), 0.0, "closed-form")
+def _pmf_closed_poisson(mu: float, ys: list[int]) -> list[PmfEstimate]:
+    log_mu = np.log(mu)
+    return [
+        PmfEstimate(float(np.exp(y * log_mu - mu - gammaln(y + 1))), 0.0, "closed-form")
+        for y in ys
+    ]
 
 
-def _pmf_closed_nb(params: PtwParams, y: int) -> PmfEstimate:
+def _pmf_closed_nb(params: PtwParams, ys: list[int]) -> list[PmfEstimate]:
     # Poisson-gamma mixture: size r = 1/phi, success probability 1/(1 + phi*mu)
     r = 1.0 / params.phi
     q = params.phi * params.mu  # odds of failure
-    logp = (
-        gammaln(y + r)
-        - gammaln(r)
-        - gammaln(y + 1)
-        - r * np.log1p(q)
-        + y * (np.log(q) - np.log1p(q))
-    )
-    return PmfEstimate(float(np.exp(logp)), 0.0, "closed-form")
+    log_norm = gammaln(r)
+    log_size = r * np.log1p(q)
+    log_odds = np.log(q) - np.log1p(q)
+    out = []
+    for y in ys:
+        logp = gammaln(y + r) - log_norm - gammaln(y + 1) - log_size + y * log_odds
+        out.append(PmfEstimate(float(np.exp(logp)), 0.0, "closed-form"))
+    return out
 
 
-def _pmf_lattice_p1(params: PtwParams, y: int) -> PmfEstimate:
+def _pmf_lattice_p1(params: PtwParams, ys: list[int]) -> list[PmfEstimate]:
     """Exact lattice sum at p = 1, where Z = phi * N with N ~ Poisson(mu/phi):
     P(Y=y) = sum_k Poisson(y; phi*k) Poisson(k; mu/phi), truncated once the
     Poisson tail mass of N beyond the last term is below ``_LATTICE_TOL``."""
@@ -174,10 +183,12 @@ def _pmf_lattice_p1(params: PtwParams, y: int) -> PmfEstimate:
     k_max = int(_poisson_dist.ppf(1.0 - _LATTICE_TOL, lam)) + 10
     k = np.arange(k_max + 1)
     log_prior = k * np.log(lam) - lam - gammaln(k + 1)
-    z = params.phi * k
-    log_lik = _poisson_logpmf(y, z)
-    value = float(np.sum(np.exp(log_prior + log_lik)))
-    return PmfEstimate(min(value, 1.0), 0.0, "exact-sum")
+    logpmf = _poisson_logpmf(params.phi * k)
+    out = []
+    for y in ys:
+        value = float(np.sum(np.exp(log_prior + logpmf(y))))
+        out.append(PmfEstimate(min(value, 1.0), 0.0, "exact-sum"))
+    return out
 
 
 @lru_cache(maxsize=1)
@@ -185,27 +196,34 @@ def _gl_rule():
     return gauss_laguerre(_QUAD_NODES)
 
 
-def _pmf_quadrature_p3(params: PtwParams, y: int) -> PmfEstimate | None:
-    """Gauss-Laguerre evaluation of the p = 3 mixture integral
-    f(y) = int_0^inf Poisson(y; z) IG(z; mu, 1/phi) dz.
+def _gl_log_density(params: PtwParams) -> np.ndarray | None:
+    """log of the p = 3 mixing density at the Gauss-Laguerre nodes, or None
+    where mu lies outside the nodes or the density is narrower than the
+    local node spacing, so that no count of this set can be resolved."""
+    x = _gl_rule().nodes
+    sd = np.sqrt(params.phi * params.mu**3)
+    idx = int(np.searchsorted(x, params.mu))
+    if idx <= 0 or idx >= len(x) or sd < 2.0 * (x[idx] - x[idx - 1]):
+        return None
+    with np.errstate(divide="ignore"):
+        return np.log(tweedie_density(params_as_tweedie(params), x))
 
-    Returns None when the rule cannot resolve the integrand (y beyond half
-    the node range, mixing density narrower than the local node spacing, or
-    a non-finite / out-of-range result), signalling the Monte Carlo fallback.
+
+def _pmf_quadrature_p3(log_density: np.ndarray | None, y: int) -> PmfEstimate | None:
+    """Gauss-Laguerre evaluation of the p = 3 mixture integral
+    f(y) = int_0^inf Poisson(y; z) IG(z; mu, 1/phi) dz, given the log mixing
+    density at the nodes from ``_gl_log_density``.
+
+    Returns None when the rule cannot resolve the integrand (no density, y
+    beyond half the node range, or a non-finite / out-of-range result),
+    signalling the Monte Carlo fallback.
     """
     rule = _gl_rule()
     x, w = rule.nodes, rule.weights
-    if y > 0.5 * x[-1]:
-        return None
-    sd = np.sqrt(params.phi * params.mu**3)
-    idx = int(np.searchsorted(x, params.mu))
-    if idx <= 0 or idx >= len(x):
-        return None
-    if sd < 2.0 * (x[idx] - x[idx - 1]):
+    if log_density is None or y > 0.5 * x[-1]:
         return None
     # Gauss-Laguerre absorbs e^{-z}: integrand/e^{-z} = z^y/y! * IG(z)
-    with np.errstate(divide="ignore"):
-        logg = y * np.log(x) - gammaln(y + 1) + np.log(tweedie_density(params_as_tweedie(params), x))
+    logg = y * np.log(x) - gammaln(y + 1) + log_density
     value = float(np.sum(w * np.exp(logg)))
     if not np.isfinite(value) or value <= 0.0 or value > 1.0 + 1e-9:
         return None
@@ -217,12 +235,58 @@ def params_as_tweedie(params: PtwParams) -> TweedieParams:
     return TweedieParams(params.mu, params.phi, params.p)
 
 
-def _pmf_monte_carlo(params: PtwParams, y: int, budget: PmfConfig) -> PmfEstimate:
+def _pmf_monte_carlo(params: PtwParams, ys: list[int], budget: PmfConfig) -> list[PmfEstimate]:
     z = _mixing_draws(params.mu, params.phi, params.p, budget.mc_draws, budget.rng)
-    probs = np.exp(_poisson_logpmf(y, z))
-    value = float(np.mean(probs))
-    stderr = float(np.std(probs, ddof=1) / np.sqrt(len(probs)))
-    return PmfEstimate(min(value, 1.0), stderr, "monte-carlo")
+    logpmf = _poisson_logpmf(z)
+    root_m = np.sqrt(len(z))
+    out = []
+    for y in ys:
+        probs = np.exp(logpmf(y))
+        value = float(np.mean(probs))
+        stderr = float(np.std(probs, ddof=1) / root_m)
+        out.append(PmfEstimate(min(value, 1.0), stderr, "monte-carlo"))
+    return out
+
+
+def _pmf_exact(params: PtwParams, ys: list[int]) -> list[PmfEstimate | None]:
+    """The exact (non-Monte Carlo) routes for one checked parameter set over
+    checked counts: one estimate per count, None where Monte Carlo is needed.
+    At p = 3, None means the Gauss-Laguerre rule could not resolve that
+    count; callers warn about that fallback."""
+    if params.phi * params.mu**params.p <= _POISSON_LIMIT:
+        return _pmf_closed_poisson(params.mu, ys)
+    if params.p == 2.0:
+        return _pmf_closed_nb(params, ys)
+    if params.p == 1.0:
+        return _pmf_lattice_p1(params, ys)
+    if params.p == 3.0:
+        log_density = _gl_log_density(params)
+        return [_pmf_quadrature_p3(log_density, y) for y in ys]
+    return [None] * len(ys)
+
+
+def _pmf_set(params: PtwParams, ys, budget: PmfConfig | None) -> list[PmfEstimate]:
+    """pmf estimates of one parameter set over counts ``ys``: the set's work
+    (lattice grid, mixing density at the nodes, log of the mixing draws) is
+    done once, each count's own work once per count.  Each p = 3 count the
+    Gauss-Laguerre rule cannot resolve warns once, attributed to the caller
+    of the public function that called this one."""
+    budget = budget or PmfConfig()
+    _check_probabilistic(params)
+    ys = [_check_count(y) for y in ys]
+    estimates = _pmf_exact(params, ys)
+    mc_ys = [y for y, est in zip(ys, estimates) if est is None]
+    if not mc_ys:
+        return estimates
+    if params.p == 3.0:
+        for y in mc_ys:
+            warnings.warn(
+                f"Gauss-Laguerre rule ({_QUAD_NODES} nodes) cannot resolve "
+                f"(mu={params.mu}, phi={params.phi}, y={y}); falling back to Monte Carlo",
+                stacklevel=3,
+            )
+    mc = iter(_pmf_monte_carlo(params, mc_ys, budget))
+    return [next(mc) if est is None else est for est in estimates]
 
 
 def ptw_pmf(params: PtwParams, y: int, budget: PmfConfig | None = None) -> PmfEstimate:
@@ -235,39 +299,13 @@ def ptw_pmf(params: PtwParams, y: int, budget: PmfConfig | None = None) -> PmfEs
     numbers), reporting the Monte Carlo standard error.  phi * mu**p below
     1e-6 short-circuits to the exact Poisson pmf.
     """
-    budget = budget or PmfConfig()
-    _check_probabilistic(params)
-    y = _check_count(y)
-    est = _pmf_exact(params, y)
-    if est is not None:
-        return est
-    if params.p == 3.0:
-        warnings.warn(
-            f"Gauss-Laguerre rule ({_QUAD_NODES} nodes) cannot resolve "
-            f"(mu={params.mu}, phi={params.phi}, y={y}); falling back to Monte Carlo",
-            stacklevel=2,
-        )
-    return _pmf_monte_carlo(params, y, budget)
-
-
-def _pmf_exact(params: PtwParams, y: int) -> PmfEstimate | None:
-    """The exact (non-Monte Carlo) route for checked (params, y), or None
-    where Monte Carlo is needed.  At p = 3, None means the Gauss-Laguerre
-    rule could not resolve the integrand; callers warn about that fallback."""
-    if params.phi * params.mu**params.p <= _POISSON_LIMIT:
-        return _pmf_closed_poisson(params.mu, y)
-    if params.p == 2.0:
-        return _pmf_closed_nb(params, y)
-    if params.p == 1.0:
-        return _pmf_lattice_p1(params, y)
-    if params.p == 3.0:
-        return _pmf_quadrature_p3(params, y)
-    return None
+    return _pmf_set(params, [y], budget)[0]
 
 
 def ptw_pmf_curve(params: PtwParams, ys, budget: PmfConfig | None = None) -> list[PmfEstimate]:
-    """pmf estimates over a y grid, sharing one set of mixing draws."""
-    return [ptw_pmf(params, y, budget) for y in ys]
+    """pmf estimates over a y grid, sharing one set of mixing draws; equal,
+    count by count, to ``ptw_pmf`` at each y."""
+    return _pmf_set(params, ys, budget)
 
 
 def _check_count(y) -> int:
@@ -308,8 +346,7 @@ def heavy_tail_index(params: PtwParams, y: int, budget: PmfConfig | None = None)
     only — no limit is extrapolated.
     """
     y = _check_count(y)
-    den = ptw_pmf(params, y, budget)
-    return _heavy_tail_ratio(y, den, ptw_pmf(params, y + 1, budget))[0]
+    return _heavy_tail_ratio(y, *_pmf_set(params, [y, y + 1], budget))[0]
 
 
 def _heavy_tail_ratio(y: int, den: PmfEstimate, num: PmfEstimate) -> tuple[float, float]:
@@ -405,10 +442,10 @@ def ptw_loglik(mu, phi, p, y, budget: PmfConfig | None = None, weights=None) -> 
     for runs in np.split(visit, np.flatnonzero(np.diff(set_id[visit])) + 1):
         params = PtwParams(float(mu[first[runs[0]]]), phi, p)
         _check_probabilistic(params)
+        ys = [int(y[first[j]]) for j in runs]
         mc_counts = []
-        for j in runs:
-            yi, n_y = int(y[first[j]]), int(counts[j])
-            est = _pmf_exact(params, yi)
+        for j, yi, est in zip(runs, ys, _pmf_exact(params, ys)):
+            n_y = int(counts[j])
             if est is None:
                 mc_counts.append((yi, n_y))
                 if params.p == 3.0:  # the Gauss-Laguerre rule fell back
@@ -427,10 +464,11 @@ def ptw_loglik(mu, phi, p, y, budget: PmfConfig | None = None, weights=None) -> 
         # the per-draw aggregate g_k rather than summing per-y variances.
         methods.add("monte-carlo")
         z = _mixing_draws(params.mu, params.phi, params.p, budget.mc_draws, budget.rng)
+        logpmf = _poisson_logpmf(z)
         m = len(z)
         g = np.zeros(m)
         for yi, n_y in mc_counts:
-            probs = np.exp(_poisson_logpmf(yi, z))
+            probs = np.exp(logpmf(yi))
             f_hat = float(np.mean(probs))
             if f_hat <= 0.0:
                 raise NonpositivePmfError(

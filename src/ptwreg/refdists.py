@@ -116,6 +116,8 @@ def _compoisson_table(uniq: np.ndarray, nu: float) -> np.ndarray:
 def compoisson_sample_lam(lam, nu: float, gen) -> np.ndarray:
     """One CP(lam_i, nu) draw per entry of ``lam`` by CDF inversion."""
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
+    if lam.size == 0:  # no lambdas to build a table over
+        return np.zeros(0, dtype=np.int64)
     cdf, inv = _compoisson_table(lam.tobytes(), nu)
     return _invert_cdf(cdf, inv, gen.random(lam.shape[0]))
 
@@ -152,6 +154,8 @@ def _gammacount_table(uniq: np.ndarray, nu: float) -> np.ndarray:
 def gammacount_sample_lam(lam, nu: float, gen) -> np.ndarray:
     """One GC(lam_i, nu) draw per entry of ``lam`` by CDF inversion."""
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
+    if lam.size == 0:  # no lambdas to build a table over
+        return np.zeros(0, dtype=np.int64)
     cdf, inv = _gammacount_table(lam.tobytes(), nu)
     return _invert_cdf(cdf, inv, gen.random(lam.shape[0]))
 

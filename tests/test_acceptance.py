@@ -318,8 +318,7 @@ def test_criterion_6_monte_carlo_vs_exact_pmf(capsys):
         for mu, phi, p in ((10.0, 0.1, 2.0), (10.0, 0.5, 2.0), (10.0, 1.0, 1.0)):
             params = PtwParams(mu, phi, p)
             worst = 0.0
-            for y in range(51):
-                mc = _pmf_monte_carlo(params, y, budget)
+            for y, mc in enumerate(_pmf_monte_carlo(params, range(51), budget)):
                 if p == 2.0:
                     exact = nb_pmf(mu, phi, y)
                 else:

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import subprocess
@@ -184,6 +185,18 @@ def test_simulate_negative_n_is_usage_error(family, capsys):
     assert err == "ptwreg: error: n must be non-negative\n"
 
 
+@pytest.mark.parametrize(
+    "family",
+    [
+        ["--family", "ptw", "--mu", "5", "--phi", "0.4"],
+        ["--family", "compoisson", "--lam", "8", "--nu", "4"],
+        ["--family", "gammacount", "--lam", "2", "--nu", "4"],
+    ],
+)
+def test_simulate_zero_draws_is_header_only(family, capsys):
+    assert run_cli(["simulate", *family, "--n", "0"], capsys) == (0, "y\n", "")
+
+
 def test_simulate_reference_families(capsys):
     for family, extra in (
         ("compoisson", ["--lam", "8", "--nu", "4"]),
@@ -258,22 +271,70 @@ def test_indices_far_tail_with_starved_budget_is_numerical_failure(capsys):
 
 
 def test_indices_evaluates_each_pmf_once(monkeypatch, capsys):
-    calls = []
-    original = ptwdist.ptw_pmf
+    # the curve evaluates its Monte Carlo counts in one route call per
+    # parameter set: count the ys that route sees and the draw sets sampled
+    calls, samples = [], []
+    route, sampler = ptwdist._pmf_monte_carlo, ptwdist.sample_tweedie_mu
 
-    def counting(params, y, budget=None):
-        calls.append(y)
-        return original(params, y, budget)
+    def counting_route(params, ys, budget):
+        calls.append(list(ys))
+        return route(params, ys, budget)
 
-    monkeypatch.setattr(ptwdist, "ptw_pmf", counting)
-    monkeypatch.setattr(cli, "ptw_pmf", counting, raising=False)
+    def counting_sampler(*args):
+        samples.append(args[0].size)
+        return sampler(*args)
+
+    monkeypatch.setattr(ptwdist, "_pmf_monte_carlo", counting_route)
+    monkeypatch.setattr(ptwdist, "sample_tweedie_mu", counting_sampler)
+    ptwdist._mixing_draws.cache_clear()
     code, _, _ = run_cli(
         ["indices", "--mu", "4", "--phi", "0.5", "--power", "1.5", "--y-max", "6",
          "--mc-draws", "5000"],
         capsys,
     )
     assert code == 0
-    assert sorted(calls) == list(range(8))
+    assert sorted(y for ys in calls for y in ys) == list(range(8))
+    assert samples == [5000]
+
+
+@pytest.mark.parametrize(
+    "command, args, sha256",
+    [
+        ("pmf", "--mu 6 --phi 1.5 --power 1 --y-max 30",
+         "75655ed7034c2ac99d192d15a670a969d080ca3b5a9913c06cb4322c1eca4be8"),
+        ("indices", "--mu 6 --phi 1.5 --power 1 --y-max 10",
+         "2723dc15e4cb5fb344930fe34bcea58d9e1acacbe45d5d0f21cb5db607f7871c"),
+        ("pmf", "--mu 6 --phi 0.5 --power 1.5 --y-max 20",
+         "9e8ce84debd20c108dc578a518b9c7cabaea30f243f1693dabc39b03a3e91d59"),
+        ("indices", "--mu 6 --phi 0.5 --power 1.5 --y-max 10",
+         "afb686cfb575cba2e82f2340d58a233c4d6fa1368aa9a3fa894dc3d062e135bf"),
+        ("pmf", "--mu 6 --phi 0.3 --power 2 --y-max 25",
+         "b862009f78a12b61b295bfec35dc76e3db71bbc6888954327402a84d14a4654c"),
+        ("indices", "--mu 6 --phi 0.3 --power 2 --y-max 10",
+         "ee58122a2db4a137c6dd019d8bd0805ab517c8e777d79db9f7210694c3e02bf2"),
+        # counts above 242 lie past half the Gauss-Laguerre node range and
+        # fall back to Monte Carlo
+        ("pmf", "--mu 20 --phi 0.5 --power 3 --y-max 250",
+         "3272943af6b7c5114a169524c9a2ca3c36072c6a42aebf386bd0c7911f617f7a"),
+        ("indices", "--mu 20 --phi 0.5 --power 3 --y-max 245",
+         "1c8d823d007ec9a233e4cec561a69362871804e4e027798e9be3da074398fbc4"),
+    ],
+)
+@pytest.mark.filterwarnings("ignore:Gauss-Laguerre rule")
+def test_pmf_and_indices_csv_are_bit_stable(command, args, sha256, capsys):
+    # seeded pmf and index tables are pinned byte for byte on every route
+    code, out, _ = run_cli([command, *args.split(), "--seed", "3"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha256
+
+
+@pytest.mark.parametrize("command", ["pmf", "indices"])
+def test_negative_y_max_is_usage_error(command, capsys):
+    code, out, err = run_cli(
+        [command, "--mu", "4", "--phi", "0.5", "--power", "2", "--y-max", "-1"], capsys
+    )
+    assert (code, out) == (1, "")
+    assert err == "ptwreg: error: --y-max must be >= 0, got -1\n"
 
 
 def test_parser_is_built_once(monkeypatch, capsys):

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from scipy.stats import poisson
 
+from scipy.special import gammaln
+
 from oracles import cpg_pmf, nb_pmf, neyman_pmf
 from ptwreg.errors import (
     InvalidParameterError,
@@ -14,12 +16,13 @@ from ptwreg.errors import (
 )
 import ptwreg.ptwdist as ptwdist
 from ptwreg.numcore import RngStream
+from ptwreg.tweedie import tweedie_density
 from ptwreg.ptwdist import (
     PmfConfig,
     PtwParams,
     _mixing_draws,
+    _gl_rule,
     _pmf_monte_carlo,
-    _poisson_logpmf,
     dispersion_index,
     heavy_tail_index,
     params_as_tweedie,
@@ -102,7 +105,7 @@ def test_pmf_quadrature_p3_vs_mc():
     for y in (0, 5, 10, 20):
         exact = ptw_pmf(params, y)
         assert exact.method == "gauss-laguerre"
-        mc = _pmf_monte_carlo(params, y, budget(seed=5))
+        mc = _pmf_monte_carlo(params, [y], budget(seed=5))[0]
         assert abs(exact.value - mc.value) < 3 * mc.mc_stderr + 1e-9
 
 
@@ -170,6 +173,105 @@ def test_pmf_curve_rejects_fractional_counts():
     assert ptw_pmf_curve(params, [2.0]) == [ptw_pmf(params, 2)]
 
 
+def _reference_poisson_logpmf(y, z):
+    """log Poisson(y; z) taking log z afresh for every count."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logp = y * np.log(z) - z - gammaln(y + 1)
+    if y == 0:
+        logp = np.where(z == 0, 0.0, logp)
+    else:
+        logp = np.where(z == 0, -np.inf, logp)
+    return logp
+
+
+def _reference_exact(params, y):
+    """The per-count exact routes that the per-set evaluator replaced, with
+    their arithmetic as it was; None where Monte Carlo is needed."""
+    mu, phi, p = params.mu, params.phi, params.p
+    if phi * mu**p <= 1e-6:
+        logp = y * np.log(mu) - mu - gammaln(y + 1)
+        return ptwdist.PmfEstimate(float(np.exp(logp)), 0.0, "closed-form")
+    if p == 2.0:
+        r, q = 1.0 / phi, phi * mu
+        logp = (
+            gammaln(y + r) - gammaln(r) - gammaln(y + 1) - r * np.log1p(q)
+            + y * (np.log(q) - np.log1p(q))
+        )
+        return ptwdist.PmfEstimate(float(np.exp(logp)), 0.0, "closed-form")
+    if p == 1.0:
+        lam = mu / phi
+        k = np.arange(int(poisson.ppf(1.0 - 1e-12, lam)) + 10 + 1)
+        log_prior = k * np.log(lam) - lam - gammaln(k + 1)
+        value = float(np.sum(np.exp(log_prior + _reference_poisson_logpmf(y, phi * k))))
+        return ptwdist.PmfEstimate(min(value, 1.0), 0.0, "exact-sum")
+    if p == 3.0:
+        x, w = _gl_rule().nodes, _gl_rule().weights
+        idx = int(np.searchsorted(x, mu))
+        if y > 0.5 * x[-1] or idx <= 0 or idx >= len(x):
+            return None
+        if np.sqrt(phi * mu**3) < 2.0 * (x[idx] - x[idx - 1]):
+            return None
+        with np.errstate(divide="ignore"):
+            logg = (y * np.log(x) - gammaln(y + 1)
+                    + np.log(tweedie_density(params_as_tweedie(params), x)))
+        value = float(np.sum(w * np.exp(logg)))
+        if not np.isfinite(value) or value <= 0.0 or value > 1.0 + 1e-9:
+            return None
+        return ptwdist.PmfEstimate(min(value, 1.0), 0.0, "gauss-laguerre")
+    return None
+
+
+def _reference_pmf(params, y, b):
+    """One pmf per call, as ``ptw_pmf`` evaluated it before the per-set
+    evaluator: the Monte Carlo route recomputes log z for every count."""
+    est = _reference_exact(params, y)
+    if est is not None:
+        return est
+    z = _mixing_draws(params.mu, params.phi, params.p, b.mc_draws, b.rng)
+    probs = np.exp(_reference_poisson_logpmf(y, z))
+    stderr = float(np.std(probs, ddof=1) / np.sqrt(len(probs)))
+    return ptwdist.PmfEstimate(min(float(np.mean(probs)), 1.0), stderr, "monte-carlo")
+
+
+# (params, ys, methods) for every route, counts out of order and repeated:
+# Poisson limit, negative binomial, lattice, Gauss-Laguerre, Gauss-Laguerre
+# falling back past half the node range, Gauss-Laguerre with a mixing density
+# narrower than the node spacing, Monte Carlo with and without zero draws
+_CURVE_CASES = [
+    ((10.0, 1e-9, 1.5), [*range(30, -1, -1), 3, 0], {"closed-form"}),
+    ((6.0, 0.3, 2.0), [*range(60, -1, -1), 5, 52], {"closed-form"}),
+    ((6.0, 1.5, 1.0), [*range(40, -1, -1), 9, 0], {"exact-sum"}),
+    ((20.0, 0.5, 3.0), [*range(60, -1, -1), 240, 40, 3], {"gauss-laguerre"}),
+    ((20.0, 0.5, 3.0), [244, 5, 250, 244, 0, 243, 242], {"gauss-laguerre", "monte-carlo"}),
+    ((60.0, 1e-5, 3.0), [61, 55, 61, 0], {"monte-carlo"}),
+    ((6.0, 0.5, 1.5), [*range(25, -1, -1), 4, 0], {"monte-carlo"}),
+    ((0.5, 2.0, 1.3), [0, 2, 0, 9, 1], {"monte-carlo"}),
+]
+
+
+@pytest.mark.parametrize("args, ys, methods", _CURVE_CASES)
+def test_pmf_curve_matches_per_count_reference_exactly(args, ys, methods):
+    params = PtwParams(*args)
+    b = budget(seed=4, draws=5_000)
+    reference = [_reference_pmf(params, y, b) for y in ys]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        curve = ptw_pmf_curve(params, ys, b)
+    fell_back = [y for y in ys if args[2] == 3.0 and _reference_exact(params, y) is None]
+    assert [str(w.message) for w in caught] == [
+        f"Gauss-Laguerre rule (128 nodes) cannot resolve (mu={params.mu}, phi={params.phi}, "
+        f"y={y}); falling back to Monte Carlo"
+        for y in fell_back
+    ]
+    assert {est.method for est in curve} == methods
+    assert [(e.value, e.mc_stderr, e.method) for e in curve] == [
+        (e.value, e.mc_stderr, e.method) for e in reference
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert [ptw_pmf(params, y, b) for y in ys] == curve
+
+
 # --------------------------------------------------------------------- pzero
 
 
@@ -180,7 +282,7 @@ def test_pzero_closed_forms():
 
 def test_pzero_vs_mc():
     params = PtwParams(10.0, 1.0, 1.5)
-    est = _pmf_monte_carlo(params, 0, budget(seed=19))
+    est = _pmf_monte_carlo(params, [0], budget(seed=19))[0]
     assert abs(ptw_pzero(params) - est.value) < 3 * est.mc_stderr
 
 
@@ -300,7 +402,7 @@ def test_loglik_length_mismatch():
 
 def _loglik_reference(mu, phi, p, y, budget):
     """The per-observation dict loop that ``ptw_loglik`` replaced: group by
-    mu then y in order of first occurrence, pmf via ``ptw_pmf``."""
+    mu then y in order of first occurrence, one pmf per count."""
     groups = {}
     for mu_i, yi in zip(mu, y):
         counts = groups.setdefault(mu_i, {})
@@ -310,9 +412,7 @@ def _loglik_reference(mu, phi, p, y, budget):
         params = PtwParams(mu_i, phi, p)
         mc_counts = {}
         for yi, n_y in counts.items():
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                est = ptw_pmf(params, yi, budget)
+            est = _reference_pmf(params, yi, budget)
             if est.method == "monte-carlo":
                 mc_counts[yi] = n_y
                 continue
@@ -324,7 +424,7 @@ def _loglik_reference(mu, phi, p, y, budget):
         z = _mixing_draws(mu_i, phi, p, budget.mc_draws, budget.rng)
         g = np.zeros(len(z))
         for yi, n_y in mc_counts.items():
-            probs = np.exp(_poisson_logpmf(yi, z))
+            probs = np.exp(_reference_poisson_logpmf(yi, z))
             f_hat = float(np.mean(probs))
             total += n_y * np.log(f_hat)
             g += (n_y / f_hat) * probs
