@@ -29,7 +29,6 @@ from .errors import (
     CsvParseError,
     InvalidParameterError,
     MissingBaselineError,
-    NoDistributionError,
     PtwError,
     RankDeficiencyError,
 )
@@ -50,7 +49,6 @@ _USAGE_ERRORS = (
     CsvParseError,
     InvalidParameterError,
     MissingBaselineError,
-    NoDistributionError,
     RankDeficiencyError,
 )
 

@@ -23,8 +23,10 @@ from .chaser import FitConfig, FitResult, fit
 from .errors import (
     CsvParseError,
     InvalidParameterError,
+    NoDistributionError,
     NonpositivePmfError,
     RankDeficiencyError,
+    UnsupportedPowerError,
 )
 from .estfun import PtwModel
 from .ptwdist import LoglikResult, PmfConfig, ptw_loglik
@@ -344,21 +346,12 @@ def _wald(estimate: float, se: float):
 def loglik_at_fit(
     result: FitResult, model: PtwModel, config: ModelSpecConfig
 ) -> tuple[LoglikResult | None, str | None]:
-    """Log-likelihood at the fitted parameters, or a reason it is undefined."""
+    """Log-likelihood at the fitted parameters, or ptw_loglik's refusal of it."""
     theta = result.theta_hat
-    if theta.phi < 0:
-        return None, "dispersion is negative: no probability distribution exists"
-    if theta.p < 1:
-        return None, "power is below 1: no probability distribution exists"
-    if theta.p > 2 and theta.p != 3:
-        return None, (
-            "power is outside the evaluable family {1} U (1, 2] U {3}: "
-            "pmf evaluation is not available"
-        )
     mu = np.exp(model.linear_predictor(theta.beta))
     try:
         return ptw_loglik(mu, theta.phi, theta.p, model.y, config.pmf, model.weights), None
-    except NonpositivePmfError as exc:
+    except (NoDistributionError, UnsupportedPowerError, NonpositivePmfError) as exc:
         return None, str(exc)
 
 

@@ -26,8 +26,8 @@ class VarianceNonpositiveError(PtwError):
     """The moment constraint mu + phi*mu**p > 0 is violated."""
 
 
-class NoDistributionError(PtwError, ValueError):
-    """A probability was requested for a parameter set with no pmf (phi < 0)."""
+class NoDistributionError(InvalidParameterError):
+    """A probability was requested where no pmf exists: phi < 0, or p < 1 at phi != 0."""
 
 
 class UnreliableEstimateError(PtwError):

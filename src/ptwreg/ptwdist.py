@@ -18,14 +18,14 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
-from scipy.stats import poisson as _poisson_dist
+from scipy.special import gammaln, pdtr, pdtrik
 
 from .errors import (
     InvalidParameterError,
     NoDistributionError,
     NonpositivePmfError,
     UnreliableEstimateError,
+    UnsupportedPowerError,
     VarianceNonpositiveError,
 )
 from .numcore import RngStream, gauss_laguerre
@@ -44,9 +44,9 @@ _LATTICE_TOL = 1e-12
 class PtwParams:
     """Poisson-Tweedie parameters: mean mu, dispersion phi, power p.
 
-    Probabilistic operations (sampling, pmf, indices built on probabilities)
-    require phi > 0 and p >= 1.  Moment-level quantities only require the
-    variance constraint mu + phi * mu**p > 0, i.e. phi > -mu**(1-p).
+    Probabilistic operations (pmf, indices built on probabilities) require
+    phi >= 0, and p >= 1 unless phi = 0; sampling phi > 0.  Moment-level
+    quantities only require mu + phi * mu**p > 0, i.e. phi > -mu**(1-p).
     """
 
     mu: float
@@ -92,11 +92,9 @@ class PmfConfig:
 
 def _check_probabilistic(params: PtwParams) -> None:
     if params.phi < 0:
-        raise NoDistributionError(
-            f"no probability mass function exists for phi = {params.phi} < 0"
-        )
-    if params.p < 1:
-        raise InvalidParameterError(f"pmf evaluation requires p >= 1, got {params.p}")
+        raise NoDistributionError("dispersion is negative: no probability distribution exists")
+    if params.p < 1 and params.phi != 0:  # phi = 0 is the Poisson law at every power
+        raise NoDistributionError("power is below 1: no probability distribution exists")
 
 
 def ptw_sample(params: PtwParams, n: int, rng: RngStream) -> np.ndarray:
@@ -180,7 +178,7 @@ def _pmf_lattice_p1(params: PtwParams, ys: list[int]) -> list[PmfEstimate]:
     P(Y=y) = sum_k Poisson(y; phi*k) Poisson(k; mu/phi), truncated once the
     Poisson tail mass of N beyond the last term is below ``_LATTICE_TOL``."""
     lam = params.mu / params.phi
-    k_max = int(_poisson_dist.ppf(1.0 - _LATTICE_TOL, lam)) + 10
+    k_max = _poisson_quantile(1.0 - _LATTICE_TOL, lam) + 10
     k = np.arange(k_max + 1)
     log_prior = k * np.log(lam) - lam - gammaln(k + 1)
     logpmf = _poisson_logpmf(params.phi * k)
@@ -189,6 +187,13 @@ def _pmf_lattice_p1(params: PtwParams, ys: list[int]) -> list[PmfEstimate]:
         value = float(np.sum(np.exp(log_prior + logpmf(y))))
         out.append(PmfEstimate(min(value, 1.0), 0.0, "exact-sum"))
     return out
+
+
+def _poisson_quantile(q: float, lam: float) -> int:
+    """The least k with Poisson(lam) CDF at k >= q, for 0 < q < 1: the rule
+    of scipy.stats.poisson.ppf, without importing scipy.stats."""
+    k = int(np.ceil(pdtrik(q, lam)))
+    return k - 1 if k > 0 and pdtr(k - 1, lam) >= q else k
 
 
 @lru_cache(maxsize=1)
@@ -238,21 +243,23 @@ def params_as_tweedie(params: PtwParams) -> TweedieParams:
 def _pmf_monte_carlo(params: PtwParams, ys: list[int], budget: PmfConfig) -> list[PmfEstimate]:
     z = _mixing_draws(params.mu, params.phi, params.p, budget.mc_draws, budget.rng)
     logpmf = _poisson_logpmf(z)
-    root_m = np.sqrt(len(z))
+    m = len(z)
     out = []
     for y in ys:
         probs = np.exp(logpmf(y))
         value = float(np.mean(probs))
-        stderr = float(np.std(probs, ddof=1) / root_m)
+        dev = probs - value  # np.std(probs, ddof=1), reusing the mean
+        dev *= dev
+        stderr = float(np.sqrt(np.sum(dev) / (m - 1)) / np.sqrt(m))
         out.append(PmfEstimate(min(value, 1.0), stderr, "monte-carlo"))
     return out
 
 
 def _pmf_exact(params: PtwParams, ys: list[int]) -> list[PmfEstimate | None]:
-    """The exact (non-Monte Carlo) routes for one checked parameter set over
-    checked counts: one estimate per count, None where Monte Carlo is needed.
-    At p = 3, None means the Gauss-Laguerre rule could not resolve that
-    count; callers warn about that fallback."""
+    """The route dispatcher, and so the evaluable domain: one estimate per
+    checked count, None where Monte Carlo is needed (at p = 3, where the
+    Gauss-Laguerre rule could not resolve it; callers warn).  A power with no
+    route raises UnsupportedPowerError, before any mixing draws are taken."""
     if params.phi * params.mu**params.p <= _POISSON_LIMIT:
         return _pmf_closed_poisson(params.mu, ys)
     if params.p == 2.0:
@@ -262,15 +269,19 @@ def _pmf_exact(params: PtwParams, ys: list[int]) -> list[PmfEstimate | None]:
     if params.p == 3.0:
         log_density = _gl_log_density(params)
         return [_pmf_quadrature_p3(log_density, y) for y in ys]
-    return [None] * len(ys)
+    if 1.0 < params.p < 2.0:  # Monte Carlo over the mixing sampler
+        return [None] * len(ys)
+    raise UnsupportedPowerError(
+        "power is outside the evaluable family {1} U (1, 2] U {3}: pmf evaluation is not available"
+    )
 
 
 def _pmf_set(params: PtwParams, ys, budget: PmfConfig | None) -> list[PmfEstimate]:
     """pmf estimates of one parameter set over counts ``ys``: the set's work
     (lattice grid, mixing density at the nodes, log of the mixing draws) is
-    done once, each count's own work once per count.  Each p = 3 count the
-    Gauss-Laguerre rule cannot resolve warns once, attributed to the caller
-    of the public function that called this one."""
+    done once, each count's own work once per count.  The p = 3 counts the
+    Gauss-Laguerre rule cannot resolve raise one warning per call, attributed
+    to the caller of the public function that called this one."""
     budget = budget or PmfConfig()
     _check_probabilistic(params)
     ys = [_check_count(y) for y in ys]
@@ -279,12 +290,13 @@ def _pmf_set(params: PtwParams, ys, budget: PmfConfig | None) -> list[PmfEstimat
     if not mc_ys:
         return estimates
     if params.p == 3.0:
-        for y in mc_ys:
-            warnings.warn(
-                f"Gauss-Laguerre rule ({_QUAD_NODES} nodes) cannot resolve "
-                f"(mu={params.mu}, phi={params.phi}, y={y}); falling back to Monte Carlo",
-                stacklevel=3,
-            )
+        lost = sorted(set(mc_ys))
+        ys_lost = f"{len(lost)} counts in y={lost[0]}..{lost[-1]}" if lost[1:] else f"y={lost[0]}"
+        warnings.warn(
+            f"Gauss-Laguerre rule ({_QUAD_NODES} nodes) cannot resolve "
+            f"(mu={params.mu}, phi={params.phi}, {ys_lost}); falling back to Monte Carlo",
+            stacklevel=3,
+        )
     mc = iter(_pmf_monte_carlo(params, mc_ys, budget))
     return [next(mc) if est is None else est for est in estimates]
 
@@ -294,10 +306,10 @@ def ptw_pmf(params: PtwParams, y: int, budget: PmfConfig | None = None) -> PmfEs
 
     p = 2 uses the negative-binomial closed form; p = 1 the exact lattice
     sum over the scaled-Poisson mixing distribution; p = 3 Gauss-Laguerre
-    quadrature with a Monte Carlo fallback; every other power averages the
-    Poisson pmf over mixing draws that are shared across y (common random
-    numbers), reporting the Monte Carlo standard error.  phi * mu**p below
-    1e-6 short-circuits to the exact Poisson pmf.
+    quadrature with a Monte Carlo fallback; 1 < p < 2 averages the Poisson
+    pmf over mixing draws shared across y (common random numbers), with the
+    Monte Carlo standard error.  phi * mu**p <= 1e-6 (phi = 0 at any power)
+    is the exact Poisson pmf; other powers raise UnsupportedPowerError.
     """
     return _pmf_set(params, [y], budget)[0]
 
@@ -397,9 +409,9 @@ def ptw_loglik(mu, phi, p, y, budget: PmfConfig | None = None, weights=None) -> 
     InvalidParameterError
         If phi or p is an array, a shape does not match ``y``, a count is
         not a non-negative integer or a weight a positive one, mu is not
-        finite and positive, phi or p is not finite, or p < 1.
-    NoDistributionError
-        If phi < 0.
+        finite and positive, or phi or p is not finite.
+    NoDistributionError, UnsupportedPowerError
+        As ``ptw_pmf`` refuses (phi, p), at any mean.
     NonpositivePmfError
         If any pmf estimate is exactly zero (for Monte Carlo, raise the budget).
     """

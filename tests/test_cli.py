@@ -66,6 +66,25 @@ def test_fit_free_power_matches_published(dicentrics_file, capsys):
     assert payload["dispersion"]["fixed"] == {"phi": False, "p": False}
 
 
+@pytest.mark.parametrize("power", ["0.5", "2.5", "4"])
+def test_fit_at_zero_dispersion_is_poisson_at_any_power(power, dicentrics_file, capsys):
+    # phi = 0 is the Poisson law whatever the power: its log-likelihood is the
+    # closed form that --phi 0 reports, not a refusal
+    base = ["fit", "--data", dicentrics_file, "--response", "y", "--terms", "dose,dose^2",
+            "--phi", "0"]
+    reports = []
+    for argv in (base, base + ["--power", power]):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 0 and err == ""
+        reports.append(json.loads(out))
+    poisson, fixed = reports
+    assert fixed["loglik"] == poisson["loglik"]
+    assert fixed["loglik"] == {
+        "value": -2995.388621328943, "mc_stderr": 0.0, "method": "closed-form"
+    }
+    assert "loglik_reason" not in fixed
+
+
 def test_fit_frequency_file_matches_expanded_file(dicentrics_file, tmp_path, capsys):
     # the count column is fitted as frequency weights, with no expansion
     expanded_file = tmp_path / "expanded.csv"
@@ -231,7 +250,41 @@ def test_pmf_infeasible_dispersion(capsys):
         ["pmf", "--mu", "10", "--phi", "-0.5", "--power", "1", "--y-max", "3"], capsys
     )
     assert code == 1
-    assert "no probability mass function" in err
+    assert "dispersion is negative: no probability distribution exists" in err
+
+
+@pytest.mark.parametrize("command", ["pmf", "indices"])
+@pytest.mark.parametrize(
+    "phi, power, reason",
+    [
+        ("-0.5", "1", "dispersion is negative: no probability distribution exists"),
+        ("0.5", "0.5", "power is below 1: no probability distribution exists"),
+        ("0.5", "2.5", "power is outside the evaluable family {1} U (1, 2] U {3}: "
+                       "pmf evaluation is not available"),
+        ("0.5", "4", "power is outside the evaluable family {1} U (1, 2] U {3}: "
+                     "pmf evaluation is not available"),
+    ],
+    ids=["negative-phi", "p-below-1", "p-2.5", "p-4"],
+)
+def test_pmf_and_indices_refusals_name_the_domain(command, phi, power, reason, capsys):
+    # the same reasons that a fit report gives for a missing log-likelihood
+    code, out, err = run_cli(
+        [command, "--mu", "10", "--phi", phi, "--power", power, "--y-max", "3"], capsys
+    )
+    assert (code, out, err) == (1, "", f"ptwreg: error: {reason}\n")
+
+
+def test_pmf_table_warns_once_about_gauss_laguerre_fallbacks(capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, _ = run_cli(
+            ["pmf", "--mu", "20", "--phi", "0.5", "--power", "3", "--y-max", "250"], capsys
+        )
+    assert code == 0
+    assert [str(w.message) for w in caught] == [
+        "Gauss-Laguerre rule (128 nodes) cannot resolve (mu=20.0, phi=0.5, "
+        "8 counts in y=243..250); falling back to Monte Carlo"
+    ]
 
 
 # -------------------------------------------------------------------- indices
@@ -487,6 +540,18 @@ def test_usage_errors_exit_one(capsys):
             main(argv)
         assert info.value.code == 1
         capsys.readouterr()
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # scipy.stats costs about a second of start-up and ptwreg needs none of it
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, ptwreg.cli; print('scipy.stats' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_module_entry_point():

@@ -418,14 +418,23 @@ def test_loglik_reasons_for_unreachable_powers():
             converged=True,
         )
 
+    # the reasons are ptwdist's refusals, word for word as fit reports give them
     _, why_neg = loglik_at_fit(result_at(-0.2, 1.5), model, config)
-    assert "dispersion is negative" in why_neg
+    assert why_neg == "dispersion is negative: no probability distribution exists"
     _, why_low = loglik_at_fit(result_at(0.2, 0.5), model, config)
-    assert "below 1" in why_low
+    assert why_low == "power is below 1: no probability distribution exists"
     _, why_gap = loglik_at_fit(result_at(0.2, 2.5), model, config)
-    assert "not available" in why_gap
+    assert why_gap == (
+        "power is outside the evaluable family {1} U (1, 2] U {3}: "
+        "pmf evaluation is not available"
+    )
     value, why = loglik_at_fit(result_at(0.2, 3.0), model, config)
     assert why is None and np.isfinite(value.value)
+    # phi = 0 is the Poisson law at every power
+    poisson, why = loglik_at_fit(result_at(0.0, 1.0), model, config)
+    assert why is None and poisson.method == "closed-form"
+    for p in (0.5, 2.5, 4.0):
+        assert loglik_at_fit(result_at(0.0, p), model, config) == (poisson, None)
 
 
 @pytest.mark.parametrize(

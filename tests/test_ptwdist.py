@@ -12,6 +12,7 @@ from ptwreg.errors import (
     NoDistributionError,
     NonpositivePmfError,
     UnreliableEstimateError,
+    UnsupportedPowerError,
     VarianceNonpositiveError,
 )
 import ptwreg.ptwdist as ptwdist
@@ -236,7 +237,9 @@ def _reference_pmf(params, y, b):
 # (params, ys, methods) for every route, counts out of order and repeated:
 # Poisson limit, negative binomial, lattice, Gauss-Laguerre, Gauss-Laguerre
 # falling back past half the node range, Gauss-Laguerre with a mixing density
-# narrower than the node spacing, Monte Carlo with and without zero draws
+# narrower than the node spacing, Monte Carlo with and without zero draws,
+# and the lattice at small and large lam = mu/phi, whose truncation point
+# the reference takes from scipy.stats.poisson.ppf
 _CURVE_CASES = [
     ((10.0, 1e-9, 1.5), [*range(30, -1, -1), 3, 0], {"closed-form"}),
     ((6.0, 0.3, 2.0), [*range(60, -1, -1), 5, 52], {"closed-form"}),
@@ -246,7 +249,18 @@ _CURVE_CASES = [
     ((60.0, 1e-5, 3.0), [61, 55, 61, 0], {"monte-carlo"}),
     ((6.0, 0.5, 1.5), [*range(25, -1, -1), 4, 0], {"monte-carlo"}),
     ((0.5, 2.0, 1.3), [0, 2, 0, 9, 1], {"monte-carlo"}),
+    ((0.03, 2.0, 1.0), [*range(12, -1, -1), 2, 0], {"exact-sum"}),
+    ((400.0, 0.25, 1.0), [*range(460, 340, -7), 400, 0], {"exact-sum"}),
 ]
+
+
+@pytest.mark.parametrize(
+    # 90.095... and 7935.8... need scipy's step down from ceil(pdtrik(q, lam))
+    "lam", [1e-6, 0.015, 3.0, 90.09533826348168, 1600.0, 7935.82006751583, 1e6]
+)
+def test_lattice_truncation_follows_scipy_poisson_ppf(lam):
+    q = 1.0 - ptwdist._LATTICE_TOL
+    assert ptwdist._poisson_quantile(q, lam) == int(poisson.ppf(q, lam))
 
 
 @pytest.mark.parametrize("args, ys, methods", _CURVE_CASES)
@@ -257,12 +271,16 @@ def test_pmf_curve_matches_per_count_reference_exactly(args, ys, methods):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         curve = ptw_pmf_curve(params, ys, b)
-    fell_back = [y for y in ys if args[2] == 3.0 and _reference_exact(params, y) is None]
-    assert [str(w.message) for w in caught] == [
-        f"Gauss-Laguerre rule (128 nodes) cannot resolve (mu={params.mu}, phi={params.phi}, "
-        f"y={y}); falling back to Monte Carlo"
-        for y in fell_back
-    ]
+    # one warning per call, naming how many distinct counts fell back
+    fell_back = sorted({y for y in ys if args[2] == 3.0 and _reference_exact(params, y) is None})
+    expected = []
+    if fell_back:
+        expected = [
+            f"Gauss-Laguerre rule (128 nodes) cannot resolve (mu={params.mu}, "
+            f"phi={params.phi}, {len(fell_back)} counts in y={fell_back[0]}..{fell_back[-1]}); "
+            "falling back to Monte Carlo"
+        ]
+    assert [str(w.message) for w in caught] == expected
     assert {est.method for est in curve} == methods
     assert [(e.value, e.mc_stderr, e.method) for e in curve] == [
         (e.value, e.mc_stderr, e.method) for e in reference
@@ -270,6 +288,76 @@ def test_pmf_curve_matches_per_count_reference_exactly(args, ys, methods):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         assert [ptw_pmf(params, y, b) for y in ys] == curve
+
+
+# -------------------------------------------------------------------- domain
+
+_NO_ROUTE = (
+    "power is outside the evaluable family {1} U (1, 2] U {3}: "
+    "pmf evaluation is not available"
+)
+
+
+def _every_pmf_function(params, b):
+    """ptw_pmf, ptw_pmf_curve, heavy_tail_index and ptw_loglik at ``params``."""
+    mu, phi, p = params.mu, params.phi, params.p
+    return [
+        lambda: ptw_pmf(params, 2, b),
+        lambda: ptw_pmf_curve(params, [3, 0, 2], b),
+        lambda: heavy_tail_index(params, 1, b),
+        lambda: ptw_loglik([mu, mu, 2.0 * mu], phi, p, [1, 4, 1], b),
+    ]
+
+
+@pytest.mark.parametrize("p", [2.5, 4.0])
+def test_unsupported_power_is_refused_before_mixing_draws(p, monkeypatch):
+    draws = []
+
+    def counting(*args):
+        draws.append(args)
+        return _mixing_draws(*args)
+
+    monkeypatch.setattr(ptwdist, "_mixing_draws", counting)
+    for call in _every_pmf_function(PtwParams(4.0, 0.3, p), budget(draws=2_000)):
+        with pytest.raises(UnsupportedPowerError) as info:
+            call()
+        assert str(info.value) == _NO_ROUTE
+    assert draws == []
+
+
+@pytest.mark.parametrize("phi, p", [(1e-9, 2.5), (0.0, 2.5), (0.0, 4.0), (0.0, 0.5)])
+def test_poisson_limit_is_evaluable_at_any_power(phi, p):
+    # phi * mu**p <= 1e-6 is the Poisson law, phi = 0 at every power
+    mu = 4.0
+    f = [float(poisson.pmf(y, mu)) for y in range(5)]
+    pmf, curve, tail, loglik = (
+        call() for call in _every_pmf_function(PtwParams(mu, phi, p), budget())
+    )
+    assert (pmf.value, pmf.method) == (pytest.approx(f[2], rel=1e-13), "closed-form")
+    assert [(e.value, e.method) for e in curve] == [
+        (pytest.approx(f[y], rel=1e-13), "closed-form") for y in (3, 0, 2)
+    ]
+    assert tail == pytest.approx(f[2] / f[1], rel=1e-13)
+    want = np.log(f[1]) + np.log(f[4]) + float(poisson.logpmf(1, 2.0 * mu))
+    assert (loglik.value, loglik.mc_stderr, loglik.method) == (
+        pytest.approx(want, rel=1e-13), 0.0, "closed-form"
+    )
+
+
+@pytest.mark.parametrize(
+    "phi, p, reason",
+    [
+        (-0.1, 1.5, "dispersion is negative: no probability distribution exists"),
+        (-0.1, 0.5, "dispersion is negative: no probability distribution exists"),
+        (0.1, 0.5, "power is below 1: no probability distribution exists"),
+    ],
+)
+def test_no_distribution_refusals(phi, p, reason):
+    for call in _every_pmf_function(PtwParams(4.0, phi, p), budget()):
+        with pytest.raises(NoDistributionError) as info:
+            call()
+        assert str(info.value) == reason
+        assert isinstance(info.value, InvalidParameterError)
 
 
 # --------------------------------------------------------------------- pzero
