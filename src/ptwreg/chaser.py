@@ -43,7 +43,7 @@ from .estfun import (
     quasi_score,
     variability,
 )
-from .numcore import solve_linear
+from .numcore import quiet, solve_linear
 
 POWER_FREE = "free"
 P_FLOOR = 1e-4
@@ -162,6 +162,7 @@ def initialize(model: PtwModel, config: FitConfig | None = None) -> Theta:
     return Theta(theta.beta, phi0, p0)
 
 
+@quiet
 def step_control(
     theta: Theta,
     delta: np.ndarray,
@@ -186,8 +187,7 @@ def step_control(
         feasible = phi_sign != "nonnegative" or phi_new >= 0
         if feasible:
             # Trial points far out may overflow; that just means "infeasible".
-            with np.errstate(over="ignore", invalid="ignore"):
-                c = mu + phi_new * mu**p_new
+            c = mu + phi_new * mu**p_new
             feasible = bool((c > 0).all() and np.isfinite(c).all())
         if feasible:
             return Theta(theta.beta, phi_new, p_new)
@@ -214,13 +214,15 @@ def _sandwich(model: PtwModel, theta: Theta, free: tuple[str, ...]) -> np.ndarra
     return godambe_covariance(s[np.ix_(idx, idx)], v[np.ix_(idx, idx)])
 
 
+@quiet
 def fit(model: PtwModel, config: FitConfig | None = None) -> FitResult:
     """Fit the Poisson-Tweedie regression by the modified chaser.
 
     Returns the last iterate with ``converged=False`` (plus a warning)
     when the iteration budget runs out; raises BoundaryTrapError when the
     variance constraint traps the dispersion step, and RankDeficiencyError
-    when the design loses full column rank.
+    when the design loses full column rank.  The whole fit runs in one
+    quiet error state (see ``numcore.quiet``).
     """
     config = config or FitConfig()
     free = config.free_dispersion()
@@ -228,8 +230,8 @@ def fit(model: PtwModel, config: FitConfig | None = None) -> FitResult:
         raise InvalidParameterError("free-power fitting needs n > Q + 2")
 
     theta = initialize(model, config)
-    lam_idx = [_LAMBDA_INDEX[name] for name in free]
-    lam_block = np.ix_(lam_idx, lam_idx)
+    # free is a contiguous part of (phi, p), so basic slices select it
+    lam = slice(_LAMBDA_INDEX[free[0]], _LAMBDA_INDEX[free[-1]] + 1) if free else None
     p_floor = P_FLOOR if "p" in free else None
 
     trace: list = []
@@ -241,29 +243,31 @@ def fit(model: PtwModel, config: FitConfig | None = None) -> FitResult:
 
     state = estfun_state(model, theta)
     psi_beta = quasi_score(model, theta, state)
+    current = theta.as_array()
     for iterations in range(1, config.max_iter + 1):
-        prev = theta.as_array()
+        prev = current
         beta_new = _beta_step(state, theta.beta, psi_beta)
         theta = Theta(beta_new, theta.phi, theta.p)
         state = estfun_state(model, theta)
 
-        if lam_idx:
-            psi_l = pearson_score(model, theta, state)[lam_idx]
+        if free:
+            psi_l = pearson_score(model, theta, state)[lam]
             delta = np.zeros(2)
-            delta[lam_idx] = config.alpha * solve_linear(_s_lambda(state)[lam_block], psi_l)
-            before = np.array([theta.phi, theta.p])
+            delta[lam] = config.alpha * solve_linear(_s_lambda(state)[lam, lam], psi_l)
+            phi_before, p_before = theta.phi, theta.p
             theta = step_control(theta, delta, state.mu, config.phi_sign, p_floor)
-            lambda_step_norm = float(np.abs(np.array([theta.phi, theta.p]) - before).max())
+            lambda_step_norm = max(abs(theta.phi - phi_before), abs(theta.p - p_before))
             state = _with_dispersion(state, theta)
 
         # The quasi-score at this state is also the next beta step's psi_beta.
         psi_beta = quasi_score(model, theta, state)
         score = psi_beta
-        if lam_idx:
-            score = np.concatenate([psi_beta, pearson_score(model, theta, state)[lam_idx]])
+        if free:
+            score = np.concatenate([psi_beta, pearson_score(model, theta, state)[lam]])
         score_norm = float(np.abs(score).max())
-        param_change = float(np.abs(theta.as_array() - prev).max())
-        trace.append((theta.as_array(), score_norm))
+        current = theta.as_array()
+        param_change = float(np.abs(current - prev).max())
+        trace.append((current, score_norm))
         if score_norm < config.tol and param_change < config.tol:
             converged = True
             break

@@ -20,7 +20,8 @@ Parameter ordering everywhere: (beta_1..beta_Q, phi, p).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -30,7 +31,7 @@ from .errors import (
     SingularMatrixError,
     VarianceNonpositiveError,
 )
-from .numcore import _lu_solver
+from .numcore import _lu_solver, quiet
 
 @dataclass(frozen=True)
 class PtwModel:
@@ -106,7 +107,7 @@ class Theta:
         object.__setattr__(self, "beta", beta)
         if not np.isfinite(beta).all():
             raise InvalidParameterError("beta must be finite")
-        if not (np.isfinite(self.phi) and np.isfinite(self.p)):
+        if not (math.isfinite(self.phi) and math.isfinite(self.p)):
             raise InvalidParameterError("phi and p must be finite")
 
     def as_array(self) -> np.ndarray:
@@ -129,34 +130,32 @@ class EstFunState:
     theta: Theta
 
     @cached_property
+    @quiet
     def W_beta(self) -> np.ndarray:
         """n x Q, built on first use: only ``sensitivity``'s cross block reads it."""
         phi, p = self.theta.phi, self.theta.p
-        with np.errstate(over="ignore", invalid="ignore"):  # see estfun_state
-            w = self.C**-2.0 * (1.0 + phi * p * self.mu ** (p - 1.0)) * self.mu
+        w = self.C**-2.0 * (1.0 + phi * p * self.mu ** (p - 1.0)) * self.mu
         return w[:, None] * self.X
 
 
+@quiet
 def estfun_state(model: PtwModel, theta: Theta) -> EstFunState:
     """Evaluate mu, C, residuals, and the W weights at theta.
 
     W_phi = C^{-2} mu^p, W_p = C^{-2} phi mu^p log mu, and
     W_beta_k = C^{-2} (1 + phi p mu^{p-1}) mu x_k — the derivatives of
-    -C^{-1} with respect to phi, p, and beta_k.
+    -C^{-1} with respect to phi, p, and beta_k.  Overflow stays quiet here
+    and in the other functions marked ``quiet`` (see ``numcore.quiet``).
     """
-    # Divergent trial iterates can overflow mu**p; the resulting non-finite
-    # weights propagate to a failed step or a non-converged fit, which the
-    # callers handle, so the arithmetic itself should stay quiet.
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        mu = np.exp(model.linear_predictor(theta.beta))
-        log_mu = np.log(mu)
-        # log mu is finite exactly when 0 < mu < inf: one check covers both ends.
-        if not np.isfinite(log_mu).all():
-            if np.isfinite(mu).all():
-                raise InvalidParameterError("linear predictor underflow: mu is 0")
-            raise InvalidParameterError("linear predictor overflow: mu is not finite")
-        resid = model.y - mu
-        resid2 = resid**2
+    mu = np.exp(model.linear_predictor(theta.beta))
+    log_mu = np.log(mu)
+    # log mu is finite exactly when 0 < mu < inf: one check covers both ends.
+    if not np.isfinite(log_mu).all():
+        if np.isfinite(mu).all():
+            raise InvalidParameterError("linear predictor underflow: mu is 0")
+        raise InvalidParameterError("linear predictor overflow: mu is not finite")
+    resid = model.y - mu
+    resid2 = resid**2
     C, w_phi, w_p = _dispersion_weights(mu, log_mu, theta.phi, theta.p)
     return EstFunState(
         mu=mu, C=C, resid=resid, resid2=resid2, W_phi=w_phi, W_p=w_p, log_mu=log_mu,
@@ -164,25 +163,28 @@ def estfun_state(model: PtwModel, theta: Theta) -> EstFunState:
     )
 
 
+@quiet
 def _with_dispersion(state: EstFunState, theta: Theta) -> EstFunState:
     """The state at theta when only (phi, p) differ from ``state.theta``:
     mu, the residuals and log mu carry over, C and the W weights are redone."""
     C, w_phi, w_p = _dispersion_weights(state.mu, state.log_mu, theta.phi, theta.p)
-    return replace(state, C=C, W_phi=w_phi, W_p=w_p, theta=theta)
+    return EstFunState(
+        mu=state.mu, C=C, resid=state.resid, resid2=state.resid2, W_phi=w_phi, W_p=w_p,
+        log_mu=state.log_mu, X=state.X, weights=state.weights, theta=theta,
+    )
 
 
 def _dispersion_weights(mu, log_mu, phi, p):
     """C = mu + phi mu^p, W_phi and W_p; raises VarianceNonpositiveError
-    when some C_i <= 0."""
-    with np.errstate(over="ignore", invalid="ignore"):  # see estfun_state
-        mu_p = mu**p
-        C = mu + phi * mu_p
-        if (C <= 0).any():
-            raise VarianceNonpositiveError(
-                f"min(mu + phi*mu^p) = {np.min(C):.6g} <= 0 at phi = {phi}, p = {p}"
-            )
-        inv_c2 = C**-2.0
-        return C, inv_c2 * mu_p, inv_c2 * phi * mu_p * log_mu
+    when some C_i <= 0.  Runs in its quiet callers' error state."""
+    mu_p = mu**p
+    C = mu + phi * mu_p
+    if (C <= 0).any():
+        raise VarianceNonpositiveError(
+            f"min(mu + phi*mu^p) = {np.min(C):.6g} <= 0 at phi = {phi}, p = {p}"
+        )
+    inv_c2 = C**-2.0
+    return C, inv_c2 * mu_p, inv_c2 * phi * mu_p * log_mu
 
 
 def _weigh(weights: np.ndarray | None, values: np.ndarray) -> np.ndarray:
@@ -198,34 +200,39 @@ def quasi_score(model: PtwModel, theta: Theta, state: EstFunState | None = None)
     return model.X.T @ _weigh(st.weights, st.mu * st.resid / st.C)
 
 
+@quiet
 def pearson_score(model: PtwModel, theta: Theta, state: EstFunState | None = None) -> np.ndarray:
     """psi_lambda = (phi component, p component): squared-residual bracket
     (y - mu)^2 - C contracted against the W_phi and W_p weights."""
     st = state or estfun_state(model, theta)
-    with np.errstate(over="ignore", invalid="ignore"):  # see estfun_state
-        bracket = _weigh(st.weights, st.resid2 - st.C)
-        return np.array([(st.W_phi * bracket).sum(), (st.W_p * bracket).sum()])
+    bracket = _weigh(st.weights, st.resid2 - st.C)
+    return np.array([(st.W_phi * bracket).sum(), (st.W_p * bracket).sum()])
 
 
 def _lambda_weights(state: EstFunState) -> np.ndarray:
-    return np.column_stack([state.W_phi, state.W_p])
+    """The n x 2 matrix with columns W_phi and W_p."""
+    wl = np.empty((state.W_phi.shape[0], 2))
+    wl[:, 0] = state.W_phi
+    wl[:, 1] = state.W_p
+    return wl
 
 
+@quiet
 def _s_beta(state: EstFunState) -> np.ndarray:
     """S_beta_jk = -sum_i mu_i x_ij C_i^{-1} x_ik mu_i (Q x Q)."""
-    with np.errstate(over="ignore", invalid="ignore"):  # see estfun_state
-        return -(state.mu[:, None] * state.X).T @ (
-            _weigh(state.weights, state.mu / state.C)[:, None] * state.X
-        )
+    return -(state.mu[:, None] * state.X).T @ (
+        _weigh(state.weights, state.mu / state.C)[:, None] * state.X
+    )
 
 
+@quiet
 def _s_lambda(state: EstFunState) -> np.ndarray:
     """S_lambda_jk = -sum_i W_{i lambda_j} C_i^2 W_{i lambda_k} over (phi, p) (2 x 2)."""
     wl = _lambda_weights(state)
-    with np.errstate(over="ignore", invalid="ignore"):  # see estfun_state
-        return -(wl * _weigh(state.weights, state.C**2)[:, None]).T @ wl
+    return -(wl * _weigh(state.weights, state.C**2)[:, None]).T @ wl
 
 
+@quiet
 def sensitivity(model: PtwModel, theta: Theta, state: EstFunState | None = None) -> np.ndarray:
     """The (Q+2) x (Q+2) sensitivity matrix E(d psi / d theta).
 
@@ -242,11 +249,11 @@ def sensitivity(model: PtwModel, theta: Theta, state: EstFunState | None = None)
     s = np.zeros((q + 2, q + 2))
     s[:q, :q] = _s_beta(st)
     s[q:, q:] = _s_lambda(st)
-    with np.errstate(over="ignore", invalid="ignore"):  # see estfun_state
-        s[q:, :q] = -(_lambda_weights(st) * _weigh(st.weights, st.C**2)[:, None]).T @ st.W_beta
+    s[q:, :q] = -(_lambda_weights(st) * _weigh(st.weights, st.C**2)[:, None]).T @ st.W_beta
     return s
 
 
+@quiet
 def variability(model: PtwModel, theta: Theta, state: EstFunState | None = None) -> np.ndarray:
     """The (Q+2) x (Q+2) variability matrix Var(psi).
 
@@ -260,14 +267,13 @@ def variability(model: PtwModel, theta: Theta, state: EstFunState | None = None)
     q = model.n_coef
     v = np.zeros((q + 2, q + 2))
     v[:q, :q] = -_s_beta(st)
-    with np.errstate(over="ignore", invalid="ignore"):  # see estfun_state
-        psi_beta_i = (st.mu * st.resid / st.C)[:, None] * model.X
-        psi_lambda_i = _lambda_weights(st) * (st.resid2 - st.C)[:, None]
-        weighted = _weigh(st.weights, psi_lambda_i)
-        v[q:, q:] = weighted.T @ psi_lambda_i
-        cross = weighted.T @ psi_beta_i
-        v[q:, :q] = cross
-        v[:q, q:] = cross.T
+    psi_beta_i = (st.mu * st.resid / st.C)[:, None] * model.X
+    psi_lambda_i = _lambda_weights(st) * (st.resid2 - st.C)[:, None]
+    weighted = _weigh(st.weights, psi_lambda_i)
+    v[q:, q:] = weighted.T @ psi_lambda_i
+    cross = weighted.T @ psi_beta_i
+    v[q:, :q] = cross
+    v[:q, q:] = cross.T
     return v
 
 

@@ -2,17 +2,22 @@
 
 These are the shared numerical primitives: a pivoted linear solver with an
 explicit singularity check, Gauss-Laguerre rules computed by Newton iteration
-on the Laguerre recurrence (stable up to n = 512), and a deterministic,
-order-independent random-stream tree built on counter-based seeding.
+on the Laguerre recurrence (stable up to n = 512), a deterministic,
+order-independent random-stream tree built on counter-based seeding, and
+the floating-point error state the fitting code runs in.
 """
 
 from __future__ import annotations
 
+import contextvars
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import PCG64, Generator, SeedSequence
-from scipy.linalg.lapack import dgesv, dgetrf, dgetrs
+from scipy.linalg.blas import dtrsm
+from scipy.linalg.lapack import dgesv, dgetrf
 
 from .errors import InvalidParameterError, SingularMatrixError
 
@@ -144,12 +149,40 @@ def gauss_laguerre(n: int) -> QuadratureRule:
     return QuadratureRule(nodes=nodes, weights=weights)
 
 
-def _factor(lapack, A: np.ndarray, zero_msg: str, singular_msg: str, *args):
+_QUIET = contextvars.ContextVar("ptwreg_quiet", default=False)
+
+
+def quiet(func):
+    """Run ``func`` with numpy's overflow, invalid and divide-by-zero
+    warnings off.
+
+    Divergent trial iterates of a fit can overflow mu**p; the resulting
+    non-finite values propagate to a failed step or a non-converged fit,
+    which the callers handle, so the arithmetic itself should stay quiet.
+    Only the outermost quiet call enters ``np.errstate``; calls nested in it
+    run in its state, so a whole fit pays for one error-state switch.
+    """
+
+    @functools.wraps(func)
+    def quiet_func(*args, **kwargs):
+        if _QUIET.get():
+            return func(*args, **kwargs)
+        token = _QUIET.set(True)
+        try:
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                return func(*args, **kwargs)
+        finally:
+            _QUIET.reset(token)
+
+    return quiet_func
+
+
+def _factor(lapack, A: np.ndarray, scale, zero_msg: str, singular_msg: str, *args):
     """Run the LAPACK getrf-based routine ``lapack(A, *args)`` (getrf, or gesv
-    for factor-and-solve) and check its LU factor, the first output.  Raises
-    SingularMatrixError(zero_msg) for A = 0, and singular_msg formatted with
-    ``pivot`` and ``bound`` when a pivot is below bound = 1e-12 * max|A|."""
-    scale = np.abs(A).max()
+    for factor-and-solve) and check its LU factor, the first output, against
+    ``scale`` = max|A|.  Raises SingularMatrixError(zero_msg) for A = 0, and
+    singular_msg formatted with ``pivot`` and ``bound`` when a pivot is below
+    bound = 1e-12 * max|A|."""
     if scale == 0.0:
         raise SingularMatrixError(zero_msg)
     out = lapack(A, *args)
@@ -161,9 +194,20 @@ def _factor(lapack, A: np.ndarray, zero_msg: str, singular_msg: str, *args):
 
 def _lu_solver(A: np.ndarray, zero_msg: str, singular_msg: str):
     """Pivoted LU of A by LAPACK getrf (as scipy's lu_factor, minus its
-    wrapper cost), checked by :func:`_factor`; returns b -> A^{-1} b by getrs."""
-    lu, piv, _ = _factor(dgetrf, A, zero_msg, singular_msg)
-    return lambda b: dgetrs(lu, piv, b)[0]
+    wrapper cost), checked by :func:`_factor`; returns B -> A^{-1} B for a
+    matrix B.
+
+    The solve is getrs's own arithmetic: getrf's row interchanges, then the
+    unit lower and the upper triangular solve by BLAS trsm.  It equals
+    ``dgetrs(lu, piv, B)`` bit for bit, but stays on the calling thread:
+    OpenBLAS's getrs hands a matrix right-hand side to its other threads
+    even at the sandwich's order of 3 to 5.
+    """
+    lu, piv, _ = _factor(dgetrf, A, np.abs(A).max(), zero_msg, singular_msg)
+    perm = np.arange(len(piv))
+    for i, j in enumerate(piv):
+        perm[i], perm[j] = perm[j], perm[i]
+    return lambda B: dtrsm(1.0, lu, dtrsm(1.0, lu, B[perm], lower=1, diag=1))
 
 
 _SINGULAR = "pivot {pivot:.3e} below 1e-12 * max|A| = {bound:.3e}"
@@ -186,6 +230,7 @@ def solve_linear(A: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise InvalidParameterError(f"A must be square, got shape {A.shape}")
     if b.shape[0] != A.shape[0]:
         raise InvalidParameterError("dimension mismatch between A and b")
-    if not (np.isfinite(A).all() and np.isfinite(b).all()):
+    scale = np.abs(A).max()  # not finite exactly when A is not
+    if not (math.isfinite(scale) and np.isfinite(b).all()):
         raise InvalidParameterError("A and b must be finite")
-    return _factor(dgesv, A, "zero matrix", _SINGULAR, b)[2]
+    return _factor(dgesv, A, scale, "zero matrix", _SINGULAR, b)[2]

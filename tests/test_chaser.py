@@ -255,6 +255,28 @@ def test_fit_with_underflowing_mean_fails_quietly():
         fit(PtwModel(design, y), FitConfig())
 
 
+def _overflowing_replicate():
+    # desk-scale ptw-p3-di5, n = 100, stream (0, 49): its power steps propose
+    # points where mu**p overflows, and the fit ends on a non-finite S_lambda
+    design, y = _simulate(make_scenario("ptw-p3-di5"), 100, RngStream(0, (0, 49)).generator())
+    return PtwModel(design, y)
+
+
+@pytest.mark.filterwarnings("error")
+def test_public_functions_stay_quiet_on_their_own_at_overflow():
+    # each function keeps numpy quiet when called outside a fit
+    model = _overflowing_replicate()
+    theta = Theta(np.array([np.log(10.0), 0.8, -1.0]), 0.04, 400.0)
+    state = estfun_state(model, theta)
+    assert not np.isfinite(state.C).all() and not np.isfinite(state.W_phi).all()
+    assert not np.isfinite(pearson_score(model, theta)).all()
+    start = Theta(theta.beta, 0.04, 3.0)
+    accepted = step_control(start, np.array([0.0, -400.0]), state.mu)
+    assert 3.0 < accepted.p < 403.0  # the overflowing trial points were halved away
+    with pytest.raises(InvalidParameterError, match="must be finite"):
+        fit(model, FitConfig())
+
+
 def test_fit_rank_deficient_design():
     n = 40
     x1 = np.linspace(0, 1, n)

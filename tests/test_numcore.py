@@ -6,9 +6,10 @@ from numpy.polynomial.laguerre import laggauss
 from scipy.linalg.lapack import dgetrf, dgetrs
 from scipy.special import gammaln
 
+from ptwreg import estfun
 from ptwreg.errors import InvalidParameterError, SingularMatrixError
 from ptwreg.estfun import godambe_covariance
-from ptwreg.numcore import RngStream, gauss_laguerre, rng_substream, solve_linear
+from ptwreg.numcore import RngStream, _lu_solver, gauss_laguerre, rng_substream, solve_linear
 
 
 # ---------------------------------------------------------------- solve_linear
@@ -86,17 +87,57 @@ def test_solve_matches_getrf_getrs_bitwise():
         (np.array([[1.0, np.nan], [0.0, 1.0]]), np.ones(2), InvalidParameterError,
          "A and b must be finite"),
         (np.eye(2), np.array([1.0, np.inf]), InvalidParameterError, "A and b must be finite"),
+        # finiteness is checked before A = 0 and before the pivots
+        (np.zeros((2, 2)), np.array([np.inf, 1.0]), InvalidParameterError,
+         "A and b must be finite"),
+        (np.array([[1.0, 2.0], [2.0, np.nan]]), np.ones(2), InvalidParameterError,
+         "A and b must be finite"),
         (np.ones((2, 3)), np.ones(2), InvalidParameterError, "A must be square, got shape (2, 3)"),
         (np.eye(2), np.ones(3), InvalidParameterError, "dimension mismatch between A and b"),
     ],
-    ids=["zero", "rank-one", "near-singular", "scaled", "nan-A", "inf-b", "non-square",
-         "mismatch"],
+    ids=["zero", "rank-one", "near-singular", "scaled", "nan-A", "inf-b", "zero-A-inf-b",
+         "rank-one-nan", "non-square", "mismatch"],
 )
 def test_solve_errors_and_messages(A, b, error, message):
     # the classes and messages of the two-call solver
     with pytest.raises(error) as info:
         solve_linear(A, b)
     assert str(info.value) == message
+
+
+def test_lu_solver_matches_getrs_bitwise():
+    # row interchanges and two trsm calls are getrs's own arithmetic, for
+    # matrix right-hand sides in either memory order (the sandwich passes both)
+    gen = np.random.default_rng(37)
+    for k in range(20_000):
+        q = 3 + k % 3
+        A = 10.0 ** gen.uniform(-8.0, 14.0) * gen.normal(size=(q, q))
+        B = 10.0 ** gen.uniform(-8.0, 14.0) * gen.normal(size=(q, q))
+        if k % 2:
+            B = B.T
+        lu, piv, _ = dgetrf(A)
+        assert np.abs(np.diag(lu)).min() >= 1e-12 * np.abs(A).max()
+        got = _lu_solver(A, "zero", "singular")(B)
+        assert got.tobytes() == dgetrs(lu, piv, B)[0].tobytes(), k
+
+
+def _getrs_solver(A, zero_msg, singular_msg):
+    lu, piv, _ = dgetrf(A)
+    return lambda b: dgetrs(lu, piv, b)[0]
+
+
+def test_godambe_covariance_matches_getrs_copy(monkeypatch):
+    gen = np.random.default_rng(41)
+    pairs = []
+    for k in range(200):
+        q = 3 + k % 3
+        S = 10.0 ** gen.uniform(-4.0, 4.0) * (gen.normal(size=(q, q)) + q * np.eye(q))
+        M = 10.0 ** gen.uniform(-4.0, 4.0) * gen.normal(size=(q, q))
+        pairs.append((S, M @ M.T))
+    got = [godambe_covariance(S, V) for S, V in pairs]
+    monkeypatch.setattr(estfun, "_lu_solver", _getrs_solver)
+    for k, (S, V) in enumerate(pairs):
+        assert got[k].tobytes() == godambe_covariance(S, V).tobytes(), k
 
 
 # --------------------------------------------------------------- gauss_laguerre

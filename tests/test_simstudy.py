@@ -1,5 +1,6 @@
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -237,3 +238,15 @@ def test_standardized_bias_table_root_n_shrink():
 def test_standardized_bias_table_needs_baseline(small_study):
     with pytest.raises(MissingBaselineError):
         standardized_bias_table(small_study)
+
+
+@pytest.mark.parametrize("name, excluded", [("ptw-p3-di5", 13), ("ptw-p3-di2", 19),
+                                            ("compoisson-nu2", 3)])
+def test_study_fits_leak_no_runtime_warning(name, excluded):
+    # the ptw-p3-di5 and compoisson-nu2 cells hold fits whose trial points
+    # overflow mu**p; a warning escaping a fit would be raised here instead
+    # of excluding the replicate
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = run_study(make_scenario(name, sample_sizes=(100,), replicates=50), seed=0)
+    assert result.failures == ((100, excluded),)
