@@ -201,7 +201,8 @@ def _lu_solver(A: np.ndarray, zero_msg: str, singular_msg: str):
     unit lower and the upper triangular solve by BLAS trsm.  It equals
     ``dgetrs(lu, piv, B)`` bit for bit, but stays on the calling thread:
     OpenBLAS's getrs hands a matrix right-hand side to its other threads
-    even at the sandwich's order of 3 to 5.
+    even at the sandwich's order of 3 to 5.  The interchanges are applied
+    by indexing, as OpenBLAS threads its laswp as well.
     """
     lu, piv, _ = _factor(dgetrf, A, np.abs(A).max(), zero_msg, singular_msg)
     perm = np.arange(len(piv))
