@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 on success, 1 on usage errors (bad flags, malformed input,
-unknown columns, collinear terms), 2 on numerical failures (singular
-systems, boundary traps, non-convergence, unusable Monte Carlo estimates).
+unknown columns, collinear terms: every PtwError that is also a ValueError),
+2 on the other PtwErrors, numerical failures (singular systems, boundary
+traps, non-convergence, unusable Monte Carlo estimates).
 All output is deterministic for a given seed: no timestamps, stable key
 order, and replicate-level RNG substreams.
 """
@@ -25,13 +26,7 @@ from .dataio import (
     _write_csv,
 )
 from .datasets import DATASET_NAMES, dicentrics_csv
-from .errors import (
-    CsvParseError,
-    InvalidParameterError,
-    MissingBaselineError,
-    PtwError,
-    RankDeficiencyError,
-)
+from .errors import InvalidParameterError, PtwError
 from .numcore import RngStream
 from .ptwdist import (
     PmfConfig,
@@ -44,14 +39,6 @@ from .ptwdist import (
 )
 from .refdists import ComPoissonParams, GammaCountParams, compoisson_sample, gammacount_sample
 from .simstudy import make_scenario, run_study, scenario_names, standardized_bias_table
-
-_USAGE_ERRORS = (
-    CsvParseError,
-    InvalidParameterError,
-    MissingBaselineError,
-    RankDeficiencyError,
-)
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse with usage failures remapped from exit status 2 to 1."""
@@ -69,6 +56,15 @@ def _power_mode(text: str):
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"power must be 'free' or a number, got {text!r}"
+        ) from None
+
+
+def _sizes(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(part) for part in _split_list(text))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"sizes must be comma-separated integers, got {text!r}"
         ) from None
 
 
@@ -157,7 +153,7 @@ def _cmd_simstudy(args) -> int:
     scenario = make_scenario(
         args.scenario,
         scale=args.scale,
-        sample_sizes=tuple(int(s) for s in _split_list(args.sizes)) or None,
+        sample_sizes=args.sizes or None,
         replicates=args.replicates,
     )
     result = run_study(scenario, args.seed)
@@ -258,7 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_study = sub.add_parser("simstudy", help="run a simulation-study scenario")
     p_study.add_argument("--scenario", required=True, choices=scenario_names())
     p_study.add_argument("--scale", choices=("desk", "paper"), default="desk")
-    p_study.add_argument("--sizes", default="", help="override sample sizes, e.g. 100,500")
+    p_study.add_argument("--sizes", type=_sizes, default=(),
+                         help="override sample sizes, e.g. 100,500")
     p_study.add_argument("--replicates", type=int, default=None)
     p_study.add_argument("--seed", type=int, default=0)
     p_study.add_argument("--format", choices=("json", "csv"), default="json")
@@ -289,10 +286,10 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except _USAGE_ERRORS as exc:
-        print(f"ptwreg: error: {exc}", file=sys.stderr)
-        return 1
     except PtwError as exc:
+        if isinstance(exc, ValueError):  # usage-type errors, as errors.py states
+            print(f"ptwreg: error: {exc}", file=sys.stderr)
+            return 1
         print(f"ptwreg: numerical failure: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

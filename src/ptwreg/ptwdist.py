@@ -47,6 +47,8 @@ class PtwParams:
     Probabilistic operations (pmf, indices built on probabilities) require
     phi >= 0, and p >= 1 unless phi = 0; sampling phi > 0.  Moment-level
     quantities only require mu + phi * mu**p > 0, i.e. phi > -mu**(1-p).
+    Every operation needs a finite mu**p, so a (mu, p) whose power
+    overflows is refused here.
     """
 
     mu: float
@@ -58,6 +60,12 @@ class PtwParams:
             raise InvalidParameterError(f"mu must be positive, got {self.mu}")
         if not (np.isfinite(self.phi) and np.isfinite(self.p)):
             raise InvalidParameterError("phi and p must be finite")
+        try:
+            float(self.mu) ** float(self.p)
+        except OverflowError:
+            raise InvalidParameterError(
+                f"mu**p overflows at (mu={self.mu}, p={self.p})"
+            ) from None
 
     def variance(self) -> float:
         """Var(Y) = mu + phi * mu**p, checked positive."""
@@ -409,7 +417,7 @@ def ptw_loglik(mu, phi, p, y, budget: PmfConfig | None = None, weights=None) -> 
     InvalidParameterError
         If phi or p is an array, a shape does not match ``y``, a count is
         not a non-negative integer or a weight a positive one, mu is not
-        finite and positive, or phi or p is not finite.
+        finite and positive, phi or p is not finite, or mu**p overflows.
     NoDistributionError, UnsupportedPowerError
         As ``ptw_pmf`` refuses (phi, p), at any mean.
     NonpositivePmfError
@@ -430,34 +438,23 @@ def ptw_loglik(mu, phi, p, y, budget: PmfConfig | None = None, weights=None) -> 
         if np.any(bad):
             raise InvalidParameterError(f"{name} must be integers >= {low}, got {values[bad][0]}")
 
-    n = y.size
-    if n == 0:
-        return LoglikResult(0.0, 0.0, "closed-form")
-    # Sort rows by (mu, y); lexsort is stable, so the first row of each run
-    # of equal keys is that pair's first occurrence.
-    order = np.lexsort((y, mu))
-    new_mu = np.ones(n, dtype=bool)
-    new_mu[1:] = mu[order][1:] != mu[order][:-1]
-    new_y = new_mu.copy()
-    new_y[1:] |= y[order][1:] != y[order][:-1]
-    starts = np.flatnonzero(new_y)
-    first = order[starts]
-    counts = np.add.reduceat(w[order], starts)
-    set_id = np.cumsum(new_mu)[starts] - 1
-    set_first = np.minimum.reduceat(first, np.flatnonzero(new_mu[starts]))
-    visit = np.lexsort((first, set_first[set_id]))
+    # mean -> {count -> summed weight}; dicts keep insertion order, so both
+    # levels are visited in order of first occurrence.
+    groups: dict[float, dict[float, float]] = {}
+    for mu_i, yi, wi in zip(mu.tolist(), y.tolist(), w.tolist()):
+        counts = groups.setdefault(mu_i, {})
+        counts[yi] = counts.get(yi, 0.0) + wi
 
     total = 0.0
     var_total = 0.0
     methods = set()
     gl_fallbacks = 0
-    for runs in np.split(visit, np.flatnonzero(np.diff(set_id[visit])) + 1):
-        params = PtwParams(float(mu[first[runs[0]]]), phi, p)
+    for mu_i, counts in groups.items():
+        params = PtwParams(mu_i, phi, p)
         _check_probabilistic(params)
-        ys = [int(y[first[j]]) for j in runs]
+        ys = [int(yi) for yi in counts]
         mc_counts = []
-        for j, yi, est in zip(runs, ys, _pmf_exact(params, ys)):
-            n_y = int(counts[j])
+        for yi, n_y, est in zip(ys, counts.values(), _pmf_exact(params, ys)):
             if est is None:
                 mc_counts.append((yi, n_y))
                 if params.p == 3.0:  # the Gauss-Laguerre rule fell back

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import ptwreg.cli as cli
+import ptwreg.errors as errors
 import ptwreg.ptwdist as ptwdist
 from ptwreg.cli import main
 from ptwreg.dataio import expand_count_column, table_csv
@@ -390,6 +391,15 @@ def test_negative_y_max_is_usage_error(command, capsys):
     assert err == "ptwreg: error: --y-max must be >= 0, got -1\n"
 
 
+@pytest.mark.parametrize("command", ["pmf", "indices"])
+def test_overflowing_mu_power_is_usage_error(command, capsys):
+    code, out, err = run_cli(
+        [command, "--mu", "1e200", "--phi", "0.5", "--power", "2", "--y-max", "2"], capsys
+    )
+    assert (code, out) == (1, "")
+    assert err == "ptwreg: error: mu**p overflows at (mu=1e+200, p=2.0)\n"
+
+
 def test_parser_is_built_once(monkeypatch, capsys):
     builds = []
     original = cli.build_parser
@@ -480,6 +490,15 @@ def test_simstudy_standardized_table(capsys):
     assert baseline_se == pytest.approx([1.0] * len(baseline_se))
 
 
+@pytest.mark.parametrize("sizes", ["abc", "1.5", "100,x"])
+def test_simstudy_non_integer_sizes_is_usage_error(sizes, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["simstudy", "--scenario", "ptw-p2-di2", "--sizes", sizes])
+    assert info.value.code == 1
+    err = capsys.readouterr().err
+    assert f"error: argument --sizes: sizes must be comma-separated integers, got '{sizes}'" in err
+
+
 def test_simstudy_unknown_scenario_is_usage_error(capsys):
     with pytest.raises(SystemExit) as info:
         main(["simstudy", "--scenario", "ptw-p9-di2"])
@@ -540,6 +559,25 @@ def test_usage_errors_exit_one(capsys):
             main(argv)
         assert info.value.code == 1
         capsys.readouterr()
+
+
+_PTW_ERRORS = [
+    cls for cls in vars(errors).values()
+    if isinstance(cls, type) and issubclass(cls, errors.PtwError)
+]
+
+
+@pytest.mark.parametrize("cls", _PTW_ERRORS, ids=lambda cls: cls.__name__)
+def test_ptw_errors_exit_one_exactly_when_value_errors(cls, monkeypatch, capsys):
+    def failing():
+        raise cls("boom")
+
+    monkeypatch.setattr(cli, "dicentrics_csv", failing)
+    code, out, err = run_cli(["datasets", "export", "dicentrics"], capsys)
+    if issubclass(cls, ValueError):
+        assert (code, out, err) == (1, "", "ptwreg: error: boom\n")
+    else:
+        assert (code, out, err) == (2, "", "ptwreg: numerical failure: boom\n")
 
 
 def test_cli_import_leaves_out_scipy_stats():

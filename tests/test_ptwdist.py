@@ -157,6 +157,14 @@ def test_pmf_rejects_bad_inputs():
         ptw_pmf(PtwParams(10.0, 0.1, 2.0), -1)
 
 
+@pytest.mark.parametrize("mu, p", [(1e200, 2.0), (1e-300, -2.0)])
+def test_overflowing_mu_power_is_invalid(mu, p):
+    # mu**p must be finite for every operation: refused once, at construction
+    with pytest.raises(InvalidParameterError, match="overflows"):
+        PtwParams(mu, 0.5, p)
+    assert PtwParams(1e200, 0.5, 1.5).mu == 1e200
+
+
 @pytest.mark.parametrize("y", [np.nan, np.inf, -np.inf])
 def test_non_finite_counts_are_invalid(y):
     params = PtwParams(5.0, 0.5, 2.0)
@@ -574,6 +582,33 @@ def test_loglik_weighted_matches_expanded():
         assert ptw_loglik(mu, phi, p, y, b, np.ones(y.size)) == ptw_loglik(mu, phi, p, y, b)
 
 
+def test_loglik_of_no_rows_is_zero():
+    for weights in (None, []):
+        res = ptw_loglik([], 0.5, 1.5, [], weights=weights)
+        assert (res.value, res.mc_stderr, res.method) == (0.0, 0.0, "closed-form")
+
+
+@pytest.mark.filterwarnings("ignore:Gauss-Laguerre rule")
+@pytest.mark.parametrize(
+    "mu, phi, p, y",
+    [
+        # Monte Carlo at both means
+        ([5.0, 2.0, 5.0, 2.0, 5.0], 0.6, 1.4, [4, 1, 0, 4, 4]),
+        # mu = 60 is narrower than the node spacing: Gauss-Laguerre falls back
+        ([60.0, 5.0, 60.0, 5.0, 60.0], 1e-5, 3.0, [64, 1, 55, 4, 64]),
+    ],
+)
+def test_loglik_visits_in_first_occurrence_order(mu, phi, p, y):
+    # means and counts both come first in an order other than sorted; with
+    # these draws a sorted visit changes the sum in its last bits
+    w = np.array([1, 3, 2, 1, 2])
+    assert list(dict.fromkeys(mu)) != sorted(set(mu))
+    b = budget(seed=1, draws=5_000)
+    res = ptw_loglik(mu, phi, p, y, b, w)
+    reference = _loglik_reference(np.repeat(mu, w), phi, p, np.repeat(y, w), b)
+    assert (res.value, res.mc_stderr, res.method) == reference
+
+
 def test_pmf_gauss_laguerre_fallback_warns_per_call():
     # a direct pmf call names its own (mu, phi, y); the log-likelihood
     # counts its fallbacks in one warning
@@ -631,6 +666,7 @@ def test_loglik_evaluates_no_monte_carlo_pmf(monkeypatch):
         ((2.0, 0.5, 1.5, [1, 2], None, [1, np.nan]), InvalidParameterError),
         ((2.0, 0.5, 1.5, [1, 2], None, [1, 1, 1]), InvalidParameterError),
         ((2.0, 0.5, 1.5, [1, 2], None, 2), InvalidParameterError),
+        (([1e200], 0.5, 2.0, [3]), InvalidParameterError),  # mu**p overflows
     ],
 )
 def test_loglik_array_validation(args, error):
