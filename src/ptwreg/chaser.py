@@ -70,10 +70,17 @@ class FitConfig:
     def __post_init__(self):
         if not (0 < self.alpha <= 1):
             raise InvalidParameterError(f"alpha must be in (0, 1], got {self.alpha}")
-        if self.tol <= 0 or self.max_iter < 1:
-            raise InvalidParameterError("tol must be positive and max_iter >= 1")
+        if not (0 < self.tol < np.inf):  # also refuses nan
+            raise InvalidParameterError(f"tol must be positive and finite, got {self.tol}")
+        if not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 1:
+            raise InvalidParameterError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
         if self.power_mode != POWER_FREE:
-            p0 = float(self.power_mode)
+            try:
+                p0 = float(self.power_mode)
+            except (TypeError, ValueError):
+                raise InvalidParameterError(
+                    f"power_mode must be {POWER_FREE!r} or a number, got {self.power_mode!r}"
+                ) from None
             if not np.isfinite(p0) or p0 <= 0:
                 raise InvalidParameterError(f"fixed power must be positive, got {p0}")
             object.__setattr__(self, "power_mode", p0)

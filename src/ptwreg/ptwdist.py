@@ -122,11 +122,15 @@ def sample_ptw_mu(mu, phi: float, p: float, gen) -> np.ndarray:
     return gen.poisson(z)
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=1)
 def _mixing_draws(mu: float, phi: float, p: float, m: int, rng: RngStream) -> np.ndarray:
     """Common random numbers: M mixing draws shared across every y for a
     given parameter set, so pmf curves are smooth and consecutive-probability
     ratios are valid.
+
+    Only the last set is kept: consecutive calls at one set (a curve, then
+    its heavy-tail ratios) read it again, and no caller returns to an older
+    set, so a deeper cache would only hold 800 KB per set that no one reads.
 
     Each parameter set draws from its own substream (indexed by a hash of
     the parameters), so estimates for different parameter sets are
@@ -142,21 +146,23 @@ def _mixing_draws(mu: float, phi: float, p: float, m: int, rng: RngStream) -> np
     return z
 
 
-def _poisson_logpmf(z: np.ndarray):
-    """y -> log Poisson(y; z) over a vector of intensities, z = 0 handled
-    exactly.  log z and the zero mask are taken once per vector, so each
-    count costs one pass over z; neither is cached beside the draws."""
+def _log_intensities(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """log z, taken once per vector of intensities; log 0 = -inf."""
     with np.errstate(divide="ignore"):
-        log_z = np.log(z)
-    zero = z == 0
+        return np.log(z, out=out)
 
-    def logpmf(y: int) -> np.ndarray:
-        if y > 0:  # y * log(0) - 0 - c is already -inf
-            return y * log_z - z - gammaln(y + 1)
-        with np.errstate(invalid="ignore"):
-            return np.where(zero, 0.0, y * log_z - z - gammaln(y + 1))
 
-    return logpmf
+def _poisson_logpmf(y: int, z: np.ndarray, log_z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write log Poisson(y; z) into ``out``, a buffer of z's size that the
+    caller owns and reuses across counts, given ``log_z`` from
+    ``_log_intensities``; z = 0 is handled exactly.  Returns ``out``."""
+    with np.errstate(invalid="ignore"):  # 0 * log(0) at y = 0, set below
+        np.multiply(log_z, y, out=out)
+    out -= z
+    out -= gammaln(y + 1)
+    if y == 0:  # for y > 0, y * log(0) - 0 - c is already -inf
+        out[z == 0] = 0.0
+    return out
 
 
 def _pmf_closed_poisson(mu: float, ys: list[int]) -> list[PmfEstimate]:
@@ -189,10 +195,14 @@ def _pmf_lattice_p1(params: PtwParams, ys: list[int]) -> list[PmfEstimate]:
     k_max = _poisson_quantile(1.0 - _LATTICE_TOL, lam) + 10
     k = np.arange(k_max + 1)
     log_prior = k * np.log(lam) - lam - gammaln(k + 1)
-    logpmf = _poisson_logpmf(params.phi * k)
+    z = params.phi * k
+    log_z = _log_intensities(z)
+    terms = np.empty(z.size)
     out = []
     for y in ys:
-        value = float(np.sum(np.exp(log_prior + logpmf(y))))
+        _poisson_logpmf(y, z, log_z, terms)
+        terms += log_prior
+        value = float(np.sum(np.exp(terms, out=terms)))
         out.append(PmfEstimate(min(value, 1.0), 0.0, "exact-sum"))
     return out
 
@@ -250,13 +260,14 @@ def params_as_tweedie(params: PtwParams) -> TweedieParams:
 
 def _pmf_monte_carlo(params: PtwParams, ys: list[int], budget: PmfConfig) -> list[PmfEstimate]:
     z = _mixing_draws(params.mu, params.phi, params.p, budget.mc_draws, budget.rng)
-    logpmf = _poisson_logpmf(z)
+    log_z = _log_intensities(z)
     m = len(z)
+    probs, dev = np.empty(m), np.empty(m)
     out = []
     for y in ys:
-        probs = np.exp(logpmf(y))
+        np.exp(_poisson_logpmf(y, z, log_z, probs), out=probs)
         value = float(np.mean(probs))
-        dev = probs - value  # np.std(probs, ddof=1), reusing the mean
+        np.subtract(probs, value, out=dev)  # np.std(probs, ddof=1), reusing the mean
         dev *= dev
         stderr = float(np.sqrt(np.sum(dev) / (m - 1)) / np.sqrt(m))
         out.append(PmfEstimate(min(value, 1.0), stderr, "monte-carlo"))
@@ -449,6 +460,7 @@ def ptw_loglik(mu, phi, p, y, budget: PmfConfig | None = None, weights=None) -> 
     var_total = 0.0
     methods = set()
     gl_fallbacks = 0
+    probs = None
     for mu_i, counts in groups.items():
         params = PtwParams(mu_i, phi, p)
         _check_probabilistic(params)
@@ -473,11 +485,13 @@ def ptw_loglik(mu, phi, p, y, budget: PmfConfig | None = None, weights=None) -> 
         # the per-draw aggregate g_k rather than summing per-y variances.
         methods.add("monte-carlo")
         z = _mixing_draws(params.mu, params.phi, params.p, budget.mc_draws, budget.rng)
-        logpmf = _poisson_logpmf(z)
         m = len(z)
-        g = np.zeros(m)
+        if probs is None:  # one set of buffers serves every mean of the call
+            log_z, probs, g = np.empty(m), np.empty(m), np.empty(m)
+        _log_intensities(z, out=log_z)
+        g.fill(0.0)
         for yi, n_y in mc_counts:
-            probs = np.exp(logpmf(yi))
+            np.exp(_poisson_logpmf(yi, z, log_z, probs), out=probs)
             f_hat = float(np.mean(probs))
             if f_hat <= 0.0:
                 raise NonpositivePmfError(
@@ -485,7 +499,8 @@ def ptw_loglik(mu, phi, p, y, budget: PmfConfig | None = None, weights=None) -> 
                     f"p={params.p}); raise mc_draws above {budget.mc_draws}"
                 )
             total += n_y * np.log(f_hat)
-            g += (n_y / f_hat) * probs
+            probs *= n_y / f_hat
+            g += probs
         var_total += float(np.var(g, ddof=1) / m)
 
     if gl_fallbacks:

@@ -448,19 +448,19 @@ def test_criterion_8_poisson_reduction_matches_irls(capsys):
 # --------------------------------------------------------------------------
 
 
-def test_criterion_9_determinism(tweedie_fit, monkeypatch, capsys):
+def test_criterion_9_determinism(tweedie_fit, study_json_by_blas_threads, capsys):
     label = "seeded outputs byte-identical across reruns and thread counts"
     problems = []
 
     scenario = make_scenario("ptw-p2-di2", sample_sizes=(60, 120), replicates=50)
-    monkeypatch.setenv("PTW_THREADS", "1")
     single = study_result_json(run_study(scenario, seed=4))
     if study_result_json(run_study(scenario, seed=4)) != single:
         problems.append("study JSON differs between identical runs")
-    monkeypatch.setenv("PTW_THREADS", "4")
-    if study_result_json(run_study(scenario, seed=4)) != single:
-        problems.append("study JSON differs between PTW_THREADS=1 and 4")
-    monkeypatch.delenv("PTW_THREADS")
+    for threads, text in study_json_by_blas_threads.items():
+        if text != single:
+            problems.append(
+                f"study JSON differs in a fresh interpreter at OPENBLAS_NUM_THREADS={threads}"
+            )
 
     params = PtwParams(4.0, 0.5, 1.5)
     if counts_csv(ptw_sample(params, 200, RngStream(9))) != counts_csv(

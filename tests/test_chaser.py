@@ -57,6 +57,23 @@ def test_config_validation():
     assert FitConfig().free_dispersion() == ("phi", "p")
 
 
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        # nan passes `tol <= 0`, and the fit then spends its whole budget
+        ({"tol": float("nan")}, "tol must be positive and finite"),
+        # range() refuses a float budget only once the fit has started
+        ({"max_iter": 2.5}, "max_iter must be an integer"),
+        # float("abc") raised a bare ValueError
+        ({"power_mode": "abc"}, "power_mode must be 'free' or a number"),
+    ],
+    ids=["tol-nan", "max-iter-float", "power-mode-text"],
+)
+def test_config_refuses_settings_that_break_a_fit(overrides, message):
+    with pytest.raises(InvalidParameterError, match=message):
+        FitConfig(**overrides)
+
+
 # ------------------------------------------------------------ starting values
 
 

@@ -421,7 +421,7 @@ def test_parser_is_built_once(monkeypatch, capsys):
 # ------------------------------------------------------------------- simstudy
 
 
-def test_simstudy_json_and_thread_invariance(capsys, monkeypatch):
+def test_simstudy_json_and_thread_invariance(capsys, study_json_by_blas_threads):
     argv = [
         "simstudy",
         "--scenario", "ptw-p2-di2",
@@ -429,12 +429,12 @@ def test_simstudy_json_and_thread_invariance(capsys, monkeypatch):
         "--sizes", "60,120",
         "--seed", "4",
     ]
-    monkeypatch.setenv("PTW_THREADS", "1")
     code1, out1, _ = run_cli(argv, capsys)
-    monkeypatch.setenv("PTW_THREADS", "3")
     code2, out2, _ = run_cli(argv, capsys)
     assert code1 == code2 == 0
     assert out1 == out2
+    # the same command in fresh interpreters at one and two BLAS threads
+    assert study_json_by_blas_threads == {1: out1, 2: out1}
     payload = json.loads(out1)
     assert payload["scenario"] == "ptw-p2-di2"
     assert {c["n"] for c in payload["cells"]} == {60, 120}

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -638,6 +639,58 @@ def test_loglik_evaluates_no_monte_carlo_pmf(monkeypatch):
     assert calls == []
     ptw_pmf(PtwParams(4.0, 0.6, 1.4), 1, budget(seed=3, draws=2_000))
     assert len(calls) == 1
+
+
+# ------------------------------------------------------------ draw memory
+
+
+def test_loglik_holds_one_draw_set():
+    # five Monte Carlo means at 100,000 draws: the cache keeps only the last
+    # set, and the call's buffers are gone once it returns
+    mu, y = [1.5, 2.5, 3.5, 4.5, 5.5], [0, 1, 2, 3, 4]
+    ptw_loglik(mu, 0.6, 1.4, y, budget(seed=1))  # warm every one-time cache
+    _mixing_draws.cache_clear()
+    tracemalloc.start()
+    try:
+        ptw_loglik(mu, 0.6, 1.4, y, budget(seed=2))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert _mixing_draws.cache_info().currsize == 1
+    assert held <= 100_000 * 8 + 64 * 1024, held
+
+
+def test_pmf_curve_then_heavy_tails_sample_once(monkeypatch):
+    samples = []
+    sampler = ptwdist.sample_tweedie_mu
+
+    def counting(*args):
+        samples.append(args[0].size)
+        return sampler(*args)
+
+    monkeypatch.setattr(ptwdist, "sample_tweedie_mu", counting)
+    _mixing_draws.cache_clear()
+    params, b = PtwParams(6.0, 0.5, 1.5), budget(seed=3, draws=5_000)
+    curve = ptw_pmf_curve(params, range(8), b)
+    for y in range(7):
+        assert heavy_tail_index(params, y, b) == curve[y + 1].value / curve[y].value
+    assert samples == [5_000]
+
+
+@pytest.mark.parametrize("y", [0, 1, 40])
+def test_buffered_poisson_kernel_equals_the_expression(y):
+    # (0.5, 2.0, 1.3) puts about half of the mixing draws at z = 0
+    z = _mixing_draws(0.5, 2.0, 1.3, 20_000, RngStream(4))
+    assert np.any(z == 0) and np.any(z > 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_z = np.log(z)
+        expected = np.exp(y * log_z - z - gammaln(y + 1))
+    if y == 0:  # 0 * log(0) is nan; Poisson(0; 0) = 1
+        expected[z == 0] = 1.0
+    out = np.full(z.size, np.nan)
+    kernel = ptwdist._poisson_logpmf(y, z, ptwdist._log_intensities(z), out)
+    assert kernel is out
+    assert np.array_equal(np.exp(out), expected)
 
 
 @pytest.mark.parametrize(
