@@ -19,6 +19,7 @@ the one reported here).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,6 +51,11 @@ P_FLOOR = 1e-4
 _MAX_HALVINGS = 30
 
 
+def _is_number(value) -> bool:
+    """A real number, Python's or numpy's, but not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class FitConfig:
     """Tuning of the chaser: step constant, budget, tolerances, and modes.
@@ -68,11 +74,15 @@ class FitConfig:
     phi_fixed: float | None = None
 
     def __post_init__(self):
-        if not (0 < self.alpha <= 1):
-            raise InvalidParameterError(f"alpha must be in (0, 1], got {self.alpha}")
-        if not (0 < self.tol < np.inf):  # also refuses nan
-            raise InvalidParameterError(f"tol must be positive and finite, got {self.tol}")
-        if not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 1:
+        if not (_is_number(self.alpha) and 0 < self.alpha <= 1):
+            raise InvalidParameterError(f"alpha must be a number in (0, 1], got {self.alpha!r}")
+        if not (_is_number(self.tol) and 0 < self.tol < np.inf):  # also refuses nan
+            raise InvalidParameterError(f"tol must be positive and finite, got {self.tol!r}")
+        if (
+            isinstance(self.max_iter, bool)
+            or not isinstance(self.max_iter, (int, np.integer))
+            or self.max_iter < 1
+        ):
             raise InvalidParameterError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
         if self.power_mode != POWER_FREE:
             try:
@@ -86,8 +96,12 @@ class FitConfig:
             object.__setattr__(self, "power_mode", p0)
         if self.phi_sign not in ("any", "nonnegative"):
             raise InvalidParameterError("phi_sign must be 'any' or 'nonnegative'")
-        if self.phi_fixed is not None and not np.isfinite(self.phi_fixed):
-            raise InvalidParameterError("phi_fixed must be finite")
+        if self.phi_fixed is not None and not (
+            _is_number(self.phi_fixed) and np.isfinite(self.phi_fixed)
+        ):
+            raise InvalidParameterError(
+                f"phi_fixed must be a finite number or None, got {self.phi_fixed!r}"
+            )
 
     @property
     def power_is_free(self) -> bool:

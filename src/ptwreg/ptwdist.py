@@ -11,11 +11,15 @@ there and probability operations refuse.
 
 from __future__ import annotations
 
+import contextvars
 import hashlib
+import os
 import struct
 import warnings
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 from scipy.special import gammaln, pdtr, pdtrik
@@ -24,6 +28,7 @@ from .errors import (
     InvalidParameterError,
     NoDistributionError,
     NonpositivePmfError,
+    PtwError,
     UnreliableEstimateError,
     UnsupportedPowerError,
     VarianceNonpositiveError,
@@ -146,22 +151,39 @@ def _mixing_draws(mu: float, phi: float, p: float, m: int, rng: RngStream) -> np
     return z
 
 
-def _log_intensities(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """log z, taken once per vector of intensities; log 0 = -inf."""
-    with np.errstate(divide="ignore"):
-        return np.log(z, out=out)
+def _log_intensities(z: np.ndarray) -> np.ndarray:
+    """log z, taken once per vector of intensities, with log 0 read as 0:
+    an -inf lane would send numpy's vectorized exp and log down their slow
+    path, and ``_poisson_pmf`` zeroes those lanes itself."""
+    log_z = z + (z == 0)
+    return np.log(log_z, out=log_z)
 
 
-def _poisson_logpmf(y: int, z: np.ndarray, log_z: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write log Poisson(y; z) into ``out``, a buffer of z's size that the
-    caller owns and reuses across counts, given ``log_z`` from
-    ``_log_intensities``; z = 0 is handled exactly.  Returns ``out``."""
-    with np.errstate(invalid="ignore"):  # 0 * log(0) at y = 0, set below
-        np.multiply(log_z, y, out=out)
+def _positive(z: np.ndarray) -> np.ndarray:
+    """The mask z > 0 as 1.0 / 0.0, the form ``_poisson_pmf`` multiplies by."""
+    return np.greater(z, 0.0, out=np.empty(z.size))
+
+
+def _poisson_pmf(
+    y: int, z: np.ndarray, log_z: np.ndarray, positive: np.ndarray, out: np.ndarray,
+    log_weight: np.ndarray | None = None,
+) -> np.ndarray:
+    """Write Poisson(y; z) into ``out``, a buffer of z's size that the caller
+    owns and reuses across counts, given ``log_z`` from ``_log_intensities``
+    and ``positive`` from ``_positive``; ``log_weight``, when given, is added
+    to the log before it is exponentiated.  Returns ``out``.
+
+    z = 0 is exact: its lanes exponentiate the finite -log y!, which the mask
+    turns into 0 for y > 0, and at y = 0 they hold exp(0) = 1.  Every other
+    lane has the bits of exp(y log z - z - log y!)."""
+    np.multiply(log_z, y, out=out)
     out -= z
     out -= gammaln(y + 1)
-    if y == 0:  # for y > 0, y * log(0) - 0 - c is already -inf
-        out[z == 0] = 0.0
+    if log_weight is not None:
+        out += log_weight
+    np.exp(out, out=out)
+    if y > 0:
+        out *= positive
     return out
 
 
@@ -196,13 +218,11 @@ def _pmf_lattice_p1(params: PtwParams, ys: list[int]) -> list[PmfEstimate]:
     k = np.arange(k_max + 1)
     log_prior = k * np.log(lam) - lam - gammaln(k + 1)
     z = params.phi * k
-    log_z = _log_intensities(z)
+    log_z, positive = _log_intensities(z), _positive(z)
     terms = np.empty(z.size)
     out = []
     for y in ys:
-        _poisson_logpmf(y, z, log_z, terms)
-        terms += log_prior
-        value = float(np.sum(np.exp(terms, out=terms)))
+        value = float(np.sum(_poisson_pmf(y, z, log_z, positive, terms, log_prior)))
         out.append(PmfEstimate(min(value, 1.0), 0.0, "exact-sum"))
     return out
 
@@ -260,12 +280,12 @@ def params_as_tweedie(params: PtwParams) -> TweedieParams:
 
 def _pmf_monte_carlo(params: PtwParams, ys: list[int], budget: PmfConfig) -> list[PmfEstimate]:
     z = _mixing_draws(params.mu, params.phi, params.p, budget.mc_draws, budget.rng)
-    log_z = _log_intensities(z)
+    log_z, positive = _log_intensities(z), _positive(z)
     m = len(z)
     probs, dev = np.empty(m), np.empty(m)
     out = []
     for y in ys:
-        np.exp(_poisson_logpmf(y, z, log_z, probs), out=probs)
+        _poisson_pmf(y, z, log_z, positive, probs)
         value = float(np.mean(probs))
         np.subtract(probs, value, out=dev)  # np.std(probs, ddof=1), reusing the mean
         dev *= dev
@@ -404,6 +424,63 @@ class LoglikResult:
     method: str
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+@contextmanager
+def _job_pool(jobs: int):
+    """Yields ``start(fn, *args)``, which returns a callable with no arguments
+    that gives fn's result or raises its error.  With more than one job and
+    CPU, the calls run on min(jobs, CPUs) threads (numpy's samplers and
+    ufuncs release the interpreter lock), each in a copy of the caller's
+    context so that numpy's error state carries over; otherwise each runs
+    when its result is asked for.  Threads still queued when the block exits
+    early are cancelled, and all have ended when it exits."""
+    workers = min(jobs, _usable_cpus())
+    if workers <= 1:
+        yield partial
+        return
+    pool = ThreadPoolExecutor(workers, thread_name_prefix="ptw_loglik")
+    try:
+        yield lambda fn, *args: pool.submit(contextvars.copy_context().run, fn, *args).result
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _monte_carlo_terms(
+    params: PtwParams, mc_counts: list[tuple[int, float]], budget: PmfConfig
+) -> tuple[list[float], float]:
+    """One Monte Carlo mean of ``ptw_loglik``: f_hat(y) for each (y, n_y) in
+    ``mc_counts``, in order, and Var_k(g_k)/M.  The counts share one set of
+    mixing draws, so their log-pmf errors are correlated; the aggregate g_k
+    carries that, where summing per-count variances would not.
+
+    The kernel's buffers serve every count of the mean and are freed with
+    it: kept for a thread's next mean, they would be held while it samples,
+    which is when a thread's memory peaks."""
+    z = _mixing_draws(params.mu, params.phi, params.p, budget.mc_draws, budget.rng)
+    m = len(z)
+    log_z, positive = _log_intensities(z), _positive(z)
+    probs, g = np.empty(m), np.zeros(m)
+    f_hats = []
+    for yi, n_y in mc_counts:
+        f_hat = float(np.mean(_poisson_pmf(yi, z, log_z, positive, probs)))
+        if f_hat <= 0.0:
+            raise NonpositivePmfError(
+                f"Monte Carlo pmf({yi}) = 0 at (mu={params.mu}, phi={params.phi}, "
+                f"p={params.p}); raise mc_draws above {budget.mc_draws}"
+            )
+        f_hats.append(f_hat)
+        probs *= n_y / f_hat
+        g += probs
+    return f_hats, float(np.var(g, ddof=1) / m)
+
+
 def ptw_loglik(mu, phi, p, y, budget: PmfConfig | None = None, weights=None) -> LoglikResult:
     """sum_i w_i log P(Y = y_i) at per-observation means mu_i and one (phi, p).
 
@@ -422,6 +499,10 @@ def ptw_loglik(mu, phi, p, y, budget: PmfConfig | None = None, weights=None) -> 
     the multiplicity, the delta method gives
     Var(sum n_y log f_hat(y)) = Var_k(g_k)/M per mean, where
     g_k = sum_y (n_y / f_hat(y)) P(y; Z_k).
+    The Monte Carlo means run on up to one thread per CPU that the process
+    may run on.  Each mean draws from its own substream and its terms join
+    the sums in the order above, so neither the value, its standard error
+    nor the error raised depends on the number of threads.
 
     Raises
     ------
@@ -456,52 +537,56 @@ def ptw_loglik(mu, phi, p, y, budget: PmfConfig | None = None, weights=None) -> 
         counts = groups.setdefault(mu_i, {})
         counts[yi] = counts.get(yi, 0.0) + wi
 
+    # Plan: the exact routes of every mean, in order, up to the first refusal,
+    # which is raised once the means before it are accounted for.
+    plan = []
+    gl_fallbacks = 0
+    refusal = None
+    try:
+        for mu_i, counts in groups.items():
+            params = PtwParams(mu_i, phi, p)
+            _check_probabilistic(params)
+            ys = [int(yi) for yi in counts]
+            exact, mc_counts = [], []
+            for yi, n_y, est in zip(ys, counts.values(), _pmf_exact(params, ys)):
+                if est is None:
+                    mc_counts.append((yi, n_y))
+                    if params.p == 3.0:  # the Gauss-Laguerre rule fell back
+                        gl_fallbacks += 1
+                elif est.value <= 0.0:
+                    raise NonpositivePmfError(
+                        f"pmf({yi}) = 0 at (mu={params.mu}, phi={params.phi}, p={params.p})"
+                    )
+                else:
+                    exact.append((n_y, est))
+            plan.append((params, exact, mc_counts))
+    except PtwError as exc:
+        refusal = exc
+
+    # Jobs, then the replay: each Monte Carlo mean runs on its own, and its
+    # terms are added in the order of a serial visit, so the sums do not
+    # depend on how many threads ran them.
     total = 0.0
     var_total = 0.0
     methods = set()
-    gl_fallbacks = 0
-    probs = None
-    for mu_i, counts in groups.items():
-        params = PtwParams(mu_i, phi, p)
-        _check_probabilistic(params)
-        ys = [int(yi) for yi in counts]
-        mc_counts = []
-        for yi, n_y, est in zip(ys, counts.values(), _pmf_exact(params, ys)):
-            if est is None:
-                mc_counts.append((yi, n_y))
-                if params.p == 3.0:  # the Gauss-Laguerre rule fell back
-                    gl_fallbacks += 1
+    with _job_pool(sum(1 for _, _, mc_counts in plan if mc_counts)) as start:
+        jobs = [
+            start(_monte_carlo_terms, params, mc_counts, budget) if mc_counts else None
+            for params, _, mc_counts in plan
+        ]
+        for (params, exact, mc_counts), job in zip(plan, jobs):
+            for n_y, est in exact:
+                total += n_y * np.log(est.value)
+                methods.add(est.method)
+            if job is None:
                 continue
-            if est.value <= 0.0:
-                raise NonpositivePmfError(
-                    f"pmf({yi}) = 0 at (mu={params.mu}, phi={params.phi}, p={params.p})"
-                )
-            total += n_y * np.log(est.value)
-            methods.add(est.method)
-        if not mc_counts:
-            continue
-        # Monte Carlo counts of this parameter set share one set of mixing
-        # draws, so their log-pmf errors are correlated; propagate through
-        # the per-draw aggregate g_k rather than summing per-y variances.
-        methods.add("monte-carlo")
-        z = _mixing_draws(params.mu, params.phi, params.p, budget.mc_draws, budget.rng)
-        m = len(z)
-        if probs is None:  # one set of buffers serves every mean of the call
-            log_z, probs, g = np.empty(m), np.empty(m), np.empty(m)
-        _log_intensities(z, out=log_z)
-        g.fill(0.0)
-        for yi, n_y in mc_counts:
-            np.exp(_poisson_logpmf(yi, z, log_z, probs), out=probs)
-            f_hat = float(np.mean(probs))
-            if f_hat <= 0.0:
-                raise NonpositivePmfError(
-                    f"Monte Carlo pmf({yi}) = 0 at (mu={params.mu}, phi={params.phi}, "
-                    f"p={params.p}); raise mc_draws above {budget.mc_draws}"
-                )
-            total += n_y * np.log(f_hat)
-            probs *= n_y / f_hat
-            g += probs
-        var_total += float(np.var(g, ddof=1) / m)
+            methods.add("monte-carlo")
+            f_hats, var_g = job()
+            for (_, n_y), f_hat in zip(mc_counts, f_hats):
+                total += n_y * np.log(f_hat)
+            var_total += var_g
+    if refusal is not None:
+        raise refusal
 
     if gl_fallbacks:
         warnings.warn(

@@ -66,8 +66,19 @@ def test_config_validation():
         ({"max_iter": 2.5}, "max_iter must be an integer"),
         # float("abc") raised a bare ValueError
         ({"power_mode": "abc"}, "power_mode must be 'free' or a number"),
+        # text raised a TypeError from the range comparison
+        ({"alpha": "0.5"}, "alpha must be a number"),
+        ({"tol": "1e-6"}, "tol must be positive and finite"),
+        # np.isfinite raised a TypeError on text
+        ({"phi_fixed": "abc"}, "phi_fixed must be a finite number"),
+        # a bool is an int, so True passed as one iteration or phi = 1
+        ({"max_iter": True}, "max_iter must be an integer"),
+        ({"phi_fixed": True}, "phi_fixed must be a finite number"),
     ],
-    ids=["tol-nan", "max-iter-float", "power-mode-text"],
+    ids=[
+        "tol-nan", "max-iter-float", "power-mode-text", "alpha-text", "tol-text",
+        "phi-fixed-text", "max-iter-bool", "phi-fixed-bool",
+    ],
 )
 def test_config_refuses_settings_that_break_a_fit(overrides, message):
     with pytest.raises(InvalidParameterError, match=message):

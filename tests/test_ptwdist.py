@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -677,6 +679,100 @@ def test_pmf_curve_then_heavy_tails_sample_once(monkeypatch):
     assert samples == [5_000]
 
 
+# ------------------------------------------------------------ thread pool
+
+
+def _record_draw_threads(monkeypatch):
+    """Names of the threads that take ``ptw_loglik``'s mixing draws."""
+    names = []
+
+    def recording(*args):
+        names.append(threading.current_thread().name)
+        return _mixing_draws(*args)
+
+    monkeypatch.setattr(ptwdist, "_mixing_draws", recording)
+    return names
+
+
+# a p = 3 call whose three narrow means all fall back to Monte Carlo, beside
+# a Poisson-limit mean, and five Monte Carlo means at p = 1.3
+_POOL_SETS = [*_ROUTE_SETS, (1e-5, 3.0, (60.0, 1e-2, 70.0, 80.0)),
+              (0.6, 1.3, (0.5, 1.5, 2.5, 4.0, 6.0))]
+
+
+@pytest.mark.filterwarnings("ignore:Gauss-Laguerre rule")
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_loglik_is_the_same_on_any_number_of_threads(workers, monkeypatch):
+    # the threads share the draw cache; a short switch interval interleaves
+    # them often, and three threads can outnumber the cores
+    monkeypatch.setattr(ptwdist, "_usable_cpus", lambda: workers)
+    threads = _record_draw_threads(monkeypatch)
+    gen = np.random.default_rng(5)
+    b = budget(seed=17, draws=5_000)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for phi, p, means in _POOL_SETS:
+            mu, y = _route_rows(gen, means, 60)
+            res = ptw_loglik(mu, phi, p, y, b)
+            assert (res.value, res.mc_stderr, res.method) == _loglik_reference(mu, phi, p, y, b)
+    finally:
+        sys.setswitchinterval(interval)
+    # a call with one Monte Carlo mean runs it on the calling thread
+    assert any(name.startswith("ptw_loglik") for name in threads) == (workers > 1)
+
+
+def test_loglik_threads_raise_the_serial_error(monkeypatch):
+    # mu = 2 and mu = 3 have Monte Carlo pmf 0 at these counts, and
+    # mu = 1e300 overflows mu**p: the first mean's error is the one raised
+    mu, y = [2.0, 5.0, 3.0, 1e300], [600, 4, 700, 1]
+    b = budget(seed=2, draws=500)
+    raised = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(ptwdist, "_usable_cpus", lambda: workers)
+        with pytest.raises(NonpositivePmfError) as caught:
+            ptw_loglik(mu, 0.5, 1.5, y, b)
+        raised.append(str(caught.value))
+    assert raised == [
+        "Monte Carlo pmf(600) = 0 at (mu=2.0, phi=0.5, p=1.5); raise mc_draws above 500"
+    ] * 3
+    for workers in (1, 2):  # a refusal before any Monte Carlo error wins
+        monkeypatch.setattr(ptwdist, "_usable_cpus", lambda: workers)
+        with pytest.raises(InvalidParameterError, match=r"mu\*\*p overflows at \(mu=1e\+300"):
+            ptw_loglik(mu[::-1], 0.5, 1.5, y[::-1], b)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_loglik_threads_keep_the_callers_numpy_error_state(workers, monkeypatch):
+    # exp(y log z - z - log y!) underflows at y = 200; the threads run in
+    # the caller's numpy error state, as the calling thread would
+    monkeypatch.setattr(ptwdist, "_usable_cpus", lambda: workers)
+    mu, y, b = [0.5, 1.5, 2.5], [200, 30, 1], budget(seed=1, draws=5_000)
+    assert np.isfinite(ptw_loglik(mu, 0.6, 1.3, y, b).value)
+    with np.errstate(under="raise"), pytest.raises(FloatingPointError, match="underflow"):
+        ptw_loglik(mu, 0.6, 1.3, y, b)
+
+
+def test_loglik_threads_stay_quiet_on_zero_draws(monkeypatch):
+    # (0.5, 2.0, 1.3) puts about half of the mixing draws at z = 0
+    monkeypatch.setattr(ptwdist, "_usable_cpus", lambda: 2)
+    threads = _record_draw_threads(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = ptw_loglik([0.5, 0.7, 0.5, 0.9], 2.0, 1.3, [0, 1, 3, 0], budget(seed=4, draws=20_000))
+    assert res.method == "monte-carlo" and np.isfinite(res.value) and res.mc_stderr > 0
+    assert all(name.startswith("ptw_loglik") for name in threads)
+
+
+def test_loglik_leaves_no_threads_behind(monkeypatch):
+    monkeypatch.setattr(ptwdist, "_usable_cpus", lambda: 3)
+    before = threading.active_count()
+    ptw_loglik([1.5, 2.5, 3.5, 4.5], 0.6, 1.4, [0, 1, 2, 3], budget(seed=2, draws=5_000))
+    with pytest.raises(NonpositivePmfError):
+        ptw_loglik([2.0, 3.0, 4.0], 0.5, 1.5, [600, 1, 2], budget(seed=2, draws=500))
+    assert threading.active_count() == before
+
+
 @pytest.mark.parametrize("y", [0, 1, 40])
 def test_buffered_poisson_kernel_equals_the_expression(y):
     # (0.5, 2.0, 1.3) puts about half of the mixing draws at z = 0
@@ -688,9 +784,13 @@ def test_buffered_poisson_kernel_equals_the_expression(y):
     if y == 0:  # 0 * log(0) is nan; Poisson(0; 0) = 1
         expected[z == 0] = 1.0
     out = np.full(z.size, np.nan)
-    kernel = ptwdist._poisson_logpmf(y, z, ptwdist._log_intensities(z), out)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # the kernel takes no log of 0
+        kernel = ptwdist._poisson_pmf(
+            y, z, ptwdist._log_intensities(z), ptwdist._positive(z), out
+        )
     assert kernel is out
-    assert np.array_equal(np.exp(out), expected)
+    assert np.array_equal(out, expected)
 
 
 @pytest.mark.parametrize(
