@@ -97,22 +97,23 @@ def _split_list(text: str | None) -> list[str]:
     return [part.strip() for part in text.split(",") if part.strip()]
 
 
+# family -> (parameter class, its flags in argument order, sampler); each
+# flag but --power (default 1) defaults to None and is required
+_FAMILIES = {
+    "ptw": (PtwParams, ("mu", "phi", "power"), ptw_sample),
+    "compoisson": (ComPoissonParams, ("lam", "nu"), compoisson_sample),
+    "gammacount": (GammaCountParams, ("lam", "nu"), gammacount_sample),
+}
+
+
 def _cmd_simulate(args) -> int:
     rng = RngStream(args.seed)
-    if args.family == "ptw":
-        if args.mu is None or args.phi is None:
-            raise InvalidParameterError("--family ptw requires --mu and --phi")
-        params = PtwParams(args.mu, args.phi, args.power)
-        values = ptw_sample(params, args.n, rng)
-    elif args.family == "compoisson":
-        if args.lam is None or args.nu is None:
-            raise InvalidParameterError("--family compoisson requires --lam and --nu")
-        values = compoisson_sample(ComPoissonParams(args.lam, args.nu), args.n, rng)
-    else:
-        if args.lam is None or args.nu is None:
-            raise InvalidParameterError("--family gammacount requires --lam and --nu")
-        values = gammacount_sample(GammaCountParams(args.lam, args.nu), args.n, rng)
-    _emit(counts_csv(values), args.out)
+    params, flags, sample = _FAMILIES[args.family]
+    values = [getattr(args, flag) for flag in flags]
+    if None in values:
+        required = " and ".join(f"--{flag}" for flag in flags if flag != "power")
+        raise InvalidParameterError(f"--family {args.family} requires {required}")
+    _emit(counts_csv(sample(params(*values), args.n, rng)), args.out)
     return 0
 
 
@@ -122,9 +123,14 @@ def _y_max(args) -> int:
     return args.y_max
 
 
-def _cmd_pmf(args) -> int:
-    params = PtwParams(args.mu, args.phi, args.power)
+def _table_inputs(args) -> tuple[PtwParams, PmfConfig]:
+    """The distribution and Monte Carlo budget of a pmf or indices table."""
     budget = PmfConfig(mc_draws=args.mc_draws, rng=RngStream(args.seed))
+    return PtwParams(args.mu, args.phi, args.power), budget
+
+
+def _cmd_pmf(args) -> int:
+    params, budget = _table_inputs(args)
     estimates = ptw_pmf_curve(params, range(_y_max(args) + 1), budget)
     rows = [
         [y, est.value, est.mc_stderr, est.method]
@@ -136,8 +142,7 @@ def _cmd_pmf(args) -> int:
 
 def _cmd_indices(args) -> int:
     y_max = _y_max(args)
-    params = PtwParams(args.mu, args.phi, args.power)
-    budget = PmfConfig(mc_draws=args.mc_draws, rng=RngStream(args.seed))
+    params, budget = _table_inputs(args)
     rows = [
         ["dispersion", "", dispersion_index(params), 0.0],
         ["zero-inflation", "", zero_inflation_index(params), 0.0],
@@ -158,14 +163,8 @@ def _cmd_simstudy(args) -> int:
     )
     result = run_study(scenario, args.seed)
     if args.standardized:
-        rows = [
-            [r["parameter"], r["n"], r["std_bias"], r["std_se"],
-             r["std_lower"], r["std_upper"]]
-            for r in standardized_bias_table(result)
-        ]
-        text = _write_csv(
-            ["parameter", "n", "std_bias", "std_se", "std_lower", "std_upper"], rows
-        )
+        rows = standardized_bias_table(result)
+        text = _write_csv(list(rows[0]), [list(row.values()) for row in rows])
     elif args.format == "csv":
         text = study_result_csv(result)
     else:
@@ -213,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="fix the dispersion (0 gives a Poisson fit)")
     p_fit.add_argument("--phi-sign", choices=("any", "nonnegative"), default="any")
     p_fit.add_argument("--seed", type=int, default=0)
-    p_fit.add_argument("--mc-draws", type=int, default=100_000)
+    p_fit.add_argument("--mc-draws", type=int, default=PmfConfig.mc_draws)
     p_fit.add_argument("--out", default=None, help="output JSON path (default stdout)")
     p_fit.set_defaults(func=_cmd_fit)
 
@@ -230,25 +229,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--out", default=None)
     p_sim.set_defaults(func=_cmd_simulate)
 
-    p_pmf = sub.add_parser("pmf", help="probability mass table with MC errors")
-    p_pmf.add_argument("--mu", type=float, required=True)
-    p_pmf.add_argument("--phi", type=float, required=True)
-    p_pmf.add_argument("--power", type=float, required=True)
+    table = argparse.ArgumentParser(add_help=False)  # the flags pmf and indices share
+    for flag in ("--mu", "--phi", "--power"):
+        table.add_argument(flag, type=float, required=True)
+    table.add_argument("--mc-draws", type=int, default=PmfConfig.mc_draws)
+    table.add_argument("--seed", type=int, default=0)
+    table.add_argument("--out", default=None)
+
+    p_pmf = sub.add_parser("pmf", parents=[table], help="probability mass table with MC errors")
     p_pmf.add_argument("--y-max", type=int, default=20)
-    p_pmf.add_argument("--mc-draws", type=int, default=100_000)
-    p_pmf.add_argument("--seed", type=int, default=0)
-    p_pmf.add_argument("--out", default=None)
     p_pmf.set_defaults(func=_cmd_pmf)
 
-    p_idx = sub.add_parser("indices", help="dispersion/zero-inflation/heavy-tail table")
-    p_idx.add_argument("--mu", type=float, required=True)
-    p_idx.add_argument("--phi", type=float, required=True)
-    p_idx.add_argument("--power", type=float, required=True)
+    p_idx = sub.add_parser("indices", parents=[table],
+                           help="dispersion/zero-inflation/heavy-tail table")
     p_idx.add_argument("--y-max", type=int, default=10,
                        help="largest y for the heavy-tail ratio")
-    p_idx.add_argument("--mc-draws", type=int, default=100_000)
-    p_idx.add_argument("--seed", type=int, default=0)
-    p_idx.add_argument("--out", default=None)
     p_idx.set_defaults(func=_cmd_indices)
 
     p_study = sub.add_parser("simstudy", help="run a simulation-study scenario")

@@ -14,7 +14,8 @@ import io
 import json
 import math
 import re
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
+from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
 from scipy.special import erfc
@@ -30,7 +31,7 @@ from .errors import (
 )
 from .estfun import PtwModel
 from .ptwdist import LoglikResult, PmfConfig, ptw_loglik
-from .simstudy import StudyResult
+from .simstudy import StudyCell, StudyResult
 
 COLUMN_KINDS = ("real", "integer", "categorical")
 
@@ -163,6 +164,7 @@ def _collapse_counts(table: DatasetTable, count: str = "count") -> tuple[Dataset
 def load_csv(path, schema: dict[str, str] | None = None) -> DatasetTable:
     """Load a UTF-8, comma-delimited, header-first CSV into a typed table.
 
+    A leading byte-order mark, as spreadsheet exports write, is dropped.
     Column types are inferred (integer, then real, else categorical) unless
     overridden by ``schema``.  A column named ``count`` is checked to hold
     non-negative integers and kept: ``build_design`` fits it as frequency
@@ -170,7 +172,7 @@ def load_csv(path, schema: dict[str, str] | None = None) -> DatasetTable:
     offset.
     """
     schema = schema or {}
-    with open(path, encoding="utf-8", newline="") as handle:
+    with open(path, encoding="utf-8-sig", newline="") as handle:
         rows = list(csv.reader(handle))
     if not rows or not any(rows):
         raise CsvParseError(f"{path}: empty file, expected a header row")
@@ -220,24 +222,15 @@ class ModelSpecConfig:
             raise InvalidParameterError("response column name must be non-empty")
 
 
-def _levels(col: Column) -> list:
-    return sorted(set(col.values))
-
-
-def _level_label(value) -> str:
-    return str(value)
-
-
 def _single_column(table: DatasetTable, name: str, power: int):
     col = table.column(name)
     if col.kind == "categorical":
         if power != 1:
             raise InvalidParameterError(f"cannot square categorical column {name!r}")
         values = np.asarray(col.values, dtype=object)
-        levels = _levels(col)
         return [
-            (f"{name}[{_level_label(lev)}]", (values == lev).astype(float))
-            for lev in levels[1:]  # first level (alphabetical) is the baseline
+            (f"{name}[{lev}]", (values == lev).astype(float))
+            for lev in sorted(set(col.values))[1:]  # first (alphabetical) is the baseline
         ]
     data = table.numeric(name) ** power
     return [(name if power == 1 else f"{name}^2", data)]
@@ -257,8 +250,8 @@ def _interaction(table: DatasetTable, left: str, right: str, power: int):
     if lcol.kind == "categorical":
         values = np.asarray(lcol.values, dtype=object)
         return [
-            (f"{left}[{_level_label(lev)}]:{rname}", (values == lev) * rdata)
-            for lev in _levels(lcol)  # all levels: one slope per level
+            (f"{left}[{lev}]:{rname}", (values == lev) * rdata)
+            for lev in sorted(set(lcol.values))  # all levels: one slope per level
         ]
     ldata = table.numeric(left)
     return [(f"{left}:{rname}", ldata * rdata)]
@@ -440,7 +433,7 @@ def fit_table(table: DatasetTable, config: ModelSpecConfig) -> dict:
 # --------------------------------------------------------------------------
 
 
-def _write_csv(header: list[str], rows: list[list]) -> str:
+def _write_csv(header: list[str], rows: Iterable[Sequence]) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
@@ -458,11 +451,7 @@ def counts_csv(values) -> str:
 
 
 def table_csv(table: DatasetTable) -> str:
-    rows = [
-        [table.columns[j].values[i] for j in range(len(table.columns))]
-        for i in range(table.n_rows)
-    ]
-    return _write_csv(list(table.names), rows)
+    return _write_csv(list(table.names), zip(*(c.values for c in table.columns)))
 
 
 def study_result_dict(result: StudyResult) -> dict:
@@ -470,15 +459,7 @@ def study_result_dict(result: StudyResult) -> dict:
         "scenario": result.scenario,
         "replicates": result.replicates,
         "cells": [
-            {
-                "parameter": c.parameter,
-                "n": c.n,
-                "truth": _clean(c.truth),
-                "mean_bias": _clean(c.mean_bias),
-                "mean_se": _clean(c.mean_se),
-                "empirical_se": _clean(c.empirical_se),
-                "coverage": _clean(c.coverage),
-            }
+            {k: _clean(v) if isinstance(v, float) else v for k, v in asdict(c).items()}
             for c in result.cells
         ],
         "failures": [{"n": n, "excluded": k} for n, k in result.failures],
@@ -490,30 +471,9 @@ def study_result_json(result: StudyResult) -> str:
 
 
 def study_result_csv(result: StudyResult) -> str:
+    """One row per cell: the scenario, the StudyCell fields, then the
+    number of replicates excluded at the cell's sample size."""
     excluded = dict(result.failures)
-    rows = [
-        [
-            result.scenario,
-            c.parameter,
-            c.n,
-            c.truth,
-            c.mean_bias,
-            c.mean_se,
-            c.empirical_se,
-            c.coverage,
-            excluded[c.n],
-        ]
-        for c in result.cells
-    ]
-    header = [
-        "scenario",
-        "parameter",
-        "n",
-        "truth",
-        "mean_bias",
-        "mean_se",
-        "empirical_se",
-        "coverage",
-        "excluded",
-    ]
+    header = ["scenario", *(f.name for f in fields(StudyCell)), "excluded"]
+    rows = [[result.scenario, *astuple(c), excluded[c.n]] for c in result.cells]
     return _write_csv(header, rows)

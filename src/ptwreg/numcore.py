@@ -2,7 +2,7 @@
 
 These are the shared numerical primitives: a pivoted linear solver with an
 explicit singularity check, Gauss-Laguerre rules computed by Newton iteration
-on the Laguerre recurrence (stable up to n = 512), a deterministic,
+on the Laguerre recurrence (up to n = 194 nodes), a deterministic,
 order-independent random-stream tree built on counter-based seeding, and
 the floating-point error state the fitting code runs in.
 """
@@ -21,7 +21,9 @@ from scipy.linalg.lapack import dgesv, dgetrf
 
 from .errors import InvalidParameterError, SingularMatrixError
 
-_MAX_QUAD_ORDER = 512
+# From 195 nodes on the largest node passes 745, where e^{-x} and so its
+# weight underflow to 0.
+_MAX_QUAD_ORDER = 194
 _UINT64_MAX = 2**64 - 1
 
 
@@ -89,8 +91,8 @@ class QuadratureRule:
 def _weighted_laguerre(x: float, n: int) -> tuple[float, float]:
     """Evaluate e^{-x/2} L_n(x) and e^{-x/2} L_{n-1}(x) by upward recurrence.
 
-    The e^{-x/2} damping keeps every intermediate O(1) out to n = 512 where
-    the bare polynomials overflow.
+    The e^{-x/2} damping keeps every intermediate O(1) out to the largest
+    nodes of the n = 194 rule, where the bare polynomials are near 1e160.
     """
     w = np.exp(-0.5 * x)
     fkm1 = w  # k = 0
@@ -114,7 +116,8 @@ def gauss_laguerre(n: int) -> QuadratureRule:
     Parameters
     ----------
     n : int
-        Number of nodes, 1 <= n <= 512.
+        Number of nodes, 1 <= n <= 194; beyond that the last weights
+        underflow to 0.
 
     Returns
     -------

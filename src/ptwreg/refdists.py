@@ -24,31 +24,28 @@ _CDF_TAIL = 1e-12
 
 
 @dataclass(frozen=True)
-class ComPoissonParams:
+class _LamNu:
+    """A generator's (lambda, nu), both finite and positive.
+
+    Each family subclasses it; the dataclass equality compares classes, so
+    equal parameters of different families stay unequal.
+    """
+
+    lam: float
+    nu: float
+
+    def __post_init__(self):
+        for name, value in (("lambda", self.lam), ("nu", self.nu)):
+            if not (np.isfinite(value) and value > 0):
+                raise InvalidParameterError(f"{name} must be positive, got {value}")
+
+
+class ComPoissonParams(_LamNu):
     """COM-Poisson CP(lambda, nu): pmf proportional to lambda**y / (y!)**nu."""
 
-    lam: float
-    nu: float
 
-    def __post_init__(self):
-        if not (np.isfinite(self.lam) and self.lam > 0):
-            raise InvalidParameterError(f"lambda must be positive, got {self.lam}")
-        if not (np.isfinite(self.nu) and self.nu > 0):
-            raise InvalidParameterError(f"nu must be positive, got {self.nu}")
-
-
-@dataclass(frozen=True)
-class GammaCountParams:
+class GammaCountParams(_LamNu):
     """Gamma-Count GC(lambda, nu): counts of gamma(nu, nu*lambda) arrivals."""
-
-    lam: float
-    nu: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.lam) and self.lam > 0):
-            raise InvalidParameterError(f"lambda must be positive, got {self.lam}")
-        if not (np.isfinite(self.nu) and self.nu > 0):
-            raise InvalidParameterError(f"nu must be positive, got {self.nu}")
 
 
 def _compoisson_log_weights(lam: np.ndarray, nu: float) -> np.ndarray:
@@ -80,12 +77,6 @@ def compoisson_pmf(params: ComPoissonParams, y) -> np.ndarray | float:
     return out if out.ndim else float(out)
 
 
-def _invert_cdf(cdf: np.ndarray, inv: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF lookup: cdf is (Y*+1) x n_unique, inv maps draws to columns."""
-    counts = np.sum(cdf[:, inv] < u[None, :], axis=0)
-    return np.minimum(counts, cdf.shape[0] - 1)
-
-
 def _cached_table(build):
     """Turn ``build(uniq, nu) -> cdf``, a (Y*+1) x n_unique CDF table over
     sorted unique lambdas, into ``table(lam.tobytes(), nu) -> (cdf, inv)``
@@ -113,21 +104,31 @@ def _compoisson_table(uniq: np.ndarray, nu: float) -> np.ndarray:
     return np.cumsum(np.exp(_compoisson_log_weights(uniq, nu)), axis=0)
 
 
-def compoisson_sample_lam(lam, nu: float, gen) -> np.ndarray:
-    """One CP(lam_i, nu) draw per entry of ``lam`` by CDF inversion."""
+def _sample_lam(table, lam, nu: float, gen) -> np.ndarray:
+    """One draw per entry of ``lam`` by inverting ``table``'s CDF columns."""
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     if lam.size == 0:  # no lambdas to build a table over
         return np.zeros(0, dtype=np.int64)
-    cdf, inv = _compoisson_table(lam.tobytes(), nu)
-    return _invert_cdf(cdf, inv, gen.random(lam.shape[0]))
+    cdf, inv = table(lam.tobytes(), nu)
+    counts = np.sum(cdf[:, inv] < gen.random(lam.shape[0])[None, :], axis=0)
+    return np.minimum(counts, cdf.shape[0] - 1)
+
+
+def _sample_iid(sample_lam, params: _LamNu, n: int, rng: RngStream) -> np.ndarray:
+    """n i.i.d. draws at ``params`` from a ``*_sample_lam`` sampler."""
+    if int(n) < 0:
+        raise InvalidParameterError("n must be non-negative")
+    return sample_lam(np.full(int(n), params.lam), params.nu, rng.generator())
+
+
+def compoisson_sample_lam(lam, nu: float, gen) -> np.ndarray:
+    """One CP(lam_i, nu) draw per entry of ``lam`` by CDF inversion."""
+    return _sample_lam(_compoisson_table, lam, nu, gen)
 
 
 def compoisson_sample(params: ComPoissonParams, n: int, rng: RngStream) -> np.ndarray:
     """n i.i.d. COM-Poisson counts."""
-    if int(n) < 0:
-        raise InvalidParameterError("n must be non-negative")
-    gen = rng.generator()
-    return compoisson_sample_lam(np.full(int(n), params.lam), params.nu, gen)
+    return _sample_iid(compoisson_sample_lam, params, n, rng)
 
 
 def gammacount_pmf(params: GammaCountParams, y) -> np.ndarray | float:
@@ -153,19 +154,12 @@ def _gammacount_table(uniq: np.ndarray, nu: float) -> np.ndarray:
 
 def gammacount_sample_lam(lam, nu: float, gen) -> np.ndarray:
     """One GC(lam_i, nu) draw per entry of ``lam`` by CDF inversion."""
-    lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    if lam.size == 0:  # no lambdas to build a table over
-        return np.zeros(0, dtype=np.int64)
-    cdf, inv = _gammacount_table(lam.tobytes(), nu)
-    return _invert_cdf(cdf, inv, gen.random(lam.shape[0]))
+    return _sample_lam(_gammacount_table, lam, nu, gen)
 
 
 def gammacount_sample(params: GammaCountParams, n: int, rng: RngStream) -> np.ndarray:
     """n i.i.d. Gamma-Count counts."""
-    if int(n) < 0:
-        raise InvalidParameterError("n must be non-negative")
-    gen = rng.generator()
-    return gammacount_sample_lam(np.full(int(n), params.lam), params.nu, gen)
+    return _sample_iid(gammacount_sample_lam, params, n, rng)
 
 
 @dataclass(frozen=True)

@@ -382,6 +382,46 @@ def test_pmf_and_indices_csv_are_bit_stable(command, args, sha256, capsys):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha256
 
 
+@pytest.mark.parametrize(
+    "args, sha256",
+    [
+        ("--scenario ptw-p2-di2 --format csv",
+         "49a8a3c0032630fc804e1e7ae3d73c2f1654b660a490f9bbb74fdc185c609534"),
+        ("--scenario ptw-p2-di2 --standardized",
+         "568061f646fc55e5eb2e039e30913d18521813b7c5b5432897ef73c6b52da574"),
+        ("--scenario gammacount-nu4 --format csv",
+         "cd889860cde997b179a5bcaf142b8e7d5f08b521716644e7ca62a4444cf54b37"),
+        ("--scenario gammacount-nu4 --standardized",
+         "142350a2adffd0270447e8695dd4eca06d2b085b493d0ddb7700fa4c2b4b5a42"),
+    ],
+)
+def test_study_csv_tables_are_bit_stable(args, sha256, capsys):
+    # the study CSV and standardized tables, header included, byte for byte
+    argv = ["simstudy", *args.split(), "--replicates", "50", "--sizes", "100,200",
+            "--seed", "4"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha256
+
+
+@pytest.mark.parametrize(
+    "args, sha256",
+    [
+        ("--family ptw --mu 5 --phi 0.8 --power 1.5",
+         "919345add0b80ebe19ba8c686406076432e1b460befec09a6533fa43f0a23381"),
+        ("--family compoisson --lam 8 --nu 2",
+         "678cf252341941c66400956eec7c5270fab5a56fc2382e718c57c1aef05fd1e1"),
+        ("--family gammacount --lam 3 --nu 4",
+         "f5fc065169b8b3cb767c362935991da00e9b8cc86c2ca30a014c6ebd827c0c5e"),
+    ],
+    ids=["ptw", "compoisson", "gammacount"],
+)
+def test_simulate_csv_is_bit_stable(args, sha256, capsys):
+    code, out, _ = run_cli(["simulate", *args.split(), "--n", "200", "--seed", "7"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha256
+
+
 @pytest.mark.parametrize("command", ["pmf", "indices"])
 def test_negative_y_max_is_usage_error(command, capsys):
     code, out, err = run_cli(

@@ -90,6 +90,15 @@ def test_load_csv_typed_parse_error_names_cell(tmp_path):
         load_csv(path, schema={"y": "integer"})
 
 
+def test_load_csv_drops_a_byte_order_mark(tmp_path):
+    # spreadsheet exports start with a UTF-8 BOM; it must not stick to "dose"
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbfdose,y\n0.1,0\n0.2,3\n")
+    table = load_csv(path)
+    assert table.names == ("dose", "y")
+    assert table.column("dose").values == (0.1, 0.2)
+
+
 # ------------------------------------------------------------ count expansion
 
 

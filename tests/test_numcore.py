@@ -181,7 +181,17 @@ def test_laguerre_nodes_increasing_weights_positive():
     assert np.all(rule.weights > 0)
 
 
-@pytest.mark.parametrize("n", [0, -3, 513])
+def test_laguerre_largest_order_builds_quietly():
+    # from 195 nodes on the last weights underflow to 0; 194 is the top order
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rule = gauss_laguerre(194)
+    assert np.all(rule.weights > 0)
+    with pytest.raises(InvalidParameterError, match=r"in 1\.\.194, got 195"):
+        gauss_laguerre(195)
+
+
+@pytest.mark.parametrize("n", [0, -3, 195, 513])
 def test_laguerre_out_of_range(n):
     with pytest.raises(InvalidParameterError):
         gauss_laguerre(n)

@@ -39,6 +39,16 @@ def test_parameter_validation():
             GammaCountParams(lam=2.0, nu=bad)
 
 
+def test_parameters_of_the_two_families_stay_apart():
+    assert ComPoissonParams(2.0, 3.0) != GammaCountParams(2.0, 3.0)
+    assert ComPoissonParams(2.0, 3.0) == ComPoissonParams(2.0, 3.0)
+    assert repr(GammaCountParams(2.0, 3.0)) == "GammaCountParams(lam=2.0, nu=3.0)"
+    with pytest.raises(InvalidParameterError, match=r"^lambda must be positive, got -1.0$"):
+        ComPoissonParams(-1.0, 2.0)
+    with pytest.raises(InvalidParameterError, match=r"^nu must be positive, got nan$"):
+        GammaCountParams(2.0, float("nan"))
+
+
 # ----------------------------------------------------------- pmf exact values
 
 
