@@ -102,6 +102,10 @@ class FitConfig:
             raise InvalidParameterError(
                 f"phi_fixed must be a finite number or None, got {self.phi_fixed!r}"
             )
+        if self.phi_sign == "nonnegative" and self.phi_fixed is not None and self.phi_fixed < 0:
+            raise InvalidParameterError(
+                f"phi_fixed = {self.phi_fixed} contradicts phi_sign 'nonnegative'"
+            )
 
     @property
     def power_is_free(self) -> bool:
@@ -145,6 +149,7 @@ def _beta_step(state: EstFunState, beta: np.ndarray, psi_beta: np.ndarray) -> np
         raise RankDeficiencyError(f"design matrix is rank deficient: {exc}") from exc
 
 
+@quiet
 def initialize(model: PtwModel, config: FitConfig | None = None) -> Theta:
     """Starting values: beta from a Poisson fit, phi by moment matching.
 
@@ -242,8 +247,9 @@ def fit(model: PtwModel, config: FitConfig | None = None) -> FitResult:
     Returns the last iterate with ``converged=False`` (plus a warning)
     when the iteration budget runs out; raises BoundaryTrapError when the
     variance constraint traps the dispersion step, and RankDeficiencyError
-    when the design loses full column rank.  The whole fit runs in one
-    quiet error state (see ``numcore.quiet``).
+    when the design loses full column rank.  Overflow stays quiet here, as
+    in every public function of the fit (see ``numcore.quiet``); the
+    private helpers it calls run in its error state.
     """
     config = config or FitConfig()
     free = config.free_dispersion()

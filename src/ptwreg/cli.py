@@ -61,11 +61,12 @@ def _power_mode(text: str):
 
 def _sizes(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(part) for part in _split_list(text))
+        sizes = tuple(int(part) for part in _split_list(text))
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"sizes must be comma-separated integers, got {text!r}"
-        ) from None
+        sizes = ()
+    if not sizes:
+        raise argparse.ArgumentTypeError(f"sizes must be comma-separated integers, got {text!r}")
+    return sizes
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -97,8 +98,9 @@ def _split_list(text: str | None) -> list[str]:
     return [part.strip() for part in text.split(",") if part.strip()]
 
 
-# family -> (parameter class, its flags in argument order, sampler); each
-# flag but --power (default 1) defaults to None and is required
+# family -> (parameter class, its flags in argument order, sampler); every
+# flag defaults to None, a family refuses the flags of the others, and its
+# own are required but --power, which is read as 1 when unset
 _FAMILIES = {
     "ptw": (PtwParams, ("mu", "phi", "power"), ptw_sample),
     "compoisson": (ComPoissonParams, ("lam", "nu"), compoisson_sample),
@@ -109,7 +111,13 @@ _FAMILIES = {
 def _cmd_simulate(args) -> int:
     rng = RngStream(args.seed)
     params, flags, sample = _FAMILIES[args.family]
+    others = dict.fromkeys(f for _, fs, _ in _FAMILIES.values() for f in fs if f not in flags)
+    foreign = [f"--{flag}" for flag in others if getattr(args, flag) is not None]
+    if foreign:
+        raise InvalidParameterError(f"--family {args.family} does not take {', '.join(foreign)}")
     values = [getattr(args, flag) for flag in flags]
+    if args.family == "ptw" and args.power is None:
+        values[-1] = 1.0
     if None in values:
         required = " and ".join(f"--{flag}" for flag in flags if flag != "power")
         raise InvalidParameterError(f"--family {args.family} requires {required}")
@@ -221,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default="ptw")
     p_sim.add_argument("--mu", type=float, default=None)
     p_sim.add_argument("--phi", type=float, default=None)
-    p_sim.add_argument("--power", type=float, default=1.0)
+    p_sim.add_argument("--power", type=float, default=None, help="ptw only (default 1)")
     p_sim.add_argument("--lam", type=float, default=None)
     p_sim.add_argument("--nu", type=float, default=None)
     p_sim.add_argument("--n", type=int, required=True)

@@ -163,10 +163,10 @@ def estfun_state(model: PtwModel, theta: Theta) -> EstFunState:
     )
 
 
-@quiet
 def _with_dispersion(state: EstFunState, theta: Theta) -> EstFunState:
     """The state at theta when only (phi, p) differ from ``state.theta``:
-    mu, the residuals and log mu carry over, C and the W weights are redone."""
+    mu, the residuals and log mu carry over, C and the W weights are redone.
+    Runs in its quiet caller's error state."""
     C, w_phi, w_p = _dispersion_weights(state.mu, state.log_mu, theta.phi, theta.p)
     return EstFunState(
         mu=state.mu, C=C, resid=state.resid, resid2=state.resid2, W_phi=w_phi, W_p=w_p,
@@ -217,17 +217,17 @@ def _lambda_weights(state: EstFunState) -> np.ndarray:
     return wl
 
 
-@quiet
 def _s_beta(state: EstFunState) -> np.ndarray:
-    """S_beta_jk = -sum_i mu_i x_ij C_i^{-1} x_ik mu_i (Q x Q)."""
+    """S_beta_jk = -sum_i mu_i x_ij C_i^{-1} x_ik mu_i (Q x Q).  Runs in its
+    quiet callers' error state."""
     return -(state.mu[:, None] * state.X).T @ (
         _weigh(state.weights, state.mu / state.C)[:, None] * state.X
     )
 
 
-@quiet
 def _s_lambda(state: EstFunState) -> np.ndarray:
-    """S_lambda_jk = -sum_i W_{i lambda_j} C_i^2 W_{i lambda_k} over (phi, p) (2 x 2)."""
+    """S_lambda_jk = -sum_i W_{i lambda_j} C_i^2 W_{i lambda_k} over (phi, p)
+    (2 x 2).  Runs in its quiet callers' error state."""
     wl = _lambda_weights(state)
     return -(wl * _weigh(state.weights, state.C**2)[:, None]).T @ wl
 

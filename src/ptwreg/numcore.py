@@ -4,13 +4,12 @@ These are the shared numerical primitives: a pivoted linear solver with an
 explicit singularity check, Gauss-Laguerre rules computed by Newton iteration
 on the Laguerre recurrence (up to n = 194 nodes), a deterministic,
 order-independent random-stream tree built on counter-based seeding, and
-the floating-point error state the fitting code runs in.
+``quiet``, numpy's error state with overflow, invalid and divide-by-zero
+warnings off, which the fitting code's public functions run in.
 """
 
 from __future__ import annotations
 
-import contextvars
-import functools
 import math
 from dataclasses import dataclass
 
@@ -152,32 +151,12 @@ def gauss_laguerre(n: int) -> QuadratureRule:
     return QuadratureRule(nodes=nodes, weights=weights)
 
 
-_QUIET = contextvars.ContextVar("ptwreg_quiet", default=False)
-
-
-def quiet(func):
-    """Run ``func`` with numpy's overflow, invalid and divide-by-zero
-    warnings off.
-
-    Divergent trial iterates of a fit can overflow mu**p; the resulting
-    non-finite values propagate to a failed step or a non-converged fit,
-    which the callers handle, so the arithmetic itself should stay quiet.
-    Only the outermost quiet call enters ``np.errstate``; calls nested in it
-    run in its state, so a whole fit pays for one error-state switch.
-    """
-
-    @functools.wraps(func)
-    def quiet_func(*args, **kwargs):
-        if _QUIET.get():
-            return func(*args, **kwargs)
-        token = _QUIET.set(True)
-        try:
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                return func(*args, **kwargs)
-        finally:
-            _QUIET.reset(token)
-
-    return quiet_func
+# Divergent trial iterates of a fit can overflow mu**p; the resulting
+# non-finite values propagate to a failed step or a non-converged fit, which
+# the callers handle, so the arithmetic itself stays quiet.  Use it only as a
+# decorator: numpy's errstate then keeps its reset token per call, so quiet
+# functions nest and run on any thread, each call paying for its own switch.
+quiet = np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 
 def _factor(lapack, A: np.ndarray, scale, zero_msg: str, singular_msg: str, *args):

@@ -17,7 +17,6 @@ import os
 import struct
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
@@ -432,22 +431,21 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-@contextmanager
-def _job_pool(jobs: int):
-    """Yields ``start(fn, *args)``, which returns a callable with no arguments
-    that gives fn's result or raises its error.  With more than one job and
-    CPU, the calls run on min(jobs, CPUs) threads (numpy's samplers and
-    ufuncs release the interpreter lock), each in a copy of the caller's
-    context so that numpy's error state carries over; otherwise each runs
-    when its result is asked for.  Threads still queued when the block exits
-    early are cancelled, and all have ended when it exits."""
-    workers = min(jobs, _usable_cpus())
+def _run_in_order(jobs: list) -> list:
+    """The results of ``jobs``, callables with no arguments, in order; raises
+    the first error in that order.  With more than one job and CPU, they run
+    on min(jobs, CPUs) threads (numpy's samplers and ufuncs release the
+    interpreter lock), each in a copy of the caller's context so that numpy's
+    error state carries over; otherwise one after another on the calling
+    thread.  Jobs still queued after an error are cancelled, and every thread
+    has ended when this returns."""
+    workers = min(len(jobs), _usable_cpus())
     if workers <= 1:
-        yield partial
-        return
+        return [job() for job in jobs]
     pool = ThreadPoolExecutor(workers, thread_name_prefix="ptw_loglik")
     try:
-        yield lambda fn, *args: pool.submit(contextvars.copy_context().run, fn, *args).result
+        futures = [pool.submit(contextvars.copy_context().run, job) for job in jobs]
+        return [future.result() for future in futures]
     finally:
         pool.shutdown(cancel_futures=True)
 
@@ -540,7 +538,6 @@ def ptw_loglik(mu, phi, p, y, budget: PmfConfig | None = None, weights=None) -> 
     # Plan: the exact routes of every mean, in order, up to the first refusal,
     # which is raised once the means before it are accounted for.
     plan = []
-    gl_fallbacks = 0
     refusal = None
     try:
         for mu_i, counts in groups.items():
@@ -551,8 +548,6 @@ def ptw_loglik(mu, phi, p, y, budget: PmfConfig | None = None, weights=None) -> 
             for yi, n_y, est in zip(ys, counts.values(), _pmf_exact(params, ys)):
                 if est is None:
                     mc_counts.append((yi, n_y))
-                    if params.p == 3.0:  # the Gauss-Laguerre rule fell back
-                        gl_fallbacks += 1
                 elif est.value <= 0.0:
                     raise NonpositivePmfError(
                         f"pmf({yi}) = 0 at (mu={params.mu}, phi={params.phi}, p={params.p})"
@@ -563,31 +558,31 @@ def ptw_loglik(mu, phi, p, y, budget: PmfConfig | None = None, weights=None) -> 
     except PtwError as exc:
         refusal = exc
 
-    # Jobs, then the replay: each Monte Carlo mean runs on its own, and its
-    # terms are added in the order of a serial visit, so the sums do not
-    # depend on how many threads ran them.
+    # The Monte Carlo means run in plan order, so an error in a mean before
+    # the refusal is raised first, as a serial visit would; their terms join
+    # the sums in that visit's order, whatever the number of threads.
+    mc_terms = iter(_run_in_order([
+        partial(_monte_carlo_terms, params, mc_counts, budget)
+        for params, _, mc_counts in plan if mc_counts
+    ]))
+    if refusal is not None:
+        raise refusal
     total = 0.0
     var_total = 0.0
     methods = set()
-    with _job_pool(sum(1 for _, _, mc_counts in plan if mc_counts)) as start:
-        jobs = [
-            start(_monte_carlo_terms, params, mc_counts, budget) if mc_counts else None
-            for params, _, mc_counts in plan
-        ]
-        for (params, exact, mc_counts), job in zip(plan, jobs):
-            for n_y, est in exact:
-                total += n_y * np.log(est.value)
-                methods.add(est.method)
-            if job is None:
-                continue
+    for _, exact, mc_counts in plan:
+        for n_y, est in exact:
+            total += n_y * np.log(est.value)
+            methods.add(est.method)
+        if mc_counts:
             methods.add("monte-carlo")
-            f_hats, var_g = job()
+            f_hats, var_g = next(mc_terms)
             for (_, n_y), f_hat in zip(mc_counts, f_hats):
                 total += n_y * np.log(f_hat)
             var_total += var_g
-    if refusal is not None:
-        raise refusal
 
+    # at p = 3 every Monte Carlo count is one the Gauss-Laguerre rule fell back on
+    gl_fallbacks = sum(len(mc_counts) for _, _, mc_counts in plan) if p == 3.0 else 0
     if gl_fallbacks:
         warnings.warn(
             f"Gauss-Laguerre rule ({_QUAD_NODES} nodes) cannot resolve "

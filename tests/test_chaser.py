@@ -53,6 +53,7 @@ def test_config_validation():
     assert FitConfig(power_mode="2").power_mode == 2.0
     assert FitConfig(phi_fixed=0.0).free_dispersion() == ()
     assert FitConfig(phi_fixed=0.3).free_dispersion() == ("p",)
+    assert FitConfig(phi_fixed=0.0, phi_sign="nonnegative").free_dispersion() == ()
     assert FitConfig(power_mode=2.0).free_dispersion() == ("phi",)
     assert FitConfig().free_dispersion() == ("phi", "p")
 
@@ -74,10 +75,12 @@ def test_config_validation():
         # a bool is an int, so True passed as one iteration or phi = 1
         ({"max_iter": True}, "max_iter must be an integer"),
         ({"phi_fixed": True}, "phi_fixed must be a finite number"),
+        # a free power died in step halving, and p = 2 reported phi < 0
+        ({"phi_fixed": -0.05, "phi_sign": "nonnegative"}, "contradicts phi_sign 'nonnegative'"),
     ],
     ids=[
         "tol-nan", "max-iter-float", "power-mode-text", "alpha-text", "tol-text",
-        "phi-fixed-text", "max-iter-bool", "phi-fixed-bool",
+        "phi-fixed-text", "max-iter-bool", "phi-fixed-bool", "phi-fixed-below-sign",
     ],
 )
 def test_config_refuses_settings_that_break_a_fit(overrides, message):

@@ -139,6 +139,19 @@ def test_fit_collinear_terms(dicentrics_file, capsys):
     assert "collinear" in err
 
 
+@pytest.mark.parametrize("power", ["free", "2"])
+def test_fit_negative_phi_held_nonnegative_is_usage_error(power, dicentrics_file, capsys):
+    # unchecked, a free power failed in step halving (exit 2) and power 2
+    # reported phi = -0.05
+    code, out, err = run_cli(
+        ["fit", "--data", dicentrics_file, "--response", "y", "--terms", "dose,dose^2",
+         "--power", power, "--phi", "-0.05", "--phi-sign", "nonnegative"],
+        capsys,
+    )
+    assert (code, out) == (1, "")
+    assert err == "ptwreg: error: phi_fixed = -0.05 contradicts phi_sign 'nonnegative'\n"
+
+
 def test_fit_out_file(dicentrics_file, tmp_path, capsys):
     out_path = tmp_path / "fit.json"
     code, out, _ = run_cli(
@@ -188,6 +201,24 @@ def test_simulate_requires_family_parameters(argv, capsys):
     assert code == 1
     assert out == ""
     assert "requires" in err
+
+
+@pytest.mark.parametrize(
+    "args, foreign",
+    [
+        ("--family gammacount --lam 2 --nu 4 --mu 5 --phi 9 --power 3", "--mu, --phi, --power"),
+        ("--family compoisson --lam 8 --nu 4 --power 1", "--power"),
+        ("--family ptw --mu 5 --phi 0.5 --lam 2", "--lam"),
+        ("--family ptw --mu 5 --phi 0.5 --power 1.5 --nu 4 --lam 2", "--lam, --nu"),
+    ],
+    ids=["gammacount", "compoisson-power", "ptw-lam", "ptw-lam-nu"],
+)
+def test_simulate_refuses_the_flags_of_other_families(args, foreign, capsys):
+    # unchecked, they were ignored and the named family's counts written
+    code, out, err = run_cli(["simulate", *args.split(), "--n", "3"], capsys)
+    assert (code, out) == (1, "")
+    family = args.split()[1]
+    assert err == f"ptwreg: error: --family {family} does not take {foreign}\n"
 
 
 @pytest.mark.parametrize(
@@ -530,7 +561,10 @@ def test_simstudy_standardized_table(capsys):
     assert baseline_se == pytest.approx([1.0] * len(baseline_se))
 
 
-@pytest.mark.parametrize("sizes", ["abc", "1.5", "100,x"])
+# unchecked, an empty list ("," or "") ran the scenario's own sizes
+@pytest.mark.parametrize(
+    "sizes", ["abc", "1.5", "100,x", ",", ""], ids=["abc", "1.5", "100,x", "comma", "empty"]
+)
 def test_simstudy_non_integer_sizes_is_usage_error(sizes, capsys):
     with pytest.raises(SystemExit) as info:
         main(["simstudy", "--scenario", "ptw-p2-di2", "--sizes", sizes])

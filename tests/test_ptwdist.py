@@ -2,6 +2,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -720,6 +721,29 @@ def test_loglik_is_the_same_on_any_number_of_threads(workers, monkeypatch):
         sys.setswitchinterval(interval)
     # a call with one Monte Carlo mean runs it on the calling thread
     assert any(name.startswith("ptw_loglik") for name in threads) == (workers > 1)
+
+
+def test_loglik_starts_threads_only_for_two_monte_carlo_means(monkeypatch):
+    # at two CPUs, one Monte Carlo mean beside a Poisson-limit mean (phi *
+    # mu**p below 1e-6) is drawn on the calling thread, and an exact-only
+    # call makes no pool at all; two Monte Carlo means take both threads
+    monkeypatch.setattr(ptwdist, "_usable_cpus", lambda: 2)
+    threads = _record_draw_threads(monkeypatch)
+    pools = []
+
+    def recording_pool(*args, **kwargs):
+        pools.append(args)
+        return ThreadPoolExecutor(*args, **kwargs)
+
+    monkeypatch.setattr(ptwdist, "ThreadPoolExecutor", recording_pool)
+    b = budget(seed=3, draws=5_000)
+    assert ptw_loglik([1e-6, 2.5, 1e-6], 0.6, 1.3, [0, 1, 1], b).method == "mixed"
+    assert threads == [threading.current_thread().name] and pools == []
+    assert ptw_loglik([1.5, 2.5, 3.5], 0.4, 2.0, [0, 1, 4], b).method == "closed-form"
+    assert len(threads) == 1 and pools == []
+    assert ptw_loglik([1.5, 2.5], 0.6, 1.3, [0, 1], b).method == "monte-carlo"
+    assert pools == [(2,)] and len(threads) == 3
+    assert all(name.startswith("ptw_loglik") for name in threads[1:])
 
 
 def test_loglik_threads_raise_the_serial_error(monkeypatch):
