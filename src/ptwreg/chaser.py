@@ -10,6 +10,12 @@ C_i = mu_i + phi mu_i^p positive — including for negative phi, where the
 extended model lives — and the power can be held fixed or the dispersion
 pinned (phi = 0 reduces to a Poisson GLM).
 
+The step constant alpha = 0.5, the tolerance 1e-6 (the fit has converged
+when both the score sup-norm and the largest parameter change fall below
+it) and the budget of 200 iterations are fixed parts of the method
+(Bonat & Jørgensen 2016), not settings: ``FitConfig`` holds only the
+choices about the model.
+
 Standard errors come from the inverse Godambe information assembled
 blockwise at the estimate: the beta block is -S_beta^{-1} and the
 dispersion block S_lambda^{-1} V_lambda S_lambda^{-T}, each computed
@@ -49,6 +55,9 @@ from .numcore import quiet, solve_linear
 POWER_FREE = "free"
 P_FLOOR = 1e-4
 _MAX_HALVINGS = 30
+_ALPHA = 0.5  # the dispersion step's constant
+_TOL = 1e-6  # on the score sup-norm and on the largest parameter change
+_MAX_ITER = 200
 
 
 def _is_number(value) -> bool:
@@ -58,32 +67,21 @@ def _is_number(value) -> bool:
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Tuning of the chaser: step constant, budget, tolerances, and modes.
+    """What a caller chooses about the model the chaser fits.
 
     power_mode is either the string "free" or a number fixing the Tweedie
     power.  phi_fixed pins the dispersion (phi_fixed = 0 gives a Poisson
     GLM; the power is then irrelevant and not estimated).  phi_sign
     restricts the dispersion-step direction when set to "nonnegative".
+    The step constant (0.5), tolerance (1e-6) and iteration budget (200)
+    are fixed parts of the method: see the module docstring.
     """
 
-    alpha: float = 0.5
-    max_iter: int = 200
-    tol: float = 1e-6
     power_mode: float | str = POWER_FREE
     phi_sign: str = "any"
     phi_fixed: float | None = None
 
     def __post_init__(self):
-        if not (_is_number(self.alpha) and 0 < self.alpha <= 1):
-            raise InvalidParameterError(f"alpha must be a number in (0, 1], got {self.alpha!r}")
-        if not (_is_number(self.tol) and 0 < self.tol < np.inf):  # also refuses nan
-            raise InvalidParameterError(f"tol must be positive and finite, got {self.tol!r}")
-        if (
-            isinstance(self.max_iter, bool)
-            or not isinstance(self.max_iter, (int, np.integer))
-            or self.max_iter < 1
-        ):
-            raise InvalidParameterError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
         if self.power_mode != POWER_FREE:
             try:
                 p0 = float(self.power_mode)
@@ -271,7 +269,7 @@ def fit(model: PtwModel, config: FitConfig | None = None) -> FitResult:
     state = estfun_state(model, theta)
     psi_beta = quasi_score(model, theta, state)
     current = theta.as_array()
-    for iterations in range(1, config.max_iter + 1):
+    for iterations in range(1, _MAX_ITER + 1):
         prev = current
         beta_new = _beta_step(state, theta.beta, psi_beta)
         theta = Theta(beta_new, theta.phi, theta.p)
@@ -280,7 +278,7 @@ def fit(model: PtwModel, config: FitConfig | None = None) -> FitResult:
         if free:
             psi_l = pearson_score(model, theta, state)[lam]
             delta = np.zeros(2)
-            delta[lam] = config.alpha * solve_linear(_s_lambda(state)[lam, lam], psi_l)
+            delta[lam] = _ALPHA * solve_linear(_s_lambda(state)[lam, lam], psi_l)
             phi_before, p_before = theta.phi, theta.p
             theta = step_control(theta, delta, state.mu, config.phi_sign, p_floor)
             lambda_step_norm = max(abs(theta.phi - phi_before), abs(theta.p - p_before))
@@ -295,12 +293,12 @@ def fit(model: PtwModel, config: FitConfig | None = None) -> FitResult:
         current = theta.as_array()
         param_change = float(np.abs(current - prev).max())
         trace.append((current, score_norm))
-        if score_norm < config.tol and param_change < config.tol:
+        if score_norm < _TOL and param_change < _TOL:
             converged = True
             break
 
     if not converged:
-        warn.append(f"did not converge in {config.max_iter} iterations "
+        warn.append(f"did not converge in {_MAX_ITER} iterations "
                     f"(score sup-norm {score_norm:.3e})")
 
     layout = tuple(f"beta{j}" for j in range(model.n_coef)) + free
@@ -315,7 +313,7 @@ def fit(model: PtwModel, config: FitConfig | None = None) -> FitResult:
 
     if "p" in free and np.isfinite(std_errors).all():
         se_phi = std_errors[model.n_coef]
-        stalled = (not converged) and lambda_step_norm < config.tol and score_norm > config.tol
+        stalled = (not converged) and lambda_step_norm < _TOL and score_norm > _TOL
         if abs(theta.phi) <= 1.96 * se_phi and stalled:
             warn.append(
                 "flat-power: the dispersion interval contains 0 and the power "

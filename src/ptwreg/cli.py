@@ -185,12 +185,8 @@ def _cmd_datasets(args) -> int:
     if args.dataset_action == "list":
         _emit("\n".join(DATASET_NAMES) + "\n", None)
         return 0
-    if args.name == "dicentrics":
-        _emit(dicentrics_csv(), args.out)
-        return 0
-    raise InvalidParameterError(
-        f"unknown dataset {args.name!r}; available: {', '.join(DATASET_NAMES)}"
-    )
+    _emit(dicentrics_csv(), args.out)  # argparse's choices admit only "dicentrics"
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -38,6 +38,7 @@ COLUMN_KINDS = ("real", "integer", "categorical")
 _INT_RE = re.compile(r"[+-]?\d+$")
 
 INTERCEPT = "intercept"
+_COUNT = "count"  # the frequency column: each row stands for that many observations
 
 
 @dataclass(frozen=True)
@@ -125,40 +126,40 @@ def _infer_kind(raw: list[str]) -> str:
         return "categorical"
 
 
-def _frequencies(table: DatasetTable, count: str) -> np.ndarray:
+def _frequencies(table: DatasetTable) -> np.ndarray:
     """The frequency column as integers, checked non-negative."""
-    col = table.column(count)
+    col = table.column(_COUNT)
     if col.kind != "integer":
-        raise CsvParseError(f"column {count!r} must contain non-negative integers")
+        raise CsvParseError(f"column {_COUNT!r} must contain non-negative integers")
     for row_idx, v in enumerate(col.values):
         if v < 0:
             raise CsvParseError(
-                f"row {row_idx + 2}, column {count!r}: negative frequency {v}"
+                f"row {row_idx + 2}, column {_COUNT!r}: negative frequency {v}"
             )
     return np.asarray(col.values, dtype=int)
 
 
-def _take_rows(table: DatasetTable, idx: np.ndarray, drop: str) -> DatasetTable:
-    """Rows ``idx`` of every column except ``drop``."""
+def _take_rows(table: DatasetTable, idx: np.ndarray) -> DatasetTable:
+    """Rows ``idx`` of every column except the frequency column."""
     return DatasetTable(tuple(
         Column(c.name, c.kind, tuple(np.asarray(c.values, dtype=object)[idx]))
         for c in table.columns
-        if c.name != drop
+        if c.name != _COUNT
     ))
 
 
-def expand_count_column(table: DatasetTable, count: str = "count") -> DatasetTable:
-    """Repeat each row by its frequency and drop the frequency column."""
-    reps = _frequencies(table, count)
-    return _take_rows(table, np.repeat(np.arange(table.n_rows), reps), count)
+def expand_count_column(table: DatasetTable) -> DatasetTable:
+    """Repeat each row by its ``count`` frequency and drop that column."""
+    reps = _frequencies(table)
+    return _take_rows(table, np.repeat(np.arange(table.n_rows), reps))
 
 
-def _collapse_counts(table: DatasetTable, count: str = "count") -> tuple[DatasetTable, np.ndarray]:
+def _collapse_counts(table: DatasetTable) -> tuple[DatasetTable, np.ndarray]:
     """The rows with a positive frequency, without the frequency column,
     and those frequencies: the weighted form of ``expand_count_column``."""
-    freq = _frequencies(table, count)
+    freq = _frequencies(table)
     keep = np.flatnonzero(freq)
-    return _take_rows(table, keep, count), freq[keep]
+    return _take_rows(table, keep), freq[keep]
 
 
 def load_csv(path, schema: dict[str, str] | None = None) -> DatasetTable:
@@ -196,8 +197,8 @@ def load_csv(path, schema: dict[str, str] | None = None) -> DatasetTable:
         kind = schema.get(name) or _infer_kind(raw)
         columns.append(_parse_typed(raw, name, kind))
     table = DatasetTable(tuple(columns))
-    if "count" in header:
-        _frequencies(table, "count")
+    if _COUNT in header:
+        _frequencies(table)
     return table
 
 
@@ -284,10 +285,13 @@ def build_design(
     ``count`` column holds frequencies: it becomes the model's weights,
     rows with frequency 0 are dropped, and like the expanded table the
     design has no ``count`` column to name as response, term or offset.
+    A table with no rows left is refused.
     """
     weights = None
-    if "count" in table.names:
+    if _COUNT in table.names:
         table, weights = _collapse_counts(table)
+    if table.n_rows == 0:
+        raise InvalidParameterError("no rows remain to fit: every frequency is 0, or no rows")
     y = table.numeric(config.response)
     names = [INTERCEPT]
     columns = [np.ones(table.n_rows)]

@@ -9,7 +9,7 @@ dose effect on the log mean.
 
 from __future__ import annotations
 
-from .dataio import Column, DatasetTable, table_csv
+from .dataio import _COUNT, Column, DatasetTable, table_csv
 from .errors import InvalidParameterError
 
 _DOSES = (0.1, 0.3, 0.5, 0.7, 1.0)
@@ -40,7 +40,7 @@ def dicentrics_table() -> DatasetTable:
         (
             Column("dose", "real", tuple(dose)),
             Column("y", "integer", tuple(y)),
-            Column("count", "integer", tuple(count)),
+            Column(_COUNT, "integer", tuple(count)),
         )
     )
 

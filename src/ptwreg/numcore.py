@@ -51,28 +51,22 @@ class RngStream:
         return Generator(PCG64(SeedSequence(self.seed, spawn_key=self.stream_id)))
 
     def substream(self, index: int) -> "RngStream":
-        """Child stream ``index``; see :func:`rng_substream`."""
-        return rng_substream(self, index)
+        """Derive the ``index``-th child stream.
 
-
-def rng_substream(parent: RngStream, index: int) -> RngStream:
-    """Derive the ``index``-th child stream of ``parent``.
-
-    Children are independent of each other and of the parent, and depend
-    only on (parent, index) — not on how many siblings were created first.
-    """
-    if int(index) < 0:
-        raise InvalidParameterError("substream index must be non-negative")
-    return RngStream(parent.seed, parent.stream_id + (int(index),))
+        Children are independent of each other and of the parent, and depend
+        only on (parent, index) — not on how many siblings were created first.
+        """
+        if int(index) < 0:
+            raise InvalidParameterError("substream index must be non-negative")
+        return RngStream(self.seed, self.stream_id + (int(index),))
 
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes and weights of a quadrature rule (currently Gauss-Laguerre only)."""
+    """Nodes and weights of a quadrature rule."""
 
     nodes: np.ndarray
     weights: np.ndarray
-    kind: str = "gauss-laguerre"
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)

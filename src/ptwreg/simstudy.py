@@ -77,6 +77,8 @@ class Scenario:
         q = len(self.parameter_names) - 2
         if not self.sample_sizes or min(self.sample_sizes) <= q + 2:
             raise InvalidParameterError(f"every sample size must exceed {q + 2}")
+        if len(set(self.sample_sizes)) != len(self.sample_sizes):  # tables are keyed by n
+            raise InvalidParameterError(f"sample sizes must be distinct, got {self.sample_sizes}")
 
     @property
     def parameter_names(self) -> tuple[str, ...]:

@@ -139,6 +139,16 @@ def test_fit_collinear_terms(dicentrics_file, capsys):
     assert "collinear" in err
 
 
+def test_fit_table_of_zero_frequencies_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "empty.csv"
+    path.write_text("dose,y,count\n0.1,0,0\n0.3,1,0\n", encoding="utf-8")
+    code, out, err = run_cli(
+        ["fit", "--data", str(path), "--response", "y", "--terms", "dose"], capsys
+    )
+    assert code == 1 and out == ""
+    assert "no rows remain" in err
+
+
 @pytest.mark.parametrize("power", ["free", "2"])
 def test_fit_negative_phi_held_nonnegative_is_usage_error(power, dicentrics_file, capsys):
     # unchecked, a free power failed in step halving (exit 2) and power 2
@@ -571,6 +581,15 @@ def test_simstudy_non_integer_sizes_is_usage_error(sizes, capsys):
     assert info.value.code == 1
     err = capsys.readouterr().err
     assert f"error: argument --sizes: sizes must be comma-separated integers, got '{sizes}'" in err
+
+
+def test_simstudy_repeated_sizes_is_usage_error(capsys):
+    code, out, err = run_cli(
+        ["simstudy", "--scenario", "ptw-p3-di2", "--replicates", "50", "--sizes", "100,100"],
+        capsys,
+    )
+    assert code == 1 and out == ""
+    assert "sample sizes must be distinct" in err
 
 
 def test_simstudy_unknown_scenario_is_usage_error(capsys):

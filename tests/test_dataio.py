@@ -23,6 +23,7 @@ from ptwreg.dataio import (
     study_result_json,
     table_csv,
 )
+import ptwreg.chaser as chaser
 from ptwreg.chaser import FitConfig, FitResult, fit
 from ptwreg.datasets import DATASET_NAMES, dataset_table, dicentrics_csv
 from ptwreg.errors import CsvParseError, InvalidParameterError, RankDeficiencyError
@@ -284,6 +285,22 @@ def test_design_reads_count_as_frequency_weights():
         build_design(bad, ModelSpecConfig(response="y"))
 
 
+def test_design_refuses_a_table_with_no_observations():
+    # every frequency 0 left no rows, and the empty design read as collinear
+    table = DatasetTable(
+        (
+            Column("x", "real", (0.1, 0.2)),
+            Column("y", "integer", (0, 1)),
+            Column("count", "integer", (0, 0)),
+        )
+    )
+    spec = ModelSpecConfig(response="y", terms=("x",))
+    with pytest.raises(InvalidParameterError, match="no rows remain"):
+        build_design(table, spec)
+    with pytest.raises(InvalidParameterError, match="no rows remain"):
+        build_design(expand_count_column(table), spec)
+
+
 _VARIANTS = {
     "free": {},
     "phi 0": {"phi_fixed": 0.0},
@@ -398,15 +415,19 @@ def test_underdispersed_fit_reports_loglik_reason():
     assert payload["dispersion"]["fixed"] == {"phi": False, "p": True}
 
 
-def test_fit_table_passes_the_fit_config_through():
-    # the iteration budget set on the spec's FitConfig reaches the chaser
+def test_fit_table_passes_the_fit_config_through(monkeypatch):
+    # the spec's FitConfig reaches the chaser, and the report shows the
+    # chaser's own iteration budget
+    monkeypatch.setattr(chaser, "_MAX_ITER", 2)
     table = expand_count_column(dataset_table("dicentrics"))
     config = ModelSpecConfig(
-        response="y", terms=("dose", "dose^2"), fit=FitConfig(max_iter=2)
+        response="y", terms=("dose", "dose^2"), fit=FitConfig(power_mode=2.0)
     )
-    convergence = fit_table(table, config)["convergence"]
+    payload = fit_table(table, config)
+    convergence = payload["convergence"]
     assert convergence["iterations"] == 2
     assert any("did not converge in 2 iterations" in w for w in convergence["warnings"])
+    assert payload["dispersion"]["fixed"] == {"phi": False, "p": True}
 
 
 def test_loglik_reasons_for_unreachable_powers():

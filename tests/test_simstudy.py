@@ -79,6 +79,15 @@ def test_scenario_validation():
     )
 
 
+def test_scenario_refuses_repeated_sample_sizes():
+    # the study tables are keyed by n: a repeated size gave two failure
+    # counts for one n and standardized the first block by the second's s.e.
+    with pytest.raises(InvalidParameterError, match="sample sizes must be distinct"):
+        Scenario("x", "poisson-tweedie", (0.1, 2.0), (100, 500, 100), 50)
+    with pytest.raises(InvalidParameterError, match="sample sizes must be distinct"):
+        make_scenario("ptw-p3-di2", sample_sizes=(100, 100), replicates=50)
+
+
 # --------------------------------------------------------------------- truth
 
 
