@@ -16,8 +16,9 @@ it) and the budget of 200 iterations are fixed parts of the method
 (Bonat & Jørgensen 2016), not settings: ``FitConfig`` holds only the
 choices about the model.
 
-Standard errors come from the inverse Godambe information assembled
-blockwise at the estimate: the beta block is -S_beta^{-1} and the
+Each step evaluates the estimating functions on one ``EstFunState``, and
+standard errors come from the inverse Godambe information assembled
+blockwise on the loop's last state: the beta block is -S_beta^{-1} and the
 dispersion block S_lambda^{-1} V_lambda S_lambda^{-T}, each computed
 without cross-propagation (the convention the reference results use and
 the one reported here).
@@ -83,12 +84,11 @@ class FitConfig:
 
     def __post_init__(self):
         if self.power_mode != POWER_FREE:
-            try:
-                p0 = float(self.power_mode)
-            except (TypeError, ValueError):
+            if not _is_number(self.power_mode):
                 raise InvalidParameterError(
                     f"power_mode must be {POWER_FREE!r} or a number, got {self.power_mode!r}"
-                ) from None
+                )
+            p0 = float(self.power_mode)
             if not np.isfinite(p0) or p0 <= 0:
                 raise InvalidParameterError(f"fixed power must be positive, got {p0}")
             object.__setattr__(self, "power_mode", p0)
@@ -138,11 +138,11 @@ class FitResult:
     warnings: list = field(default_factory=list)
 
 
-def _beta_step(state: EstFunState, beta: np.ndarray, psi_beta: np.ndarray) -> np.ndarray:
-    """One quasi-score Newton update from S_beta at ``state`` and the
-    quasi-score ``psi_beta`` evaluated there."""
+def _beta_step(state: EstFunState, psi_beta: np.ndarray) -> np.ndarray:
+    """One quasi-score Newton update of ``state.theta.beta`` from S_beta at
+    ``state`` and the quasi-score ``psi_beta`` evaluated there."""
     try:
-        return beta - solve_linear(_s_beta(state), psi_beta)
+        return state.theta.beta - solve_linear(_s_beta(state), psi_beta)
     except SingularMatrixError as exc:
         raise RankDeficiencyError(f"design matrix is rank deficient: {exc}") from exc
 
@@ -167,7 +167,7 @@ def initialize(model: PtwModel, config: FitConfig | None = None) -> Theta:
     theta = Theta(beta, 0.0, 1.0)
     for _ in range(100):
         state = estfun_state(model, theta)
-        beta_new = _beta_step(state, theta.beta, quasi_score(model, theta, state))
+        beta_new = _beta_step(state, quasi_score(state))
         done = np.max(np.abs(beta_new - theta.beta)) < 1e-10
         theta = Theta(beta_new, 0.0, 1.0)
         if done:
@@ -225,12 +225,11 @@ def step_control(
 _LAMBDA_INDEX = {"phi": 0, "p": 1}
 
 
-def _sandwich(model: PtwModel, theta: Theta, free: tuple[str, ...]) -> np.ndarray:
-    """Godambe covariance at theta, blockwise (cross-sensitivity omitted),
-    restricted to the estimated parameters."""
-    q = model.n_coef
-    state = estfun_state(model, theta)
-    v = variability(model, theta, state)
+def _sandwich(state: EstFunState, free: tuple[str, ...]) -> np.ndarray:
+    """Godambe covariance at ``state``, blockwise (cross-sensitivity
+    omitted), restricted to the estimated parameters."""
+    q = state.X.shape[1]
+    v = variability(state)
     s = np.zeros((q + 2, q + 2))  # block diagonal: see module docstring
     s[:q, :q] = -v[:q, :q]  # V_beta = -S_beta exactly, so S_beta is formed once
     s[q:, q:] = _s_lambda(state)
@@ -254,7 +253,6 @@ def fit(model: PtwModel, config: FitConfig | None = None) -> FitResult:
     if "p" in free and model.n_obs <= model.n_coef + 2:
         raise InvalidParameterError("free-power fitting needs n > Q + 2")
 
-    theta = initialize(model, config)
     # free is a contiguous part of (phi, p), so basic slices select it
     lam = slice(_LAMBDA_INDEX[free[0]], _LAMBDA_INDEX[free[-1]] + 1) if free else None
     p_floor = P_FLOOR if "p" in free else None
@@ -266,31 +264,30 @@ def fit(model: PtwModel, config: FitConfig | None = None) -> FitResult:
     lambda_step_norm = np.inf
     iterations = 0
 
-    state = estfun_state(model, theta)
-    psi_beta = quasi_score(model, theta, state)
-    current = theta.as_array()
+    state = estfun_state(model, initialize(model, config))
+    psi_beta = quasi_score(state)
+    current = state.theta.as_array()
     for iterations in range(1, _MAX_ITER + 1):
         prev = current
-        beta_new = _beta_step(state, theta.beta, psi_beta)
-        theta = Theta(beta_new, theta.phi, theta.p)
-        state = estfun_state(model, theta)
+        beta_new = _beta_step(state, psi_beta)
+        state = estfun_state(model, Theta(beta_new, state.theta.phi, state.theta.p))
 
         if free:
-            psi_l = pearson_score(model, theta, state)[lam]
+            psi_l = pearson_score(state)[lam]
             delta = np.zeros(2)
             delta[lam] = _ALPHA * solve_linear(_s_lambda(state)[lam, lam], psi_l)
-            phi_before, p_before = theta.phi, theta.p
-            theta = step_control(theta, delta, state.mu, config.phi_sign, p_floor)
-            lambda_step_norm = max(abs(theta.phi - phi_before), abs(theta.p - p_before))
+            theta = step_control(state.theta, delta, state.mu, config.phi_sign, p_floor)
+            lambda_step_norm = max(abs(theta.phi - state.theta.phi),
+                                   abs(theta.p - state.theta.p))
             state = _with_dispersion(state, theta)
 
         # The quasi-score at this state is also the next beta step's psi_beta.
-        psi_beta = quasi_score(model, theta, state)
+        psi_beta = quasi_score(state)
         score = psi_beta
         if free:
-            score = np.concatenate([psi_beta, pearson_score(model, theta, state)[lam]])
+            score = np.concatenate([psi_beta, pearson_score(state)[lam]])
         score_norm = float(np.abs(score).max())
-        current = theta.as_array()
+        current = state.theta.as_array()
         param_change = float(np.abs(current - prev).max())
         trace.append((current, score_norm))
         if score_norm < _TOL and param_change < _TOL:
@@ -301,9 +298,10 @@ def fit(model: PtwModel, config: FitConfig | None = None) -> FitResult:
         warn.append(f"did not converge in {_MAX_ITER} iterations "
                     f"(score sup-norm {score_norm:.3e})")
 
+    theta = state.theta
     layout = tuple(f"beta{j}" for j in range(model.n_coef)) + free
     try:
-        covariance = _sandwich(model, theta, free)
+        covariance = _sandwich(state, free)
         std_errors = np.sqrt(np.diag(covariance))
     except SingularMatrixError as exc:
         warn.append(f"covariance unavailable: {exc}")

@@ -18,10 +18,6 @@ class UnsupportedPowerError(InvalidParameterError):
     """The requested Tweedie power has no exact sampler or closed form."""
 
 
-class DomainError(PtwError):
-    """An argument left the domain of the Tweedie cumulant function."""
-
-
 class VarianceNonpositiveError(PtwError):
     """The moment constraint mu + phi*mu**p > 0 is violated."""
 

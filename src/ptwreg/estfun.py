@@ -15,6 +15,11 @@ the empirical V_lambda = sum_i w_i psi_i psi_i^T with its cross block)
 becomes sum_i w_i (...).  This equals the same sum over the expanded
 rows, up to summation order.  Unweighted models skip the products.
 
+Each of these takes one ``EstFunState``: the per-observation quantities
+at one theta, built by ``estfun_state`` (or by ``_with_dispersion`` from a
+state at the same beta), with the design, weights and theta it was built
+from.
+
 Parameter ordering everywhere: (beta_1..beta_Q, phi, p).
 """
 
@@ -194,19 +199,17 @@ def _weigh(weights: np.ndarray | None, values: np.ndarray) -> np.ndarray:
     return weights * values if values.ndim == 1 else weights[:, None] * values
 
 
-def quasi_score(model: PtwModel, theta: Theta, state: EstFunState | None = None) -> np.ndarray:
+def quasi_score(state: EstFunState) -> np.ndarray:
     """psi_beta: component j = sum_i mu_i x_ij C_i^{-1} (y_i - mu_i)."""
-    st = state or estfun_state(model, theta)
-    return model.X.T @ _weigh(st.weights, st.mu * st.resid / st.C)
+    return state.X.T @ _weigh(state.weights, state.mu * state.resid / state.C)
 
 
 @quiet
-def pearson_score(model: PtwModel, theta: Theta, state: EstFunState | None = None) -> np.ndarray:
+def pearson_score(state: EstFunState) -> np.ndarray:
     """psi_lambda = (phi component, p component): squared-residual bracket
     (y - mu)^2 - C contracted against the W_phi and W_p weights."""
-    st = state or estfun_state(model, theta)
-    bracket = _weigh(st.weights, st.resid2 - st.C)
-    return np.array([(st.W_phi * bracket).sum(), (st.W_p * bracket).sum()])
+    bracket = _weigh(state.weights, state.resid2 - state.C)
+    return np.array([(state.W_phi * bracket).sum(), (state.W_p * bracket).sum()])
 
 
 def _lambda_weights(state: EstFunState) -> np.ndarray:
@@ -233,7 +236,7 @@ def _s_lambda(state: EstFunState) -> np.ndarray:
 
 
 @quiet
-def sensitivity(model: PtwModel, theta: Theta, state: EstFunState | None = None) -> np.ndarray:
+def sensitivity(state: EstFunState) -> np.ndarray:
     """The (Q+2) x (Q+2) sensitivity matrix E(d psi / d theta).
 
     Block lower-triangular by the insensitivity property:
@@ -244,32 +247,31 @@ def sensitivity(model: PtwModel, theta: Theta, state: EstFunState | None = None)
     with S_beta and S_lambda from ``_s_beta`` and ``_s_lambda``, and
     S_lambda_beta_jk = -sum_i W_{i lambda_j} C_i^2 W_{i beta_k}.
     """
-    st = state or estfun_state(model, theta)
-    q = model.n_coef
+    q = state.X.shape[1]
     s = np.zeros((q + 2, q + 2))
-    s[:q, :q] = _s_beta(st)
-    s[q:, q:] = _s_lambda(st)
-    s[q:, :q] = -(_lambda_weights(st) * _weigh(st.weights, st.C**2)[:, None]).T @ st.W_beta
+    s[:q, :q] = _s_beta(state)
+    s[q:, q:] = _s_lambda(state)
+    weighted = _lambda_weights(state) * _weigh(state.weights, state.C**2)[:, None]
+    s[q:, :q] = -weighted.T @ state.W_beta
     return s
 
 
 @quiet
-def variability(model: PtwModel, theta: Theta, state: EstFunState | None = None) -> np.ndarray:
+def variability(state: EstFunState) -> np.ndarray:
     """The (Q+2) x (Q+2) variability matrix Var(psi).
 
     The beta block is analytic (V_beta = -S_beta); the lambda and
     cross blocks are the empirical (frequency-weighted) sums of
     per-observation estimating-function products evaluated at the
-    supplied theta, with no degrees-of-freedom correction.  Symmetric by
+    state's theta, with no degrees-of-freedom correction.  Symmetric by
     construction.
     """
-    st = state or estfun_state(model, theta)
-    q = model.n_coef
+    q = state.X.shape[1]
     v = np.zeros((q + 2, q + 2))
-    v[:q, :q] = -_s_beta(st)
-    psi_beta_i = (st.mu * st.resid / st.C)[:, None] * model.X
-    psi_lambda_i = _lambda_weights(st) * (st.resid2 - st.C)[:, None]
-    weighted = _weigh(st.weights, psi_lambda_i)
+    v[:q, :q] = -_s_beta(state)
+    psi_beta_i = (state.mu * state.resid / state.C)[:, None] * state.X
+    psi_lambda_i = _lambda_weights(state) * (state.resid2 - state.C)[:, None]
+    weighted = _weigh(state.weights, psi_lambda_i)
     v[q:, q:] = weighted.T @ psi_lambda_i
     cross = weighted.T @ psi_beta_i
     v[q:, :q] = cross

@@ -11,6 +11,7 @@ warnings off, which the fitting code's public functions run in.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,28 @@ from .errors import InvalidParameterError, SingularMatrixError
 # weight underflow to 0.
 _MAX_QUAD_ORDER = 194
 _UINT64_MAX = 2**64 - 1
+
+
+def _is_integer(value) -> bool:
+    """An integer, Python's or numpy's, but not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _sample_size(n) -> int:
+    """A sampler's draw count ``n``, refused unless a non-negative integer."""
+    if not _is_integer(n):
+        raise InvalidParameterError(f"n must be an integer, got {n!r}")
+    if n < 0:
+        raise InvalidParameterError("n must be non-negative")
+    return int(n)
+
+
+def _require_finite_power(mu: float, p: float) -> None:
+    """Refuse a positive mu and finite p whose mu**p overflows."""
+    try:
+        float(mu) ** float(p)
+    except OverflowError:
+        raise InvalidParameterError(f"mu**p overflows at (mu={mu}, p={p})") from None
 
 
 @dataclass(frozen=True)
@@ -41,10 +64,15 @@ class RngStream:
     stream_id: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if not (0 <= int(self.seed) <= _UINT64_MAX):
-            raise InvalidParameterError("seed must be a 64-bit unsigned integer")
-        if any(int(i) < 0 for i in self.stream_id):
-            raise InvalidParameterError("stream_id entries must be non-negative")
+        if not (_is_integer(self.seed) and 0 <= self.seed <= _UINT64_MAX):
+            raise InvalidParameterError(
+                f"seed must be a 64-bit unsigned integer, got {self.seed!r}"
+            )
+        if not (isinstance(self.stream_id, tuple)
+                and all(_is_integer(i) and i >= 0 for i in self.stream_id)):
+            raise InvalidParameterError(
+                f"stream_id entries must be non-negative integers, got {self.stream_id!r}"
+            )
 
     def generator(self) -> Generator:
         """Instantiate the numpy Generator for this stream."""
@@ -56,9 +84,7 @@ class RngStream:
         Children are independent of each other and of the parent, and depend
         only on (parent, index) — not on how many siblings were created first.
         """
-        if int(index) < 0:
-            raise InvalidParameterError("substream index must be non-negative")
-        return RngStream(self.seed, self.stream_id + (int(index),))
+        return RngStream(self.seed, self.stream_id + (index,))
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ from .errors import (
     UnsupportedPowerError,
     VarianceNonpositiveError,
 )
-from .numcore import RngStream, gauss_laguerre
+from .numcore import RngStream, _require_finite_power, _sample_size, gauss_laguerre
 from .tweedie import TweedieParams, sample_tweedie_mu, tweedie_density, tweedie_laplace
 
 # With phi * mu**p at or below this, the mixing distribution is numerically
@@ -64,12 +64,7 @@ class PtwParams:
             raise InvalidParameterError(f"mu must be positive, got {self.mu}")
         if not (np.isfinite(self.phi) and np.isfinite(self.p)):
             raise InvalidParameterError("phi and p must be finite")
-        try:
-            float(self.mu) ** float(self.p)
-        except OverflowError:
-            raise InvalidParameterError(
-                f"mu**p overflows at (mu={self.mu}, p={self.p})"
-            ) from None
+        _require_finite_power(self.mu, self.p)
 
     def variance(self) -> float:
         """Var(Y) = mu + phi * mu**p, checked positive."""
@@ -114,10 +109,8 @@ def ptw_sample(params: PtwParams, n: int, rng: RngStream) -> np.ndarray:
     _check_probabilistic(params)
     if params.phi == 0:
         raise InvalidParameterError("sampling requires phi > 0 (phi = 0 is Poisson)")
-    if int(n) < 0:
-        raise InvalidParameterError("n must be non-negative")
     gen = rng.generator()
-    return sample_ptw_mu(np.full(int(n), params.mu), params.phi, params.p, gen)
+    return sample_ptw_mu(np.full(_sample_size(n), params.mu), params.phi, params.p, gen)
 
 
 def sample_ptw_mu(mu, phi: float, p: float, gen) -> np.ndarray:

@@ -17,10 +17,13 @@ import numpy as np
 from scipy.special import gammainc, gammaln
 
 from .errors import InvalidParameterError, NonConvergenceError
-from .numcore import RngStream, solve_linear
+from .numcore import RngStream, _sample_size, solve_linear
 
 _SERIES_TOL = 1e-12
 _CDF_TAIL = 1e-12
+# Rows y = 0..Y* of a pmf or CDF table; every study scenario and moment
+# mapping needs under 1,000, and 10^7 rows is 80 MB per column.
+_MAX_TABLE_ROWS = 10**7
 
 
 @dataclass(frozen=True)
@@ -48,6 +51,17 @@ class GammaCountParams(_LamNu):
     """Gamma-Count GC(lambda, nu): counts of gamma(nu, nu*lambda) arrivals."""
 
 
+def _table_rows(y_max: float) -> int:
+    """Y* as an int, refused before any allocation when the table would
+    pass ``_MAX_TABLE_ROWS`` rows."""
+    if not y_max < _MAX_TABLE_ROWS:
+        raise InvalidParameterError(
+            f"lambda and nu need a table of {y_max:.3g} rows, above the limit of "
+            f"{_MAX_TABLE_ROWS:.0e}"
+        )
+    return int(y_max)
+
+
 def _compoisson_log_weights(lam: np.ndarray, nu: float) -> np.ndarray:
     """Unnormalized log pmf table, rows y = 0..Y*, one column per lambda.
 
@@ -56,8 +70,9 @@ def _compoisson_log_weights(lam: np.ndarray, nu: float) -> np.ndarray:
     """
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     log_lam = np.log(lam)
-    mode = np.max(lam) ** (1.0 / nu)
-    y_max = int(mode + 30.0 * np.sqrt(mode / nu + 1.0) + 50.0)
+    with np.errstate(over="ignore"):  # an infinite mode is refused below
+        mode = np.max(lam) ** (1.0 / nu)
+    y_max = _table_rows(mode + 30.0 * np.sqrt(mode / nu + 1.0) + 50.0)
     while True:
         y = np.arange(y_max + 1)
         logw = y[:, None] * log_lam[None, :] - nu * gammaln(y + 1)[:, None]
@@ -65,7 +80,7 @@ def _compoisson_log_weights(lam: np.ndarray, nu: float) -> np.ndarray:
         total = top + np.log(np.sum(np.exp(logw - top), axis=0))
         if np.all(logw[-1] < total + np.log(_SERIES_TOL)):
             return logw - total
-        y_max *= 2
+        y_max = _table_rows(2 * y_max)
 
 
 def compoisson_pmf(params: ComPoissonParams, y) -> np.ndarray | float:
@@ -116,9 +131,7 @@ def _sample_lam(table, lam, nu: float, gen) -> np.ndarray:
 
 def _sample_iid(sample_lam, params: _LamNu, n: int, rng: RngStream) -> np.ndarray:
     """n i.i.d. draws at ``params`` from a ``*_sample_lam`` sampler."""
-    if int(n) < 0:
-        raise InvalidParameterError("n must be non-negative")
-    return sample_lam(np.full(int(n), params.lam), params.nu, rng.generator())
+    return sample_lam(np.full(_sample_size(n), params.lam), params.nu, rng.generator())
 
 
 def compoisson_sample_lam(lam, nu: float, gen) -> np.ndarray:
@@ -145,9 +158,9 @@ def gammacount_pmf(params: GammaCountParams, y) -> np.ndarray | float:
 def _gammacount_table(uniq: np.ndarray, nu: float) -> np.ndarray:
     """The CDF telescopes: P(Y <= y) = 1 - G((y+1) nu, nu lambda)."""
     t = nu * uniq
-    y_max = int(uniq.max() + 30.0 * np.sqrt(uniq.max() / nu + 1.0) + 30.0)
+    y_max = _table_rows(uniq.max() + 30.0 * np.sqrt(uniq.max() / nu + 1.0) + 30.0)
     while (gammainc((y_max + 1) * nu, t) >= _CDF_TAIL).any():
-        y_max *= 2
+        y_max = _table_rows(2 * y_max)
     y = np.arange(y_max + 1)
     return 1.0 - gammainc((y[:, None] + 1) * nu, t[None, :])
 

@@ -379,11 +379,11 @@ def test_criterion_7_derivative_identities(capsys):
         th = Theta(values[:2], float(values[2]), float(values[3]))
         acc = np.zeros(4)
         for y in datasets:
-            m = PtwModel(X=X, y=y)
-            acc += np.concatenate([quasi_score(m, th), pearson_score(m, th)])
+            state = estfun_state(PtwModel(X=X, y=y), th)
+            acc += np.concatenate([quasi_score(state), pearson_score(state)])
         return acc / len(datasets)
 
-    S = sensitivity(PtwModel(X=X, y=datasets[0]), theta)
+    S = sensitivity(estfun_state(PtwModel(X=X, y=datasets[0]), theta))
     point = np.concatenate([theta.beta, [theta.phi, theta.p]])
     fd = np.zeros((4, 4))
     for k in range(4):
@@ -405,7 +405,7 @@ def test_criterion_7_derivative_identities(capsys):
                 problems.append(f"structural zero ({j}, {k}) has FD {fd[j, k]:.4f}")
 
     # phi=0 reduction: the coefficient block is the negative Poisson information
-    S0 = sensitivity(PtwModel(X=X, y=datasets[0]), Theta(theta.beta, 0.0, 2.0))
+    S0 = sensitivity(estfun_state(PtwModel(X=X, y=datasets[0]), Theta(theta.beta, 0.0, 2.0)))
     info = X.T @ (X * mu[:, None])
     if not np.allclose(S0[:2, :2], -info, rtol=1e-10):
         problems.append("phi=0 sensitivity is not the negative Poisson information")

@@ -13,6 +13,7 @@ from ptwreg.errors import (
     BoundaryTrapError,
     InvalidParameterError,
     RankDeficiencyError,
+    SingularMatrixError,
 )
 from ptwreg.estfun import (
     PtwModel,
@@ -22,6 +23,7 @@ from ptwreg.estfun import (
     pearson_score,
     quasi_score,
     sensitivity,
+    variability,
 )
 from ptwreg.numcore import RngStream
 from ptwreg.ptwdist import sample_ptw_mu
@@ -47,7 +49,7 @@ def test_config_validation():
         FitConfig(power_mode=-2.0)
     with pytest.raises(InvalidParameterError):
         FitConfig(phi_sign="positive")
-    assert FitConfig(power_mode="2").power_mode == 2.0
+    assert FitConfig(power_mode=2).power_mode == 2.0
     assert FitConfig(phi_fixed=0.0).free_dispersion() == ()
     assert FitConfig(phi_fixed=0.3).free_dispersion() == ("p",)
     assert FitConfig(phi_fixed=0.0, phi_sign="nonnegative").free_dispersion() == ()
@@ -60,6 +62,10 @@ def test_config_validation():
     [
         # float("abc") raised a bare ValueError
         ({"power_mode": "abc"}, "power_mode must be 'free' or a number"),
+        # float("2") passed text as p = 2
+        ({"power_mode": "2"}, "power_mode must be 'free' or a number"),
+        # a bool is an int, so True passed as p = 1
+        ({"power_mode": True}, "power_mode must be 'free' or a number"),
         # np.isfinite raised a TypeError on text
         ({"phi_fixed": "abc"}, "phi_fixed must be a finite number"),
         # a bool is an int, so True passed as phi = 1
@@ -67,7 +73,8 @@ def test_config_validation():
         # a free power died in step halving, and p = 2 reported phi < 0
         ({"phi_fixed": -0.05, "phi_sign": "nonnegative"}, "contradicts phi_sign 'nonnegative'"),
     ],
-    ids=["power-mode-text", "phi-fixed-text", "phi-fixed-bool", "phi-fixed-below-sign"],
+    ids=["power-mode-text", "power-mode-numeric-text", "power-mode-bool", "phi-fixed-text",
+         "phi-fixed-bool", "phi-fixed-below-sign"],
 )
 def test_config_refuses_settings_that_break_a_fit(overrides, message):
     with pytest.raises(InvalidParameterError, match=message):
@@ -175,9 +182,8 @@ def test_fit_dicentrics_free_power(dicentrics_model):
         [0.1064, 0.4079, 0.3418, 0.10093, 0.30003], rel=1e-3
     )
     # the returned point really solves both estimating equations
-    score = np.concatenate(
-        [quasi_score(model, result.theta_hat), pearson_score(model, result.theta_hat)]
-    )
+    state = estfun_state(model, result.theta_hat)
+    score = np.concatenate([quasi_score(state), pearson_score(state)])
     assert np.max(np.abs(score)) < 1e-5
 
 
@@ -259,6 +265,30 @@ def test_fit_flat_power_warning_on_equidispersed_data():
     assert any("fixed-power refits" in w for w in result.warnings)
 
 
+def test_fit_reports_a_singular_sandwich(monkeypatch):
+    # No input is known to reach this branch (a singular S_beta stops the
+    # beta step first, and the loop solves S_lambda one step before the
+    # estimate), so the sandwich's solve is made to fail.
+    seen = []
+
+    def singular(S, V):
+        seen.append(V)
+        raise SingularMatrixError("sensitivity matrix is numerically singular")
+
+    monkeypatch.setattr(chaser, "godambe_covariance", singular)
+    model = poisson_model()
+    result = fit(model)
+    assert result.warnings[-1] == (
+        "covariance unavailable: sensitivity matrix is numerically singular"
+    )
+    assert result.covariance.shape == (4, 4) and np.isnan(result.covariance).all()
+    assert result.std_errors.shape == (4,) and np.isnan(result.std_errors).all()
+    # unpatched, these data get the flat-power warning; it needs the errors
+    assert not any("flat-power" in w for w in result.warnings)
+    # the sandwich reads the loop's last state: the one a fresh build gives
+    assert np.array_equal(seen[0], variability(estfun_state(model, result.theta_hat)))
+
+
 def test_fit_needs_enough_observations_for_free_power():
     X = np.ones((3, 1))
     model = PtwModel(X=X, y=np.array([1, 2, 3]))
@@ -298,7 +328,7 @@ def test_public_functions_stay_quiet_on_their_own_at_overflow():
     theta = Theta(np.array([np.log(10.0), 0.8, -1.0]), 0.04, 400.0)
     state = estfun_state(model, theta)
     assert not np.isfinite(state.C).all() and not np.isfinite(state.W_phi).all()
-    assert not np.isfinite(pearson_score(model, theta)).all()
+    assert not np.isfinite(pearson_score(state)).all()
     start = Theta(theta.beta, 0.04, 3.0)
     accepted = step_control(start, np.array([0.0, -400.0]), state.mu)
     assert 3.0 < accepted.p < 403.0  # the overflowing trial points were halved away
@@ -360,8 +390,8 @@ def test_lean_kernel_matches_full_sensitivity(name, n, iterations, theta_ref, se
 
     q = model.n_coef
     for theta in (initialize(model), result.theta_hat):
-        s_full = sensitivity(model, theta)
         state = estfun_state(model, theta)
+        s_full = sensitivity(state)
         for lam_idx in ([0, 1], [0], [1]):
             idx = [q + i for i in lam_idx]
             expected = s_full[np.ix_(idx, idx)]

@@ -463,6 +463,16 @@ def test_simulate_csv_is_bit_stable(args, sha256, capsys):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha256
 
 
+@pytest.mark.parametrize("family", ["compoisson", "gammacount"])
+def test_simulate_table_past_the_row_limit_is_usage_error(family, capsys):
+    code, out, err = run_cli(
+        ["simulate", "--family", family, "--lam", "1e300", "--nu", "2", "--n", "2"], capsys
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("ptwreg: error: lambda and nu need a table of ")
+    assert err.endswith(" rows, above the limit of 1e+07\n")
+
+
 @pytest.mark.parametrize("command", ["pmf", "indices"])
 def test_negative_y_max_is_usage_error(command, capsys):
     code, out, err = run_cli(

@@ -39,14 +39,14 @@ def test_quasi_score_hand_value():
     # x=(1), mu=10, phi=0.1, p=2, y=12: C=20, score = 10 * (1/20) * 2 = 1
     model = single_obs_model(10.0, 12)
     theta = Theta(np.array([np.log(10.0)]), 0.1, 2.0)
-    assert quasi_score(model, theta) == pytest.approx([1.0], abs=1e-12)
+    assert quasi_score(estfun_state(model, theta)) == pytest.approx([1.0], abs=1e-12)
 
 
 def test_pearson_score_hand_value():
     # mu=10, phi=0.1, p=2, y=16: bracket = 36-20 = 16, W_phi = 100/400
     model = single_obs_model(10.0, 16)
     theta = Theta(np.array([np.log(10.0)]), 0.1, 2.0)
-    psi = pearson_score(model, theta)
+    psi = pearson_score(estfun_state(model, theta))
     assert psi[0] == pytest.approx(4.0, abs=1e-12)
     # p-component carries the extra factor phi * log(mu)
     assert psi[1] == pytest.approx(4.0 * 0.1 * np.log(10.0), abs=1e-12)
@@ -57,14 +57,14 @@ def test_scores_vanish_on_contrived_data():
     # summing to zero, so both estimating functions vanish exactly
     model = PtwModel(X=np.array([[1.0], [1.0]]), y=np.array([1, 7]))
     theta = Theta(np.array([np.log(4.0)]), 1.25, 1.0)
-    assert np.allclose(quasi_score(model, theta), 0.0, atol=1e-12)
-    assert np.allclose(pearson_score(model, theta), 0.0, atol=1e-12)
+    assert np.allclose(quasi_score(estfun_state(model, theta)), 0.0, atol=1e-12)
+    assert np.allclose(pearson_score(estfun_state(model, theta)), 0.0, atol=1e-12)
 
 
 def test_variance_constraint_enforced():
     model = single_obs_model(10.0, 3)
     with pytest.raises(VarianceNonpositiveError):
-        quasi_score(model, Theta(np.array([np.log(10.0)]), -1.5, 1.0))
+        quasi_score(estfun_state(model, Theta(np.array([np.log(10.0)]), -1.5, 1.0)))
 
 
 # ------------------------------------------------- derivative identities (W's)
@@ -160,7 +160,7 @@ def test_weights_validated_and_counted():
 def test_weighted_sums_equal_expanded_sums():
     weighted, expanded, theta = weighted_model()
     for func in (quasi_score, pearson_score, sensitivity, variability):
-        got, want = func(weighted, theta), func(expanded, theta)
+        got, want = func(estfun_state(weighted, theta)), func(estfun_state(expanded, theta))
         assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want))), func
     for block in (_s_beta, _s_lambda):
         got = block(estfun_state(weighted, theta))
@@ -170,7 +170,9 @@ def test_weighted_sums_equal_expanded_sums():
     unit = PtwModel(X=weighted.X, y=weighted.y, weights=np.ones(20))
     plain = PtwModel(X=weighted.X, y=weighted.y)
     for func in (quasi_score, pearson_score, sensitivity, variability):
-        assert np.array_equal(func(unit, theta), func(plain, theta)), func
+        assert np.array_equal(
+            func(estfun_state(unit, theta)), func(estfun_state(plain, theta))
+        ), func
 
 
 @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
@@ -190,7 +192,7 @@ def test_lean_blocks_match_averaged_score_differences(weighted):
 
     def averaged(score, beta, phi, p):
         th = Theta(beta, phi, p)
-        return np.mean([score(m, th) for m in models], axis=0)
+        return np.mean([score(estfun_state(m, th)) for m in models], axis=0)
 
     fd_beta = np.zeros((q, q))
     for k in range(q):
@@ -216,7 +218,7 @@ def test_lean_blocks_match_averaged_score_differences(weighted):
 
 def test_sensitivity_insensitivity_block():
     model, theta, _ = sim_model()
-    S = sensitivity(model, theta)
+    S = sensitivity(estfun_state(model, theta))
     q = model.n_coef
     assert np.array_equal(S[:q, q:], np.zeros((q, 2)))
 
@@ -225,7 +227,7 @@ def test_sensitivity_poisson_reduction():
     # phi=0: S_beta is the negative Poisson information -X' diag(mu) X
     model, theta, mu = sim_model()
     theta0 = Theta(theta.beta, 0.0, 2.0)
-    S = sensitivity(model, theta0)
+    S = sensitivity(estfun_state(model, theta0))
     q = model.n_coef
     info = model.X.T @ (model.X * mu[:, None])
     assert np.allclose(S[:q, :q], -info, rtol=1e-10)
@@ -239,9 +241,8 @@ def _averaged_score(model_template, thetas, datasets):
         acc = np.zeros(model_template.n_coef + 2)
         for y in datasets:
             model = PtwModel(X=model_template.X, y=y)
-            acc += np.concatenate(
-                [quasi_score(model, theta), pearson_score(model, theta)]
-            )
+            state = estfun_state(model, theta)
+            acc += np.concatenate([quasi_score(state), pearson_score(state)])
         out.append(acc / len(datasets))
     return out
 
@@ -255,7 +256,7 @@ def test_sensitivity_matches_simulated_finite_differences():
     datasets = [
         np.asarray(sample_ptw_mu(mu, theta.phi, theta.p, gen)) for _ in range(200)
     ]
-    S = sensitivity(model, theta)
+    S = sensitivity(estfun_state(model, theta))
     dim = model.n_coef + 2
     point = np.concatenate([theta.beta, [theta.phi, theta.p]])
 
@@ -288,8 +289,9 @@ def test_sensitivity_matches_simulated_finite_differences():
 
 def test_variability_beta_block_and_symmetry():
     model, theta, _ = sim_model()
-    S = sensitivity(model, theta)
-    V = variability(model, theta)
+    state = estfun_state(model, theta)
+    S = sensitivity(state)
+    V = variability(state)
     q = model.n_coef
     assert np.array_equal(V[:q, :q], -S[:q, :q])
     assert np.max(np.abs(V - V.T)) < 1e-12
@@ -301,7 +303,9 @@ def test_variability_lambda_block_matches_replicate_variance():
     gen = RngStream(88).generator()
     reps = np.array(
         [
-            pearson_score(PtwModel(X=model.X, y=sample_ptw_mu(mu, theta.phi, theta.p, gen)), theta)
+            pearson_score(estfun_state(
+                PtwModel(X=model.X, y=sample_ptw_mu(mu, theta.phi, theta.p, gen)), theta
+            ))
             for _ in range(500)
         ]
     )
@@ -314,7 +318,7 @@ def test_variability_lambda_block_matches_replicate_variance():
     n_avg = 20
     for _ in range(n_avg):
         m = PtwModel(X=model.X, y=sample_ptw_mu(mu, theta.phi, theta.p, gen2))
-        v_acc += variability(m, theta)[q:, q:]
+        v_acc += variability(estfun_state(m, theta))[q:, q:]
     v_lambda = v_acc / n_avg
     assert np.all(np.abs(v_lambda - emp) <= 0.15 * np.abs(emp) + 1e-12)
 
@@ -325,7 +329,8 @@ def test_estimating_functions_unbiased_at_truth():
     reps = []
     for _ in range(600):
         m = PtwModel(X=model.X, y=sample_ptw_mu(mu, theta.phi, theta.p, gen))
-        reps.append(np.concatenate([quasi_score(m, theta), pearson_score(m, theta)]))
+        state = estfun_state(m, theta)
+        reps.append(np.concatenate([quasi_score(state), pearson_score(state)]))
     reps = np.asarray(reps)
     mean = reps.mean(axis=0)
     se = reps.std(axis=0, ddof=1) / np.sqrt(len(reps))
@@ -345,9 +350,8 @@ def test_godambe_trivial_cases():
 
 def test_godambe_symmetric_psd():
     model, theta, _ = sim_model()
-    S = sensitivity(model, theta)
-    V = variability(model, theta)
-    J = godambe_covariance(S, V)
+    state = estfun_state(model, theta)
+    J = godambe_covariance(sensitivity(state), variability(state))
     assert np.max(np.abs(J - J.T)) < 1e-12
     eigs = np.linalg.eigvalsh(J)
     assert eigs.min() >= -1e-10 * np.trace(J)

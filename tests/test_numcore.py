@@ -10,6 +10,14 @@ from ptwreg import estfun
 from ptwreg.errors import InvalidParameterError, SingularMatrixError
 from ptwreg.estfun import godambe_covariance
 from ptwreg.numcore import RngStream, _lu_solver, gauss_laguerre, solve_linear
+from ptwreg.ptwdist import PtwParams, ptw_sample
+from ptwreg.refdists import (
+    ComPoissonParams,
+    GammaCountParams,
+    compoisson_sample,
+    gammacount_sample,
+)
+from ptwreg.tweedie import TweedieParams, tweedie_sample
 
 
 # ---------------------------------------------------------------- solve_linear
@@ -235,3 +243,30 @@ def test_stream_validation():
         RngStream(2**64)
     with pytest.raises(InvalidParameterError):
         RngStream(3, (-1,))
+    # each of these was built, and only .generator() failed, with a TypeError
+    for seed, stream_id in ((1.5, ()), ("3", ()), (True, ()), (0, (1.5,)), (0, (True,))):
+        with pytest.raises(InvalidParameterError):
+            RngStream(seed, stream_id)
+    with pytest.raises(InvalidParameterError):
+        RngStream(3).substream(1.5)  # was read as substream 1
+    assert RngStream(np.uint64(3), (np.int64(2),)) == RngStream(3, (2,))
+
+
+@pytest.mark.parametrize(
+    "sampler, params",
+    [
+        (ptw_sample, PtwParams(5.0, 0.4, 1.5)),
+        (tweedie_sample, TweedieParams(5.0, 0.4, 1.5)),
+        (compoisson_sample, ComPoissonParams(8.0, 4.0)),
+        (gammacount_sample, GammaCountParams(2.0, 4.0)),
+    ],
+    ids=["ptw", "tweedie", "compoisson", "gammacount"],
+)
+def test_samplers_take_only_integer_sizes(sampler, params):
+    # n = 2.5 drew 2 values and n = True drew 1
+    for n in (2.5, True, "2"):
+        with pytest.raises(InvalidParameterError, match="n must be an integer"):
+            sampler(params, n, RngStream(0))
+    with pytest.raises(InvalidParameterError, match="n must be non-negative"):
+        sampler(params, -1, RngStream(0))
+    assert sampler(params, np.int64(3), RngStream(0)).shape == (3,)

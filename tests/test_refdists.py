@@ -39,6 +39,24 @@ def test_parameter_validation():
             GammaCountParams(lam=2.0, nu=bad)
 
 
+@pytest.mark.parametrize(
+    "params, sample, pmf",
+    [
+        (ComPoissonParams(1e300, 2.0), compoisson_sample, compoisson_pmf),
+        (GammaCountParams(1e300, 2.0), gammacount_sample, gammacount_pmf),
+    ],
+    ids=["compoisson", "gammacount"],
+)
+def test_tables_past_the_row_limit_are_refused(params, sample, pmf):
+    # np.arange raised "Maximum allowed size exceeded"; now Y* is checked
+    # against the row limit before any table is allocated
+    with pytest.raises(InvalidParameterError, match="rows, above the limit"):
+        sample(params, 2, RngStream(0))
+    if pmf is compoisson_pmf:  # the Gamma-Count pmf needs no table
+        with pytest.raises(InvalidParameterError, match="rows, above the limit"):
+            pmf(params, 0)
+
+
 def test_parameters_of_the_two_families_stay_apart():
     assert ComPoissonParams(2.0, 3.0) != GammaCountParams(2.0, 3.0)
     assert ComPoissonParams(2.0, 3.0) == ComPoissonParams(2.0, 3.0)

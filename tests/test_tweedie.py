@@ -21,6 +21,16 @@ def test_params_validation():
         TweedieParams(1.0, 1.0, 0.5)
 
 
+def test_overflowing_mu_power_is_invalid():
+    # each raised a bare OverflowError, or numpy's "lam value too large"
+    with pytest.raises(InvalidParameterError, match="overflows"):
+        tweedie_laplace(TweedieParams(1e300, 0.5, 4.0), 1.0)
+    with pytest.raises(InvalidParameterError, match="overflows"):
+        tweedie_density(TweedieParams(1e300, 0.5, 3.0), 1.0)
+    with pytest.raises(InvalidParameterError, match="overflows"):
+        tweedie_sample(TweedieParams(1e300, 0.5, 1.5), 2, RngStream(0))
+
+
 def test_unsupported_power_sampling():
     with pytest.raises(UnsupportedPowerError):
         tweedie_sample(TweedieParams(1.0, 1.0, 2.5), 10, RngStream(0))
