@@ -16,12 +16,19 @@ it) and the budget of 200 iterations are fixed parts of the method
 (Bonat & Jørgensen 2016), not settings: ``FitConfig`` holds only the
 choices about the model.
 
-Each step evaluates the estimating functions on one ``EstFunState``, and
-standard errors come from the inverse Godambe information assembled
-blockwise on the loop's last state: the beta block is -S_beta^{-1} and the
-dispersion block S_lambda^{-1} V_lambda S_lambda^{-T}, each computed
-without cross-propagation (the convention the reference results use and
-the one reported here).
+``initialize`` and ``fit`` iterate on arrays: they hold beta, phi, p and
+the per-observation mu, log mu, residuals, C, W_phi and W_p as locals and
+call estfun's array functions on them (``_mean_terms``,
+``_dispersion_weights``, ``_psi_beta``, ``_psi_lambda``, ``_sens_lambda``;
+``_sens_beta`` through ``_newton_beta``; ``_variance`` through ``_halve``,
+whose accepted mu**p and C feed ``_lambda_weights``).  No iteration builds
+a ``Theta`` or an ``EstFunState``; ``_beta_step`` and ``step_control`` take
+the same steps on those records.  Standard errors come from the inverse
+Godambe information assembled blockwise on one ``EstFunState`` built from
+the loop's last arrays: the beta block is -S_beta^{-1} and the dispersion
+block S_lambda^{-1} V_lambda S_lambda^{-T}, each computed without
+cross-propagation (the convention the reference results use and the one
+reported here).
 """
 
 from __future__ import annotations
@@ -41,14 +48,20 @@ from .estfun import (
     EstFunState,
     PtwModel,
     Theta,
-    _s_beta,
+    _dispersion_weights,
+    _lambda_weights,
+    _mean_terms,
+    _psi_beta,
+    _psi_lambda,
+    _require_finite_beta,
+    _require_finite_lambda,
     _s_lambda,
+    _sens_beta,
+    _sens_lambda,
+    _theta_array,
+    _variance,
     _weigh,
-    _with_dispersion,
-    estfun_state,
     godambe_covariance,
-    pearson_score,
-    quasi_score,
     variability,
 )
 from .numcore import quiet, solve_linear
@@ -138,13 +151,19 @@ class FitResult:
     warnings: list = field(default_factory=list)
 
 
+def _newton_beta(X, weights, mu, C, beta, psi_beta):
+    """beta - S_beta^{-1} psi_beta, with S_beta from the mean ``mu`` and the
+    variance ``C`` at ``beta``; a singular S_beta is a rank-deficient design."""
+    try:
+        return beta - solve_linear(_sens_beta(X, weights, mu, C), psi_beta)
+    except SingularMatrixError as exc:
+        raise RankDeficiencyError(f"design matrix is rank deficient: {exc}") from exc
+
+
 def _beta_step(state: EstFunState, psi_beta: np.ndarray) -> np.ndarray:
     """One quasi-score Newton update of ``state.theta.beta`` from S_beta at
     ``state`` and the quasi-score ``psi_beta`` evaluated there."""
-    try:
-        return state.theta.beta - solve_linear(_s_beta(state), psi_beta)
-    except SingularMatrixError as exc:
-        raise RankDeficiencyError(f"design matrix is rank deficient: {exc}") from exc
+    return _newton_beta(state.X, state.weights, state.mu, state.C, state.theta.beta, psi_beta)
 
 
 @quiet
@@ -164,26 +183,52 @@ def initialize(model: PtwModel, config: FitConfig | None = None) -> Theta:
         root_w = np.sqrt(model.weights)
         X, z = root_w[:, None] * X, root_w * z
     beta = np.linalg.lstsq(X, z, rcond=None)[0]
-    theta = Theta(beta, 0.0, 1.0)
+    _require_finite_beta(beta)
+    X, w = model.X, model.weights
     for _ in range(100):
-        state = estfun_state(model, theta)
-        beta_new = _beta_step(state, quasi_score(state))
-        done = np.max(np.abs(beta_new - theta.beta)) < 1e-10
-        theta = Theta(beta_new, 0.0, 1.0)
+        # At phi = 0 the variance mu + 0 * mu**1 is mu itself, bit for bit.
+        mu, _, resid, _ = _mean_terms(model, beta)
+        beta_new = _newton_beta(X, w, mu, mu, beta, _psi_beta(X, w, mu, resid, mu))
+        done = np.max(np.abs(beta_new - beta)) < 1e-10
+        _require_finite_beta(beta_new)
+        beta = beta_new
         if done:
             break
 
     p0 = 1.5 if config.power_is_free else float(config.power_mode)
     if config.phi_fixed is not None:
-        return Theta(theta.beta, float(config.phi_fixed), p0)
-    mu = np.exp(model.linear_predictor(theta.beta))
-    w = model.weights
+        return Theta(beta, float(config.phi_fixed), p0)
+    mu = np.exp(model.linear_predictor(beta))
     phi0 = float(np.sum(_weigh(w, (model.y - mu) ** 2 - mu)) / np.sum(_weigh(w, mu**p0)))
     phi_floor = -0.9 * float(np.min(mu ** (1.0 - p0)))
     phi0 = max(phi0, phi_floor)
     if config.phi_sign == "nonnegative":
         phi0 = max(phi0, 1e-8)
-    return Theta(theta.beta, phi0, p0)
+    return Theta(beta, phi0, p0)
+
+
+def _halve(phi, p, delta, mu, phi_sign, p_floor):
+    """The feasible point of the lambda step from (phi, p) by the decrement
+    ``delta``, which it halves in place: (phi, p, mu**p, C) there.  See
+    ``step_control``."""
+    for _ in range(_MAX_HALVINGS + 1):
+        phi_new = phi - delta[0]
+        p_new = p - delta[1]
+        if p_floor is not None and p_new < p_floor:
+            p_new = p_floor
+        feasible = phi_sign != "nonnegative" or phi_new >= 0
+        if feasible:
+            # Trial points far out may overflow; that just means "infeasible".
+            mu_p, c = _variance(mu, phi_new, p_new)
+            feasible = bool((c > 0).all() and np.isfinite(c).all())
+        if feasible:
+            _require_finite_lambda(phi_new, p_new)
+            return phi_new, p_new, mu_p, c
+        delta /= 2.0
+    raise BoundaryTrapError(
+        f"lambda step from (phi={phi:.6g}, p={p:.6g}) could not be "
+        f"made feasible in {_MAX_HALVINGS} halvings"
+    )
 
 
 @quiet
@@ -203,23 +248,8 @@ def step_control(
     ``mu`` is exp(X beta) at ``theta.beta``: the beta-step state's mean.
     """
     delta = np.asarray(delta, dtype=float).copy()
-    for _ in range(_MAX_HALVINGS + 1):
-        phi_new = theta.phi - delta[0]
-        p_new = theta.p - delta[1]
-        if p_floor is not None and p_new < p_floor:
-            p_new = p_floor
-        feasible = phi_sign != "nonnegative" or phi_new >= 0
-        if feasible:
-            # Trial points far out may overflow; that just means "infeasible".
-            c = mu + phi_new * mu**p_new
-            feasible = bool((c > 0).all() and np.isfinite(c).all())
-        if feasible:
-            return Theta(theta.beta, phi_new, p_new)
-        delta /= 2.0
-    raise BoundaryTrapError(
-        f"lambda step from (phi={theta.phi:.6g}, p={theta.p:.6g}) could not be "
-        f"made feasible in {_MAX_HALVINGS} halvings"
-    )
+    phi, p, _, _ = _halve(theta.phi, theta.p, delta, mu, phi_sign, p_floor)
+    return Theta(theta.beta, phi, p)
 
 
 _LAMBDA_INDEX = {"phi": 0, "p": 1}
@@ -264,30 +294,36 @@ def fit(model: PtwModel, config: FitConfig | None = None) -> FitResult:
     lambda_step_norm = np.inf
     iterations = 0
 
-    state = estfun_state(model, initialize(model, config))
-    psi_beta = quasi_score(state)
-    current = state.theta.as_array()
+    start = initialize(model, config)
+    beta, phi, p = start.beta, start.phi, start.p
+    X, w = model.X, model.weights
+    mu, log_mu, resid, resid2 = _mean_terms(model, beta)
+    C, w_phi, w_p = _dispersion_weights(mu, log_mu, phi, p)
+    psi_beta = _psi_beta(X, w, mu, resid, C)
+    current = _theta_array(beta, phi, p)
     for iterations in range(1, _MAX_ITER + 1):
         prev = current
-        beta_new = _beta_step(state, psi_beta)
-        state = estfun_state(model, Theta(beta_new, state.theta.phi, state.theta.p))
+        beta = _newton_beta(X, w, mu, C, beta, psi_beta)
+        _require_finite_beta(beta)
+        mu, log_mu, resid, resid2 = _mean_terms(model, beta)
+        C, w_phi, w_p = _dispersion_weights(mu, log_mu, phi, p)
 
         if free:
-            psi_l = pearson_score(state)[lam]
+            psi_l = _psi_lambda(w, resid2, C, w_phi, w_p)[lam]
             delta = np.zeros(2)
-            delta[lam] = _ALPHA * solve_linear(_s_lambda(state)[lam, lam], psi_l)
-            theta = step_control(state.theta, delta, state.mu, config.phi_sign, p_floor)
-            lambda_step_norm = max(abs(theta.phi - state.theta.phi),
-                                   abs(theta.p - state.theta.p))
-            state = _with_dispersion(state, theta)
+            delta[lam] = _ALPHA * solve_linear(_sens_lambda(w, C, w_phi, w_p)[lam, lam], psi_l)
+            phi_new, p_new, mu_p, C = _halve(phi, p, delta, mu, config.phi_sign, p_floor)
+            lambda_step_norm = max(abs(phi_new - phi), abs(p_new - p))
+            phi, p = phi_new, p_new
+            w_phi, w_p = _lambda_weights(mu_p, C, log_mu, phi)
 
-        # The quasi-score at this state is also the next beta step's psi_beta.
-        psi_beta = quasi_score(state)
+        # The quasi-score here is also the next beta step's psi_beta.
+        psi_beta = _psi_beta(X, w, mu, resid, C)
         score = psi_beta
         if free:
-            score = np.concatenate([psi_beta, pearson_score(state)[lam]])
+            score = np.concatenate([psi_beta, _psi_lambda(w, resid2, C, w_phi, w_p)[lam]])
         score_norm = float(np.abs(score).max())
-        current = state.theta.as_array()
+        current = _theta_array(beta, phi, p)
         param_change = float(np.abs(current - prev).max())
         trace.append((current, score_norm))
         if score_norm < _TOL and param_change < _TOL:
@@ -298,7 +334,11 @@ def fit(model: PtwModel, config: FitConfig | None = None) -> FitResult:
         warn.append(f"did not converge in {_MAX_ITER} iterations "
                     f"(score sup-norm {score_norm:.3e})")
 
-    theta = state.theta
+    theta = Theta(beta, phi, p)
+    state = EstFunState(
+        mu=mu, C=C, resid=resid, resid2=resid2, W_phi=w_phi, W_p=w_p, log_mu=log_mu,
+        X=X, weights=w, theta=theta,
+    )
     layout = tuple(f"beta{j}" for j in range(model.n_coef)) + free
     try:
         covariance = _sandwich(state, free)

@@ -15,10 +15,18 @@ the empirical V_lambda = sum_i w_i psi_i psi_i^T with its cross block)
 becomes sum_i w_i (...).  This equals the same sum over the expanded
 rows, up to summation order.  Unweighted models skip the products.
 
-Each of these takes one ``EstFunState``: the per-observation quantities
-at one theta, built by ``estfun_state`` (or by ``_with_dispersion`` from a
-state at the same beta), with the design, weights and theta it was built
-from.
+The public functions take one ``EstFunState``: the per-observation
+quantities at one theta, built by ``estfun_state`` (or by
+``_with_dispersion`` from a state at the same beta), with the design,
+weights and theta it was built from.  Each formula lives in one private
+array function, which those functions call on a state's fields:
+``_mean_terms`` (mu, log mu and the residuals, refusing a mean that under-
+or overflows), ``_variance`` and ``_lambda_weights`` (C, W_phi and W_p,
+joined with the C > 0 refusal in ``_dispersion_weights``), ``_psi_beta``
+and ``_psi_lambda`` (the two scores), and ``_sens_beta`` and
+``_sens_lambda`` (the S_beta and S_lambda blocks).  The chaser's loops call
+the same array functions on arrays they hold themselves, so an iteration
+builds no state.
 
 Parameter ordering everywhere: (beta_1..beta_Q, phi, p).
 """
@@ -110,13 +118,26 @@ class Theta:
     def __post_init__(self):
         beta = np.atleast_1d(np.asarray(self.beta, dtype=float))
         object.__setattr__(self, "beta", beta)
-        if not np.isfinite(beta).all():
-            raise InvalidParameterError("beta must be finite")
-        if not (math.isfinite(self.phi) and math.isfinite(self.p)):
-            raise InvalidParameterError("phi and p must be finite")
+        _require_finite_beta(beta)
+        _require_finite_lambda(self.phi, self.p)
 
     def as_array(self) -> np.ndarray:
-        return np.concatenate([self.beta, [self.phi, self.p]])
+        return _theta_array(self.beta, self.phi, self.p)
+
+
+def _require_finite_beta(beta: np.ndarray) -> None:
+    if not np.isfinite(beta).all():
+        raise InvalidParameterError("beta must be finite")
+
+
+def _require_finite_lambda(phi: float, p: float) -> None:
+    if not (math.isfinite(phi) and math.isfinite(p)):
+        raise InvalidParameterError("phi and p must be finite")
+
+
+def _theta_array(beta: np.ndarray, phi: float, p: float) -> np.ndarray:
+    """(beta_1..beta_Q, phi, p) as one vector."""
+    return np.concatenate([beta, [phi, p]])
 
 
 @dataclass(frozen=True)
@@ -152,15 +173,7 @@ def estfun_state(model: PtwModel, theta: Theta) -> EstFunState:
     -C^{-1} with respect to phi, p, and beta_k.  Overflow stays quiet here
     and in the other functions marked ``quiet`` (see ``numcore.quiet``).
     """
-    mu = np.exp(model.linear_predictor(theta.beta))
-    log_mu = np.log(mu)
-    # log mu is finite exactly when 0 < mu < inf: one check covers both ends.
-    if not np.isfinite(log_mu).all():
-        if np.isfinite(mu).all():
-            raise InvalidParameterError("linear predictor underflow: mu is 0")
-        raise InvalidParameterError("linear predictor overflow: mu is not finite")
-    resid = model.y - mu
-    resid2 = resid**2
+    mu, log_mu, resid, resid2 = _mean_terms(model, theta.beta)
     C, w_phi, w_p = _dispersion_weights(mu, log_mu, theta.phi, theta.p)
     return EstFunState(
         mu=mu, C=C, resid=resid, resid2=resid2, W_phi=w_phi, W_p=w_p, log_mu=log_mu,
@@ -179,17 +192,45 @@ def _with_dispersion(state: EstFunState, theta: Theta) -> EstFunState:
     )
 
 
+# The array functions (see the module docstring) run in their quiet callers'
+# error state.
+
+
+def _mean_terms(model: PtwModel, beta: np.ndarray):
+    """mu = exp(X beta + offset), log mu, y - mu and (y - mu)^2; refuses a
+    mean that underflows to 0 or overflows."""
+    mu = np.exp(model.linear_predictor(beta))
+    log_mu = np.log(mu)
+    # log mu is finite exactly when 0 < mu < inf: one check covers both ends.
+    if not np.isfinite(log_mu).all():
+        if np.isfinite(mu).all():
+            raise InvalidParameterError("linear predictor underflow: mu is 0")
+        raise InvalidParameterError("linear predictor overflow: mu is not finite")
+    resid = model.y - mu
+    return mu, log_mu, resid, resid**2
+
+
+def _variance(mu, phi, p):
+    """mu^p and the variance C = mu + phi mu^p."""
+    mu_p = mu**p
+    return mu_p, mu + phi * mu_p
+
+
+def _lambda_weights(mu_p, C, log_mu, phi):
+    """W_phi = C^{-2} mu^p and W_p = C^{-2} phi mu^p log mu."""
+    inv_c2 = C**-2.0
+    return inv_c2 * mu_p, inv_c2 * phi * mu_p * log_mu
+
+
 def _dispersion_weights(mu, log_mu, phi, p):
     """C = mu + phi mu^p, W_phi and W_p; raises VarianceNonpositiveError
-    when some C_i <= 0.  Runs in its quiet callers' error state."""
-    mu_p = mu**p
-    C = mu + phi * mu_p
+    when some C_i <= 0."""
+    mu_p, C = _variance(mu, phi, p)
     if (C <= 0).any():
         raise VarianceNonpositiveError(
             f"min(mu + phi*mu^p) = {np.min(C):.6g} <= 0 at phi = {phi}, p = {p}"
         )
-    inv_c2 = C**-2.0
-    return C, inv_c2 * mu_p, inv_c2 * phi * mu_p * log_mu
+    return (C,) + _lambda_weights(mu_p, C, log_mu, phi)
 
 
 def _weigh(weights: np.ndarray | None, values: np.ndarray) -> np.ndarray:
@@ -199,40 +240,58 @@ def _weigh(weights: np.ndarray | None, values: np.ndarray) -> np.ndarray:
     return weights * values if values.ndim == 1 else weights[:, None] * values
 
 
+def _psi_beta(X, weights, mu, resid, C):
+    """The quasi-score sum_i w_i mu_i x_ij C_i^{-1} (y_i - mu_i)."""
+    return X.T @ _weigh(weights, mu * resid / C)
+
+
+def _psi_lambda(weights, resid2, C, w_phi, w_p):
+    """The Pearson score: the bracket (y - mu)^2 - C against W_phi and W_p."""
+    bracket = _weigh(weights, resid2 - C)
+    return np.array([(w_phi * bracket).sum(), (w_p * bracket).sum()])
+
+
+def _sens_beta(X, weights, mu, C):
+    """S_beta_jk = -sum_i w_i mu_i x_ij C_i^{-1} x_ik mu_i."""
+    return -(mu[:, None] * X).T @ (_weigh(weights, mu / C)[:, None] * X)
+
+
+def _lambda_matrix(w_phi, w_p):
+    """The n x 2 matrix with columns W_phi and W_p."""
+    wl = np.empty((w_phi.shape[0], 2))
+    wl[:, 0] = w_phi
+    wl[:, 1] = w_p
+    return wl
+
+
+def _sens_lambda(weights, C, w_phi, w_p):
+    """S_lambda_jk = -sum_i w_i W_{i lambda_j} C_i^2 W_{i lambda_k}."""
+    wl = _lambda_matrix(w_phi, w_p)
+    return -(wl * _weigh(weights, C**2)[:, None]).T @ wl
+
+
 def quasi_score(state: EstFunState) -> np.ndarray:
     """psi_beta: component j = sum_i mu_i x_ij C_i^{-1} (y_i - mu_i)."""
-    return state.X.T @ _weigh(state.weights, state.mu * state.resid / state.C)
+    return _psi_beta(state.X, state.weights, state.mu, state.resid, state.C)
 
 
 @quiet
 def pearson_score(state: EstFunState) -> np.ndarray:
     """psi_lambda = (phi component, p component): squared-residual bracket
     (y - mu)^2 - C contracted against the W_phi and W_p weights."""
-    bracket = _weigh(state.weights, state.resid2 - state.C)
-    return np.array([(state.W_phi * bracket).sum(), (state.W_p * bracket).sum()])
-
-
-def _lambda_weights(state: EstFunState) -> np.ndarray:
-    """The n x 2 matrix with columns W_phi and W_p."""
-    wl = np.empty((state.W_phi.shape[0], 2))
-    wl[:, 0] = state.W_phi
-    wl[:, 1] = state.W_p
-    return wl
+    return _psi_lambda(state.weights, state.resid2, state.C, state.W_phi, state.W_p)
 
 
 def _s_beta(state: EstFunState) -> np.ndarray:
     """S_beta_jk = -sum_i mu_i x_ij C_i^{-1} x_ik mu_i (Q x Q).  Runs in its
     quiet callers' error state."""
-    return -(state.mu[:, None] * state.X).T @ (
-        _weigh(state.weights, state.mu / state.C)[:, None] * state.X
-    )
+    return _sens_beta(state.X, state.weights, state.mu, state.C)
 
 
 def _s_lambda(state: EstFunState) -> np.ndarray:
     """S_lambda_jk = -sum_i W_{i lambda_j} C_i^2 W_{i lambda_k} over (phi, p)
     (2 x 2).  Runs in its quiet callers' error state."""
-    wl = _lambda_weights(state)
-    return -(wl * _weigh(state.weights, state.C**2)[:, None]).T @ wl
+    return _sens_lambda(state.weights, state.C, state.W_phi, state.W_p)
 
 
 @quiet
@@ -251,7 +310,7 @@ def sensitivity(state: EstFunState) -> np.ndarray:
     s = np.zeros((q + 2, q + 2))
     s[:q, :q] = _s_beta(state)
     s[q:, q:] = _s_lambda(state)
-    weighted = _lambda_weights(state) * _weigh(state.weights, state.C**2)[:, None]
+    weighted = _lambda_matrix(state.W_phi, state.W_p) * _weigh(state.weights, state.C**2)[:, None]
     s[q:, :q] = -weighted.T @ state.W_beta
     return s
 
@@ -270,7 +329,7 @@ def variability(state: EstFunState) -> np.ndarray:
     v = np.zeros((q + 2, q + 2))
     v[:q, :q] = -_s_beta(state)
     psi_beta_i = (state.mu * state.resid / state.C)[:, None] * state.X
-    psi_lambda_i = _lambda_weights(state) * (state.resid2 - state.C)[:, None]
+    psi_lambda_i = _lambda_matrix(state.W_phi, state.W_p) * (state.resid2 - state.C)[:, None]
     weighted = _weigh(state.weights, psi_lambda_i)
     v[q:, q:] = weighted.T @ psi_lambda_i
     cross = weighted.T @ psi_beta_i

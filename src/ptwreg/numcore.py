@@ -49,6 +49,20 @@ def _require_finite_power(mu: float, p: float) -> None:
         raise InvalidParameterError(f"mu**p overflows at (mu={mu}, p={p})") from None
 
 
+# The largest rate numpy's Poisson sampler takes; above it, or at NaN, it
+# raises "lam value too large".
+_POISSON_MAX_RATE = float(np.iinfo(np.int64).max) - 10.0 * math.sqrt(np.iinfo(np.int64).max)
+
+
+def _require_poisson_rates(lam: np.ndarray) -> None:
+    """Refuse Poisson rates that numpy cannot draw from, before any draw."""
+    if lam.size and not lam.max() <= _POISSON_MAX_RATE:
+        raise InvalidParameterError(
+            f"Poisson rate {lam.max():.4g} is beyond numpy's sampler limit of "
+            f"{_POISSON_MAX_RATE:.4g}"
+        )
+
+
 @dataclass(frozen=True)
 class RngStream:
     """A reproducible random stream addressed by (seed, stream_id).
@@ -188,7 +202,10 @@ def _factor(lapack, A: np.ndarray, scale, zero_msg: str, singular_msg: str, *arg
     if scale == 0.0:
         raise SingularMatrixError(zero_msg)
     out = lapack(A, *args)
-    pivot = np.abs(out[0].diagonal()).min()
+    # The smallest pivot, on Python floats: cheaper than numpy's calls at
+    # these orders.  A NaN pivot passes the check, as with numpy's min.
+    pivots = [abs(d) for d in out[0].diagonal().tolist()]
+    pivot = math.nan if any(map(math.isnan, pivots)) else min(pivots)
     if pivot < 1e-12 * scale:
         raise SingularMatrixError(singular_msg.format(pivot=pivot, bound=1e-12 * scale))
     return out
@@ -233,7 +250,9 @@ def solve_linear(A: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise InvalidParameterError(f"A must be square, got shape {A.shape}")
     if b.shape[0] != A.shape[0]:
         raise InvalidParameterError("dimension mismatch between A and b")
-    scale = np.abs(A).max()  # not finite exactly when A is not
-    if not (math.isfinite(scale) and np.isfinite(b).all()):
+    # The checks run on Python floats: for the 2 x 2 to 5 x 5 systems of a
+    # fit they cost less than numpy's calls.
+    entries = A.ravel().tolist()
+    if not all(map(math.isfinite, entries + b.ravel().tolist())):
         raise InvalidParameterError("A and b must be finite")
-    return _factor(dgesv, A, scale, "zero matrix", _SINGULAR, b)[2]
+    return _factor(dgesv, A, max(map(abs, entries)), "zero matrix", _SINGULAR, b)[2]

@@ -32,7 +32,13 @@ from .errors import (
     UnsupportedPowerError,
     VarianceNonpositiveError,
 )
-from .numcore import RngStream, _require_finite_power, _sample_size, gauss_laguerre
+from .numcore import (
+    RngStream,
+    _require_finite_power,
+    _require_poisson_rates,
+    _sample_size,
+    gauss_laguerre,
+)
 from .tweedie import TweedieParams, sample_tweedie_mu, tweedie_density, tweedie_laplace
 
 # With phi * mu**p at or below this, the mixing distribution is numerically
@@ -116,6 +122,7 @@ def ptw_sample(params: PtwParams, n: int, rng: RngStream) -> np.ndarray:
 def sample_ptw_mu(mu, phi: float, p: float, gen) -> np.ndarray:
     """One count per entry of ``mu``: vectorized Poisson-Tweedie sampling core."""
     z = sample_tweedie_mu(mu, phi, p, gen)
+    _require_poisson_rates(z)
     return gen.poisson(z)
 
 

@@ -21,9 +21,13 @@ from .numcore import RngStream, _sample_size, solve_linear
 
 _SERIES_TOL = 1e-12
 _CDF_TAIL = 1e-12
-# Rows y = 0..Y* of a pmf or CDF table; every study scenario and moment
-# mapping needs under 1,000, and 10^7 rows is 80 MB per column.
-_MAX_TABLE_ROWS = 10**7
+# Cells of a pmf or CDF table, rows y = 0..Y* by one column per lambda:
+# every study scenario and moment mapping needs under 10^6 (compoisson-nu2,
+# 880 rows by 1,000 columns, is the largest), and 10^7 cells is 80 MB.
+_MAX_TABLE_CELLS = 10**7
+# Sampling compares the uniforms with the CDF table in blocks of draws of
+# about this many cells, so its memory does not grow with the draw count.
+_BLOCK_CELLS = 2**22
 
 
 @dataclass(frozen=True)
@@ -51,13 +55,15 @@ class GammaCountParams(_LamNu):
     """Gamma-Count GC(lambda, nu): counts of gamma(nu, nu*lambda) arrivals."""
 
 
-def _table_rows(y_max: float) -> int:
-    """Y* as an int, refused before any allocation when the table would
-    pass ``_MAX_TABLE_ROWS`` rows."""
-    if not y_max < _MAX_TABLE_ROWS:
+def _table_rows(y_max: float, columns: int) -> int:
+    """Y* as an int, refused before any allocation when a table of Y* rows
+    by ``columns`` would pass ``_MAX_TABLE_CELLS`` cells."""
+    limit = _MAX_TABLE_CELLS / columns
+    if not y_max < limit:
+        at = f" at {columns} columns" if columns > 1 else ""
         raise InvalidParameterError(
             f"lambda and nu need a table of {y_max:.3g} rows, above the limit of "
-            f"{_MAX_TABLE_ROWS:.0e}"
+            f"{limit:.3g}{at}"
         )
     return int(y_max)
 
@@ -72,7 +78,7 @@ def _compoisson_log_weights(lam: np.ndarray, nu: float) -> np.ndarray:
     log_lam = np.log(lam)
     with np.errstate(over="ignore"):  # an infinite mode is refused below
         mode = np.max(lam) ** (1.0 / nu)
-    y_max = _table_rows(mode + 30.0 * np.sqrt(mode / nu + 1.0) + 50.0)
+    y_max = _table_rows(mode + 30.0 * np.sqrt(mode / nu + 1.0) + 50.0, lam.size)
     while True:
         y = np.arange(y_max + 1)
         logw = y[:, None] * log_lam[None, :] - nu * gammaln(y + 1)[:, None]
@@ -80,7 +86,7 @@ def _compoisson_log_weights(lam: np.ndarray, nu: float) -> np.ndarray:
         total = top + np.log(np.sum(np.exp(logw - top), axis=0))
         if np.all(logw[-1] < total + np.log(_SERIES_TOL)):
             return logw - total
-        y_max = _table_rows(2 * y_max)
+        y_max = _table_rows(2 * y_max, lam.size)
 
 
 def compoisson_pmf(params: ComPoissonParams, y) -> np.ndarray | float:
@@ -125,7 +131,13 @@ def _sample_lam(table, lam, nu: float, gen) -> np.ndarray:
     if lam.size == 0:  # no lambdas to build a table over
         return np.zeros(0, dtype=np.int64)
     cdf, inv = table(lam.tobytes(), nu)
-    counts = np.sum(cdf[:, inv] < gen.random(lam.shape[0])[None, :], axis=0)
+    u = gen.random(lam.shape[0])
+    # Each count sums the same comparisons, whatever the blocks.
+    step = max(1, _BLOCK_CELLS // cdf.shape[0])
+    counts = np.concatenate([
+        np.sum(cdf[:, inv[i:i + step]] < u[None, i:i + step], axis=0)
+        for i in range(0, u.size, step)
+    ])
     return np.minimum(counts, cdf.shape[0] - 1)
 
 
@@ -158,9 +170,9 @@ def gammacount_pmf(params: GammaCountParams, y) -> np.ndarray | float:
 def _gammacount_table(uniq: np.ndarray, nu: float) -> np.ndarray:
     """The CDF telescopes: P(Y <= y) = 1 - G((y+1) nu, nu lambda)."""
     t = nu * uniq
-    y_max = _table_rows(uniq.max() + 30.0 * np.sqrt(uniq.max() / nu + 1.0) + 30.0)
+    y_max = _table_rows(uniq.max() + 30.0 * np.sqrt(uniq.max() / nu + 1.0) + 30.0, uniq.size)
     while (gammainc((y_max + 1) * nu, t) >= _CDF_TAIL).any():
-        y_max = _table_rows(2 * y_max)
+        y_max = _table_rows(2 * y_max, uniq.size)
     y = np.arange(y_max + 1)
     return 1.0 - gammainc((y[:, None] + 1) * nu, t[None, :])
 
@@ -219,6 +231,7 @@ _TABLES = {"com-poisson": _compoisson_table, "gamma-count": _gammacount_table}
 def _table_moments(table, lam: np.ndarray, nu: float) -> tuple[np.ndarray, np.ndarray]:
     """Exact mean and variance for each entry of ``lam`` from a cached CDF table."""
     cdf, inv = table(lam.tobytes(), nu)
+    _table_rows(cdf.shape[0] - 1, lam.size)  # the pmf below has a column per lambda
     pmf = np.diff(cdf, axis=0, prepend=0.0)[:, inv]
     y = np.arange(cdf.shape[0], dtype=float)[:, None]
     means = np.sum(y * pmf, axis=0)

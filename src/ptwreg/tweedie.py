@@ -16,7 +16,7 @@ from numpy.random import Generator
 from scipy.special import gammaln
 
 from .errors import InvalidParameterError, UnsupportedPowerError
-from .numcore import RngStream, _require_finite_power, _sample_size
+from .numcore import RngStream, _require_finite_power, _require_poisson_rates, _sample_size
 
 # Below this relative tilt s*phi*mu**(p-1), the exact cumulant difference in
 # the Laplace transform cancels catastrophically in float64; a second-order
@@ -62,7 +62,9 @@ def sample_tweedie_mu(mu, phi: float, p: float, gen: Generator) -> np.ndarray:
     mu = np.asarray(mu, dtype=float)
     _require_supported_power(p)
     if p == 1.0:
-        return phi * gen.poisson(mu / phi, size=mu.shape).astype(float)
+        rate = mu / phi
+        _require_poisson_rates(rate)
+        return phi * gen.poisson(rate, size=mu.shape).astype(float)
     if p == 2.0:
         return gen.gamma(1.0 / phi, phi * mu, size=mu.shape)
     if p == 3.0:
@@ -71,6 +73,7 @@ def sample_tweedie_mu(mu, phi: float, p: float, gen: Generator) -> np.ndarray:
     lam = mu ** (2.0 - p) / (phi * (2.0 - p))
     shape = (2.0 - p) / (p - 1.0)
     scale = phi * (p - 1.0) * mu ** (p - 1.0)
+    _require_poisson_rates(lam)
     counts = gen.poisson(lam, size=mu.shape)
     out = np.zeros(mu.shape)
     pos = counts > 0

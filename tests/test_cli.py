@@ -231,6 +231,18 @@ def test_simulate_refuses_the_flags_of_other_families(args, foreign, capsys):
     assert err == f"ptwreg: error: --family {family} does not take {foreign}\n"
 
 
+def test_simulate_rate_numpy_cannot_draw_is_usage_error(capsys):
+    # the mixing draw Z near 1e30 is the Poisson rate of Y | Z; numpy's
+    # "lam value too large" came out as a traceback
+    code, out, err = run_cli(
+        ["simulate", "--family", "ptw", "--mu", "1e30", "--phi", "0.5", "--power", "1.5",
+         "--n", "2"], capsys
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("ptwreg: error: Poisson rate ")
+    assert err.endswith(" is beyond numpy's sampler limit of 9.223e+18\n")
+
+
 @pytest.mark.parametrize(
     "family",
     [

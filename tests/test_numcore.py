@@ -9,7 +9,14 @@ from scipy.special import gammaln
 from ptwreg import estfun
 from ptwreg.errors import InvalidParameterError, SingularMatrixError
 from ptwreg.estfun import godambe_covariance
-from ptwreg.numcore import RngStream, _lu_solver, gauss_laguerre, solve_linear
+from ptwreg.numcore import (
+    _POISSON_MAX_RATE,
+    RngStream,
+    _lu_solver,
+    _require_poisson_rates,
+    gauss_laguerre,
+    solve_linear,
+)
 from ptwreg.ptwdist import PtwParams, ptw_sample
 from ptwreg.refdists import (
     ComPoissonParams,
@@ -111,6 +118,21 @@ def test_solve_errors_and_messages(A, b, error, message):
     with pytest.raises(error) as info:
         solve_linear(A, b)
     assert str(info.value) == message
+
+
+def test_poisson_rate_limit_is_numpys():
+    # the largest rate numpy draws from passes; the next float and NaN are
+    # refused, where numpy raises "lam value too large"
+    gen = RngStream(0).generator()
+    top = np.array([1.0, _POISSON_MAX_RATE])
+    _require_poisson_rates(top)
+    gen.poisson(top)
+    _require_poisson_rates(np.zeros(0))
+    for bad in (np.nextafter(_POISSON_MAX_RATE, np.inf), np.nan):
+        with pytest.raises(ValueError, match="lam value too large"):
+            gen.poisson([1.0, bad])
+        with pytest.raises(InvalidParameterError, match="beyond numpy's sampler limit"):
+            _require_poisson_rates(np.array([1.0, bad]))
 
 
 def test_lu_solver_matches_getrs_bitwise():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -55,6 +57,48 @@ def test_tables_past_the_row_limit_are_refused(params, sample, pmf):
     if pmf is compoisson_pmf:  # the Gamma-Count pmf needs no table
         with pytest.raises(InvalidParameterError, match="rows, above the limit"):
             pmf(params, 0)
+
+
+@pytest.mark.parametrize(
+    "family, lambda0, lambda1, rows",
+    [
+        # 1,000 distinct grid lambdas near 1e6 at nu = 1: Y* near 1.03e6 rows
+        # would be about 8 GB per array; refused before the table is built
+        ("com-poisson", np.log(1e6), 0.1, "1.14e+06"),
+        ("gamma-count", np.log(1e6), 0.1, "1.14e+06"),
+        # one distinct lambda: its table has one column, and the moments
+        # would expand it to 1,000; refused before the expansion
+        ("com-poisson", np.log(1e5), 0.0, "1.1e+05"),
+    ],
+    ids=["compoisson", "gammacount", "one-distinct-lambda"],
+)
+def test_moment_tables_past_the_cell_limit_are_refused(family, lambda0, lambda1, rows):
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidParameterError) as info:
+            moment_map(family, lambda0, lambda1, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == (f"lambda and nu need a table of {rows} rows, above the "
+                               "limit of 1e+04 at 1000 columns")
+    assert peak < 20e6, peak
+
+
+def test_sampling_in_blocks_matches_one_comparison(monkeypatch):
+    # blocks of 1,000 cells split 3,000 draws over a 25-row table into 75
+    # blocks; each count sums the same comparisons as the whole table does
+    lam = np.exp(1.0 + 0.5 * np.linspace(-1.0, 1.0, 3000))
+    for table, sample_lam in ((refdists._compoisson_table, compoisson_sample_lam),
+                              (refdists._gammacount_table, gammacount_sample_lam)):
+        cdf, inv = table(lam.tobytes(), 2.0)
+        u = RngStream(5).generator().random(lam.size)
+        whole = np.minimum(np.sum(cdf[:, inv] < u[None, :], axis=0), cdf.shape[0] - 1)
+        monkeypatch.setattr(refdists, "_BLOCK_CELLS", 1000)
+        blocked = sample_lam(lam, 2.0, RngStream(5).generator())
+        monkeypatch.undo()
+        assert cdf.shape[0] * lam.size > 10 * 1000
+        assert blocked.dtype == whole.dtype and np.array_equal(blocked, whole)
 
 
 def test_parameters_of_the_two_families_stay_apart():

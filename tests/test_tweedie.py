@@ -31,6 +31,14 @@ def test_overflowing_mu_power_is_invalid():
         tweedie_sample(TweedieParams(1e300, 0.5, 1.5), 2, RngStream(0))
 
 
+@pytest.mark.parametrize("p", [1.0, 1.5])
+def test_poisson_rates_numpy_cannot_draw_are_invalid(p):
+    # mu**p is finite, but the Poisson rate mu/phi or mu**(2-p)/(phi(2-p))
+    # is above numpy's limit: that raised numpy's "lam value too large"
+    with pytest.raises(InvalidParameterError, match="beyond numpy's sampler limit"):
+        tweedie_sample(TweedieParams(1e200, 0.5, p), 2, RngStream(0))
+
+
 def test_unsupported_power_sampling():
     with pytest.raises(UnsupportedPowerError):
         tweedie_sample(TweedieParams(1.0, 1.0, 2.5), 10, RngStream(0))
