@@ -48,6 +48,9 @@ _POISSON_LIMIT = 1e-6
 _QUAD_NODES = 128
 # Poisson tail mass of the mixing lattice left out of the p = 1 sum.
 _LATTICE_TOL = 1e-12
+# The largest Monte Carlo budget: 800 MB of mixing draws, ten times what
+# the tests use, and refused before any array is made.
+_MAX_MC_DRAWS = 10**8
 
 
 @dataclass(frozen=True)
@@ -93,7 +96,8 @@ class PmfEstimate:
 
 @dataclass(frozen=True)
 class PmfConfig:
-    """Evaluation budget: Monte Carlo draw count (>= 2) and random stream."""
+    """Evaluation budget: Monte Carlo draw count (2 to ``_MAX_MC_DRAWS``)
+    and random stream."""
 
     mc_draws: int = 100_000
     rng: RngStream = field(default=RngStream(0))
@@ -101,6 +105,10 @@ class PmfConfig:
     def __post_init__(self):
         if not isinstance(self.mc_draws, (int, np.integer)) or self.mc_draws < 2:
             raise InvalidParameterError(f"mc_draws must be an integer >= 2, got {self.mc_draws!r}")
+        if self.mc_draws > _MAX_MC_DRAWS:
+            raise InvalidParameterError(
+                f"mc_draws must be at most {_MAX_MC_DRAWS}, got {self.mc_draws!r}"
+            )
 
 
 def _check_probabilistic(params: PtwParams) -> None:
@@ -135,6 +143,9 @@ def _mixing_draws(mu: float, phi: float, p: float, m: int, rng: RngStream) -> np
     Only the last set is kept: consecutive calls at one set (a curve, then
     its heavy-tail ratios) read it again, and no caller returns to an older
     set, so a deeper cache would only hold 800 KB per set that no one reads.
+    The pmf estimates taken from the set are kept apart, by
+    ``_mc_estimates`` under the same key, so such a call reads the set only
+    for counts it has not yet seen.
 
     Each parameter set draws from its own substream (indexed by a hash of
     the parameters), so estimates for different parameter sets are
@@ -158,13 +169,17 @@ def _log_intensities(z: np.ndarray) -> np.ndarray:
     return np.log(log_z, out=log_z)
 
 
-def _positive(z: np.ndarray) -> np.ndarray:
-    """The mask z > 0 as 1.0 / 0.0, the form ``_poisson_pmf`` multiplies by."""
+def _positive(z: np.ndarray) -> np.ndarray | None:
+    """The mask z > 0 as 1.0 / 0.0, the form ``_poisson_pmf`` multiplies by,
+    or None when no z is 0 (draws are never negative): multiplying by 1.0
+    would be one more pass over the draws for every count."""
+    if z.all():
+        return None
     return np.greater(z, 0.0, out=np.empty(z.size))
 
 
 def _poisson_pmf(
-    y: int, z: np.ndarray, log_z: np.ndarray, positive: np.ndarray, out: np.ndarray,
+    y: int, z: np.ndarray, log_z: np.ndarray, positive: np.ndarray | None, out: np.ndarray,
     log_weight: np.ndarray | None = None,
 ) -> np.ndarray:
     """Write Poisson(y; z) into ``out``, a buffer of z's size that the caller
@@ -181,7 +196,7 @@ def _poisson_pmf(
     if log_weight is not None:
         out += log_weight
     np.exp(out, out=out)
-    if y > 0:
+    if y > 0 and positive is not None:
         out *= positive
     return out
 
@@ -277,19 +292,48 @@ def params_as_tweedie(params: PtwParams) -> TweedieParams:
     return TweedieParams(params.mu, params.phi, params.p)
 
 
+@lru_cache(maxsize=1)
+def _mc_estimates(mu: float, phi: float, p: float, m: int, rng: RngStream) -> dict:
+    """count -> PmfEstimate: the Monte Carlo estimates taken so far from
+    ``_mixing_draws``' set under the same key.  An estimate depends only on
+    its key and count, so it stays valid when the draws are evicted; like
+    them, only the last set's estimates are kept."""
+    return {}
+
+
 def _pmf_monte_carlo(params: PtwParams, ys: list[int], budget: PmfConfig) -> list[PmfEstimate]:
-    z = _mixing_draws(params.mu, params.phi, params.p, budget.mc_draws, budget.rng)
-    log_z, positive = _log_intensities(z), _positive(z)
+    """Monte Carlo estimates at ``ys``, each count evaluated once per draw
+    set: counts already estimated are read from ``_mc_estimates``, and the
+    new ones are split into min(counts, CPUs) chunks run by
+    ``_run_in_order``.  Every estimate has the same bits on any thread."""
+    key = (params.mu, params.phi, params.p, budget.mc_draws, budget.rng)
+    known = _mc_estimates(*key)
+    new = list(dict.fromkeys(y for y in ys if y not in known))
+    if new:
+        z = _mixing_draws(*key)
+        log_z, positive = _log_intensities(z), _positive(z)
+        workers = min(len(new), _usable_cpus())
+        jobs = [partial(_mc_chunk, new[k::workers], z, log_z, positive) for k in range(workers)]
+        for estimates in _run_in_order(jobs):
+            known.update(estimates)
+    return [known[y] for y in ys]
+
+
+def _mc_chunk(
+    ys: list[int], z: np.ndarray, log_z: np.ndarray, positive: np.ndarray | None
+) -> dict:
+    """count -> PmfEstimate over ``ys``, in one buffer of the draws' size
+    that holds each count's Poisson terms and then their squared deviations."""
     m = len(z)
-    probs, dev = np.empty(m), np.empty(m)
-    out = []
+    probs = np.empty(m)
+    out = {}
     for y in ys:
         _poisson_pmf(y, z, log_z, positive, probs)
         value = float(np.mean(probs))
-        np.subtract(probs, value, out=dev)  # np.std(probs, ddof=1), reusing the mean
-        dev *= dev
-        stderr = float(np.sqrt(np.sum(dev) / (m - 1)) / np.sqrt(m))
-        out.append(PmfEstimate(min(value, 1.0), stderr, "monte-carlo"))
+        probs -= value  # np.std(probs, ddof=1), reusing the mean
+        probs *= probs
+        stderr = float(np.sqrt(np.sum(probs) / (m - 1)) / np.sqrt(m))
+        out[y] = PmfEstimate(min(value, 1.0), stderr, "monte-carlo")
     return out
 
 
@@ -354,7 +398,13 @@ def ptw_pmf(params: PtwParams, y: int, budget: PmfConfig | None = None) -> PmfEs
 
 def ptw_pmf_curve(params: PtwParams, ys, budget: PmfConfig | None = None) -> list[PmfEstimate]:
     """pmf estimates over a y grid, sharing one set of mixing draws; equal,
-    count by count, to ``ptw_pmf`` at each y."""
+    count by count, to ``ptw_pmf`` at each y.
+
+    A Monte Carlo count is evaluated once per draw set: a repeated count,
+    or one an earlier call at the same set and budget took, is read back.
+    The other Monte Carlo counts run on up to one thread per CPU that the
+    process may run on, each thread with one buffer of the draws' size, and
+    each count does the same arithmetic on any thread."""
     return _pmf_set(params, ys, budget)
 
 

@@ -404,6 +404,29 @@ def test_indices_evaluates_each_pmf_once(monkeypatch, capsys):
     assert samples == [5000]
 
 
+def test_pmf_then_indices_evaluate_each_count_once(monkeypatch, capsys):
+    # pmf takes y = 0..6 from the draw set and indices y = 0..7: the second
+    # table evaluates only y = 7, and prints what it prints from cold caches
+    kernel_calls = []
+    kernel = ptwdist._poisson_pmf
+
+    def counting_kernel(y, *args):
+        kernel_calls.append(y)
+        return kernel(y, *args)
+
+    table = ["--mu", "4", "--phi", "0.5", "--power", "1.5", "--y-max", "6", "--mc-draws", "5000"]
+    ptwdist._mixing_draws.cache_clear()
+    ptwdist._mc_estimates.cache_clear()
+    monkeypatch.setattr(ptwdist, "_poisson_pmf", counting_kernel)
+    assert run_cli(["pmf", *table], capsys)[0] == 0
+    code, warm, _ = run_cli(["indices", *table], capsys)
+    assert code == 0
+    assert sorted(kernel_calls) == list(range(8))  # y_max + 2, not 2 y_max + 3
+    ptwdist._mixing_draws.cache_clear()
+    ptwdist._mc_estimates.cache_clear()
+    assert run_cli(["indices", *table], capsys) == (0, warm, "")
+
+
 @pytest.mark.parametrize(
     "command, args, sha256",
     [
@@ -663,6 +686,21 @@ def test_mc_draws_below_two_is_usage_error(command, draws, dicentrics_file, caps
     assert code == 1
     assert out == ""
     assert err.startswith("ptwreg: error: mc_draws must be an integer >= 2")
+
+
+@pytest.mark.parametrize("command", ["pmf", "indices", "fit"])
+def test_mc_draws_above_the_bound_is_usage_error(command, dicentrics_file, capsys):
+    # 2**62 draws made numpy refuse the array with a ValueError traceback
+    argv = {
+        "pmf": ["pmf", "--mu", "4", "--phi", "0.5", "--power", "1.5", "--y-max", "2"],
+        "indices": ["indices", "--mu", "4", "--phi", "0.5", "--power", "1.5"],
+        "fit": ["fit", "--data", dicentrics_file, "--response", "y"],
+    }[command]
+    code, out, err = run_cli(argv + ["--mc-draws", "4611686018427387904"], capsys)
+    assert (code, out) == (1, "")
+    assert err == (
+        "ptwreg: error: mc_draws must be at most 100000000, got 4611686018427387904\n"
+    )
 
 
 # ------------------------------------------------------------- parser basics

@@ -52,6 +52,14 @@ def test_pmf_config_needs_two_draws(draws):
     assert PmfConfig(mc_draws=np.int64(2)).mc_draws == 2
 
 
+@pytest.mark.parametrize("draws", [10**8 + 1, 2**62, np.int64(2**62)])
+def test_pmf_config_refuses_more_draws_than_the_bound(draws):
+    # 2**62 draws would ask numpy for an array it refuses to make
+    with pytest.raises(InvalidParameterError, match=r"mc_draws must be at most 100000000, got"):
+        PmfConfig(mc_draws=draws)
+    assert PmfConfig(mc_draws=ptwdist._MAX_MC_DRAWS).mc_draws == 10**8
+
+
 # ------------------------------------------------------------------ sampling
 
 
@@ -300,6 +308,66 @@ def test_pmf_curve_matches_per_count_reference_exactly(args, ys, methods):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         assert [ptw_pmf(params, y, b) for y in ys] == curve
+
+
+def _cold(function, *args):
+    """``function(*args)`` with no mixing draws or Monte Carlo estimates kept."""
+    _mixing_draws.cache_clear()
+    ptwdist._mc_estimates.cache_clear()
+    return function(*args)
+
+
+@pytest.mark.filterwarnings("ignore:Gauss-Laguerre rule")
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_pmf_curve_equals_cold_per_count_calls_on_any_number_of_threads(workers, monkeypatch):
+    # the Monte Carlo cases above: unsorted and repeated counts, zero draws,
+    # and the p = 3 Gauss-Laguerre fallback; each count of the reference is
+    # evaluated alone, from fresh draws, on the calling thread
+    monkeypatch.setattr(ptwdist, "_usable_cpus", lambda: workers)
+    b = budget(seed=4, draws=5_000)
+    for args, ys, methods in _CURVE_CASES:
+        if "monte-carlo" in methods:
+            params = PtwParams(*args)
+            reference = [_cold(ptw_pmf, params, y, b) for y in ys]
+            assert _cold(ptw_pmf_curve, params, ys, b) == reference
+
+
+def test_pmf_curve_starts_threads_only_for_two_monte_carlo_counts(monkeypatch):
+    monkeypatch.setattr(ptwdist, "_usable_cpus", lambda: 2)
+    pools = []
+
+    def recording_pool(*args, **kwargs):
+        pools.append(args)
+        return ThreadPoolExecutor(*args, **kwargs)
+
+    monkeypatch.setattr(ptwdist, "ThreadPoolExecutor", recording_pool)
+    b = budget(seed=3, draws=5_000)
+    before = threading.active_count()
+    assert _cold(ptw_pmf, PtwParams(6.0, 0.5, 1.5), 4, b).method == "monte-carlo"
+    exact = _cold(ptw_pmf_curve, PtwParams(20.0, 0.5, 3.0), range(30), b)
+    assert {est.method for est in exact} == {"gauss-laguerre"}
+    assert pools == []
+    assert _cold(ptw_pmf_curve, PtwParams(6.0, 0.5, 1.5), [4, 5], b)[0].method == "monte-carlo"
+    assert pools == [(2,)]
+    assert threading.active_count() == before
+
+
+def test_pmf_curve_holds_one_draw_set(monkeypatch):
+    # a 100,000-draw curve on two threads keeps its draws and its estimates;
+    # log z and the threads' buffers are gone once it returns
+    monkeypatch.setattr(ptwdist, "_usable_cpus", lambda: 2)
+    params = PtwParams(6.0, 0.5, 1.5)
+    _cold(ptw_pmf_curve, params, range(30), budget(seed=1))  # warm every one-time cache
+    _mixing_draws.cache_clear()
+    ptwdist._mc_estimates.cache_clear()
+    tracemalloc.start()
+    try:
+        ptw_pmf_curve(params, range(30), budget(seed=2))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(ptwdist._mc_estimates(6.0, 0.5, 1.5, 100_000, RngStream(2))) == 30
+    assert held <= 100_000 * 8 + 64 * 1024, held
 
 
 # -------------------------------------------------------------------- domain
@@ -815,6 +883,18 @@ def test_buffered_poisson_kernel_equals_the_expression(y):
         )
     assert kernel is out
     assert np.array_equal(out, expected)
+
+
+def test_poisson_kernel_takes_no_mask_without_zero_draws():
+    # a draw is 0 with probability exp(-35) at (12.0, 0.2, 1.5); the p = 1
+    # lattice starts at z = 0 and keeps its mask
+    z = _mixing_draws(12.0, 0.2, 1.5, 20_000, RngStream(4))
+    assert np.all(z > 0) and ptwdist._positive(z) is None
+    assert ptwdist._positive(np.array([0.0, 1.5])).tolist() == [0.0, 1.0]
+    log_z = ptwdist._log_intensities(z)
+    for y in (0, 1, 40):
+        masked = ptwdist._poisson_pmf(y, z, log_z, np.ones(z.size), np.empty(z.size))
+        assert np.array_equal(ptwdist._poisson_pmf(y, z, log_z, None, np.empty(z.size)), masked)
 
 
 @pytest.mark.parametrize(
