@@ -48,9 +48,15 @@ _POISSON_LIMIT = 1e-6
 _QUAD_NODES = 128
 # Poisson tail mass of the mixing lattice left out of the p = 1 sum.
 _LATTICE_TOL = 1e-12
-# The largest Monte Carlo budget: 800 MB of mixing draws, ten times what
-# the tests use, and refused before any array is made.
+# The largest Monte Carlo budget, ten times what the tests use, refused
+# before any array is made.  A pmf call at it holds (3 + threads) arrays of
+# 800 MB (draws, log z, the z > 0 mask and one buffer per thread), and
+# _MC_BUFFER_BYTES keeps it to one thread: 3.2 GB.
 _MAX_MC_DRAWS = 10**8
+# What the threads of a Monte Carlo pmf call may hold in buffers together,
+# one of 8 x mc_draws bytes each: one thread always runs, and no more than
+# fit in this (335 at the default 100,000 draws, 3 at 10^7).
+_MC_BUFFER_BYTES = 2**28
 
 
 @dataclass(frozen=True)
@@ -169,17 +175,13 @@ def _log_intensities(z: np.ndarray) -> np.ndarray:
     return np.log(log_z, out=log_z)
 
 
-def _positive(z: np.ndarray) -> np.ndarray | None:
-    """The mask z > 0 as 1.0 / 0.0, the form ``_poisson_pmf`` multiplies by,
-    or None when no z is 0 (draws are never negative): multiplying by 1.0
-    would be one more pass over the draws for every count."""
-    if z.all():
-        return None
+def _positive(z: np.ndarray) -> np.ndarray:
+    """The mask z > 0 as 1.0 / 0.0, the form ``_poisson_pmf`` multiplies by."""
     return np.greater(z, 0.0, out=np.empty(z.size))
 
 
 def _poisson_pmf(
-    y: int, z: np.ndarray, log_z: np.ndarray, positive: np.ndarray | None, out: np.ndarray,
+    y: int, z: np.ndarray, log_z: np.ndarray, positive: np.ndarray, out: np.ndarray,
     log_weight: np.ndarray | None = None,
 ) -> np.ndarray:
     """Write Poisson(y; z) into ``out``, a buffer of z's size that the caller
@@ -196,7 +198,7 @@ def _poisson_pmf(
     if log_weight is not None:
         out += log_weight
     np.exp(out, out=out)
-    if y > 0 and positive is not None:
+    if y > 0:
         out *= positive
     return out
 
@@ -304,24 +306,23 @@ def _mc_estimates(mu: float, phi: float, p: float, m: int, rng: RngStream) -> di
 def _pmf_monte_carlo(params: PtwParams, ys: list[int], budget: PmfConfig) -> list[PmfEstimate]:
     """Monte Carlo estimates at ``ys``, each count evaluated once per draw
     set: counts already estimated are read from ``_mc_estimates``, and the
-    new ones are split into min(counts, CPUs) chunks run by
-    ``_run_in_order``.  Every estimate has the same bits on any thread."""
+    new ones are split into min(counts, CPUs, buffers that fit in
+    ``_MC_BUFFER_BYTES``) chunks run by ``_run_in_order``.  Every estimate
+    has the same bits on any thread."""
     key = (params.mu, params.phi, params.p, budget.mc_draws, budget.rng)
     known = _mc_estimates(*key)
     new = list(dict.fromkeys(y for y in ys if y not in known))
     if new:
         z = _mixing_draws(*key)
         log_z, positive = _log_intensities(z), _positive(z)
-        workers = min(len(new), _usable_cpus())
+        workers = min(len(new), _usable_cpus(), max(1, _MC_BUFFER_BYTES // z.nbytes))
         jobs = [partial(_mc_chunk, new[k::workers], z, log_z, positive) for k in range(workers)]
         for estimates in _run_in_order(jobs):
             known.update(estimates)
     return [known[y] for y in ys]
 
 
-def _mc_chunk(
-    ys: list[int], z: np.ndarray, log_z: np.ndarray, positive: np.ndarray | None
-) -> dict:
+def _mc_chunk(ys: list[int], z: np.ndarray, log_z: np.ndarray, positive: np.ndarray) -> dict:
     """count -> PmfEstimate over ``ys``, in one buffer of the draws' size
     that holds each count's Poisson terms and then their squared deviations."""
     m = len(z)
@@ -404,7 +405,8 @@ def ptw_pmf_curve(params: PtwParams, ys, budget: PmfConfig | None = None) -> lis
     or one an earlier call at the same set and budget took, is read back.
     The other Monte Carlo counts run on up to one thread per CPU that the
     process may run on, each thread with one buffer of the draws' size, and
-    each count does the same arithmetic on any thread."""
+    no more threads than their buffers fit in ``_MC_BUFFER_BYTES``; each
+    count does the same arithmetic on any thread."""
     return _pmf_set(params, ys, budget)
 
 

@@ -6,6 +6,16 @@ import numpy as np
 import pytest
 
 from ptwreg import ModelSpecConfig, build_design, dataset_table, expand_count_column
+from ptwreg import ptwdist
+
+
+@pytest.fixture(autouse=True)
+def cold_draw_caches():
+    """Start every test with no mixing draws and no Monte Carlo pmf
+    estimates kept, so that what a test counts does not hang on the tests
+    that ran before it."""
+    ptwdist._mixing_draws.cache_clear()
+    ptwdist._mc_estimates.cache_clear()
 
 
 @pytest.fixture(scope="session")

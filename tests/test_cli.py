@@ -415,8 +415,6 @@ def test_pmf_then_indices_evaluate_each_count_once(monkeypatch, capsys):
         return kernel(y, *args)
 
     table = ["--mu", "4", "--phi", "0.5", "--power", "1.5", "--y-max", "6", "--mc-draws", "5000"]
-    ptwdist._mixing_draws.cache_clear()
-    ptwdist._mc_estimates.cache_clear()
     monkeypatch.setattr(ptwdist, "_poisson_pmf", counting_kernel)
     assert run_cli(["pmf", *table], capsys)[0] == 0
     code, warm, _ = run_cli(["indices", *table], capsys)

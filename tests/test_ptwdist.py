@@ -332,8 +332,8 @@ def test_pmf_curve_equals_cold_per_count_calls_on_any_number_of_threads(workers,
             assert _cold(ptw_pmf_curve, params, ys, b) == reference
 
 
-def test_pmf_curve_starts_threads_only_for_two_monte_carlo_counts(monkeypatch):
-    monkeypatch.setattr(ptwdist, "_usable_cpus", lambda: 2)
+def _record_pools(monkeypatch) -> list:
+    """The thread counts of the pools ``_run_in_order`` makes."""
     pools = []
 
     def recording_pool(*args, **kwargs):
@@ -341,6 +341,12 @@ def test_pmf_curve_starts_threads_only_for_two_monte_carlo_counts(monkeypatch):
         return ThreadPoolExecutor(*args, **kwargs)
 
     monkeypatch.setattr(ptwdist, "ThreadPoolExecutor", recording_pool)
+    return pools
+
+
+def test_pmf_curve_starts_threads_only_for_two_monte_carlo_counts(monkeypatch):
+    monkeypatch.setattr(ptwdist, "_usable_cpus", lambda: 2)
+    pools = _record_pools(monkeypatch)
     b = budget(seed=3, draws=5_000)
     before = threading.active_count()
     assert _cold(ptw_pmf, PtwParams(6.0, 0.5, 1.5), 4, b).method == "monte-carlo"
@@ -352,12 +358,27 @@ def test_pmf_curve_starts_threads_only_for_two_monte_carlo_counts(monkeypatch):
     assert threading.active_count() == before
 
 
+def test_pmf_curve_threads_fit_their_buffers_in_the_bound(monkeypatch):
+    # 8 CPUs, but room for three 5,000-draw buffers: three threads; room for
+    # less than one: the calling thread alone, with the same estimates
+    monkeypatch.setattr(ptwdist, "_usable_cpus", lambda: 8)
+    pools = _record_pools(monkeypatch)
+    params, b = PtwParams(6.0, 0.5, 1.5), budget(seed=3, draws=5_000)
+    reference = _cold(ptw_pmf_curve, params, range(20), b)
+    assert pools == [(8,)]
+    for room, threads in ((4 * 8 * 5_000 - 1, [(3,)]), (8 * 5_000 - 1, [])):
+        pools.clear()
+        monkeypatch.setattr(ptwdist, "_MC_BUFFER_BYTES", room)
+        assert _cold(ptw_pmf_curve, params, range(20), b) == reference
+        assert pools == threads
+
+
 def test_pmf_curve_holds_one_draw_set(monkeypatch):
     # a 100,000-draw curve on two threads keeps its draws and its estimates;
     # log z and the threads' buffers are gone once it returns
     monkeypatch.setattr(ptwdist, "_usable_cpus", lambda: 2)
     params = PtwParams(6.0, 0.5, 1.5)
-    _cold(ptw_pmf_curve, params, range(30), budget(seed=1))  # warm every one-time cache
+    ptw_pmf_curve(params, range(30), budget(seed=1))  # warm every one-time cache
     _mixing_draws.cache_clear()
     ptwdist._mc_estimates.cache_clear()
     tracemalloc.start()
@@ -883,18 +904,6 @@ def test_buffered_poisson_kernel_equals_the_expression(y):
         )
     assert kernel is out
     assert np.array_equal(out, expected)
-
-
-def test_poisson_kernel_takes_no_mask_without_zero_draws():
-    # a draw is 0 with probability exp(-35) at (12.0, 0.2, 1.5); the p = 1
-    # lattice starts at z = 0 and keeps its mask
-    z = _mixing_draws(12.0, 0.2, 1.5, 20_000, RngStream(4))
-    assert np.all(z > 0) and ptwdist._positive(z) is None
-    assert ptwdist._positive(np.array([0.0, 1.5])).tolist() == [0.0, 1.0]
-    log_z = ptwdist._log_intensities(z)
-    for y in (0, 1, 40):
-        masked = ptwdist._poisson_pmf(y, z, log_z, np.ones(z.size), np.empty(z.size))
-        assert np.array_equal(ptwdist._poisson_pmf(y, z, log_z, None, np.empty(z.size)), masked)
 
 
 @pytest.mark.parametrize(
