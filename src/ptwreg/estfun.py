@@ -16,8 +16,7 @@ becomes sum_i w_i (...).  This equals the same sum over the expanded
 rows, up to summation order.  Unweighted models skip the products.
 
 The public functions take one ``EstFunState``: the per-observation
-quantities at one theta, built by ``estfun_state`` (or by
-``_with_dispersion`` from a state at the same beta), with the design,
+quantities at one theta, built by ``estfun_state``, with the design,
 weights and theta it was built from.  Each formula lives in one private
 array function, which those functions call on a state's fields:
 ``_mean_terms`` (mu, log mu and the residuals, refusing a mean that under-
@@ -178,17 +177,6 @@ def estfun_state(model: PtwModel, theta: Theta) -> EstFunState:
     return EstFunState(
         mu=mu, C=C, resid=resid, resid2=resid2, W_phi=w_phi, W_p=w_p, log_mu=log_mu,
         X=model.X, weights=model.weights, theta=theta,
-    )
-
-
-def _with_dispersion(state: EstFunState, theta: Theta) -> EstFunState:
-    """The state at theta when only (phi, p) differ from ``state.theta``:
-    mu, the residuals and log mu carry over, C and the W weights are redone.
-    Runs in its quiet caller's error state."""
-    C, w_phi, w_p = _dispersion_weights(state.mu, state.log_mu, theta.phi, theta.p)
-    return EstFunState(
-        mu=state.mu, C=C, resid=state.resid, resid2=state.resid2, W_phi=w_phi, W_p=w_p,
-        log_mu=state.log_mu, X=state.X, weights=state.weights, theta=theta,
     )
 
 

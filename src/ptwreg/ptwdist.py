@@ -49,13 +49,15 @@ _QUAD_NODES = 128
 # Poisson tail mass of the mixing lattice left out of the p = 1 sum.
 _LATTICE_TOL = 1e-12
 # The largest Monte Carlo budget, ten times what the tests use, refused
-# before any array is made.  A pmf call at it holds (3 + threads) arrays of
-# 800 MB (draws, log z, the z > 0 mask and one buffer per thread), and
-# _MC_BUFFER_BYTES keeps it to one thread: 3.2 GB.
+# before any array is made.  At it, _MC_BUFFER_BYTES keeps both Monte Carlo
+# paths to one thread: a pmf call holds 4 arrays of 800 MB (3.2 GB) and a
+# log-likelihood mean 5 (4 GB).
 _MAX_MC_DRAWS = 10**8
-# What the threads of a Monte Carlo pmf call may hold in buffers together,
-# one of 8 x mc_draws bytes each: one thread always runs, and no more than
-# fit in this (335 at the default 100,000 draws, 3 at 10^7).
+# What the jobs that ``_run_in_order`` runs at once may hold together: a
+# pmf count's 8 x mc_draws bytes or a log-likelihood mean's 5 x 8 x
+# mc_draws.  One job always runs, and no more at once than fit in this
+# (335 pmf counts and 67 means at the default 100,000 draws, 3 and 0 at
+# 10^7).
 _MC_BUFFER_BYTES = 2**28
 
 
@@ -305,37 +307,30 @@ def _mc_estimates(mu: float, phi: float, p: float, m: int, rng: RngStream) -> di
 
 def _pmf_monte_carlo(params: PtwParams, ys: list[int], budget: PmfConfig) -> list[PmfEstimate]:
     """Monte Carlo estimates at ``ys``, each count evaluated once per draw
-    set: counts already estimated are read from ``_mc_estimates``, and the
-    new ones are split into min(counts, CPUs, buffers that fit in
-    ``_MC_BUFFER_BYTES``) chunks run by ``_run_in_order``.  Every estimate
-    has the same bits on any thread."""
+    set: counts already estimated are read from ``_mc_estimates``, and each
+    new one is one ``_run_in_order`` job with a buffer of the draws' size.
+    Every estimate has the same bits on any thread."""
     key = (params.mu, params.phi, params.p, budget.mc_draws, budget.rng)
     known = _mc_estimates(*key)
     new = list(dict.fromkeys(y for y in ys if y not in known))
     if new:
         z = _mixing_draws(*key)
         log_z, positive = _log_intensities(z), _positive(z)
-        workers = min(len(new), _usable_cpus(), max(1, _MC_BUFFER_BYTES // z.nbytes))
-        jobs = [partial(_mc_chunk, new[k::workers], z, log_z, positive) for k in range(workers)]
-        for estimates in _run_in_order(jobs):
-            known.update(estimates)
+        jobs = [partial(_mc_estimate, y, z, log_z, positive) for y in new]
+        known.update(zip(new, _run_in_order(jobs, z.nbytes)))
     return [known[y] for y in ys]
 
 
-def _mc_chunk(ys: list[int], z: np.ndarray, log_z: np.ndarray, positive: np.ndarray) -> dict:
-    """count -> PmfEstimate over ``ys``, in one buffer of the draws' size
-    that holds each count's Poisson terms and then their squared deviations."""
+def _mc_estimate(y: int, z: np.ndarray, log_z: np.ndarray, positive: np.ndarray) -> PmfEstimate:
+    """The Monte Carlo estimate at ``y``, in one buffer of the draws' size
+    that holds the Poisson terms and then their squared deviations."""
     m = len(z)
-    probs = np.empty(m)
-    out = {}
-    for y in ys:
-        _poisson_pmf(y, z, log_z, positive, probs)
-        value = float(np.mean(probs))
-        probs -= value  # np.std(probs, ddof=1), reusing the mean
-        probs *= probs
-        stderr = float(np.sqrt(np.sum(probs) / (m - 1)) / np.sqrt(m))
-        out[y] = PmfEstimate(min(value, 1.0), stderr, "monte-carlo")
-    return out
+    probs = _poisson_pmf(y, z, log_z, positive, np.empty(m))
+    value = float(np.mean(probs))
+    probs -= value  # np.std(probs, ddof=1), reusing the mean
+    probs *= probs
+    stderr = float(np.sqrt(np.sum(probs) / (m - 1)) / np.sqrt(m))
+    return PmfEstimate(min(value, 1.0), stderr, "monte-carlo")
 
 
 def _pmf_exact(params: PtwParams, ys: list[int]) -> list[PmfEstimate | None]:
@@ -403,9 +398,9 @@ def ptw_pmf_curve(params: PtwParams, ys, budget: PmfConfig | None = None) -> lis
 
     A Monte Carlo count is evaluated once per draw set: a repeated count,
     or one an earlier call at the same set and budget took, is read back.
-    The other Monte Carlo counts run on up to one thread per CPU that the
-    process may run on, each thread with one buffer of the draws' size, and
-    no more threads than their buffers fit in ``_MC_BUFFER_BYTES``; each
+    Each other Monte Carlo count is one job with a buffer of the draws'
+    size, run on as many threads as ``_run_in_order`` allows (no more than
+    one per CPU, nor than their buffers fit in ``_MC_BUFFER_BYTES``); each
     count does the same arithmetic on any thread."""
     return _pmf_set(params, ys, budget)
 
@@ -483,15 +478,17 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _run_in_order(jobs: list) -> list:
-    """The results of ``jobs``, callables with no arguments, in order; raises
-    the first error in that order.  With more than one job and CPU, they run
-    on min(jobs, CPUs) threads (numpy's samplers and ufuncs release the
-    interpreter lock), each in a copy of the caller's context so that numpy's
-    error state carries over; otherwise one after another on the calling
-    thread.  Jobs still queued after an error are cancelled, and every thread
-    has ended when this returns."""
-    workers = min(len(jobs), _usable_cpus())
+def _run_in_order(jobs: list, job_bytes: int) -> list:
+    """The results of ``jobs``, callables with no arguments that each hold
+    up to ``job_bytes`` while they run, in order; raises the first error in
+    that order.  The one place a Monte Carlo thread count is decided: the
+    jobs run on min(jobs, CPUs, ``_MC_BUFFER_BYTES`` // ``job_bytes``)
+    threads (numpy's samplers and ufuncs release the interpreter lock),
+    each in a copy of the caller's context so that numpy's error state
+    carries over; where that is 1 or less, one after another on the
+    calling thread.  Jobs still queued after an error are cancelled, and
+    every thread has ended when this returns."""
+    workers = min(len(jobs), _usable_cpus(), _MC_BUFFER_BYTES // job_bytes)
     if workers <= 1:
         return [job() for job in jobs]
     pool = ThreadPoolExecutor(workers, thread_name_prefix="ptw_loglik")
@@ -550,7 +547,8 @@ def ptw_loglik(mu, phi, p, y, budget: PmfConfig | None = None, weights=None) -> 
     Var(sum n_y log f_hat(y)) = Var_k(g_k)/M per mean, where
     g_k = sum_y (n_y / f_hat(y)) P(y; Z_k).
     The Monte Carlo means run on up to one thread per CPU that the process
-    may run on.  Each mean draws from its own substream and its terms join
+    may run on, and no more than their arrays (5 x 8 x ``mc_draws`` bytes
+    each) fit in ``_MC_BUFFER_BYTES``.  Each mean draws from its own substream and its terms join
     the sums in the order above, so neither the value, its standard error
     nor the error raised depends on the number of threads.
 
@@ -613,10 +611,11 @@ def ptw_loglik(mu, phi, p, y, budget: PmfConfig | None = None, weights=None) -> 
     # The Monte Carlo means run in plan order, so an error in a mean before
     # the refusal is raised first, as a serial visit would; their terms join
     # the sums in that visit's order, whatever the number of threads.
+    # A job holds its draws, log z, the mask, the Poisson terms and g.
     mc_terms = iter(_run_in_order([
         partial(_monte_carlo_terms, params, mc_counts, budget)
         for params, _, mc_counts in plan if mc_counts
-    ]))
+    ], 5 * 8 * budget.mc_draws))
     if refusal is not None:
         raise refusal
     total = 0.0

@@ -3,9 +3,10 @@
 ``reference_initialize`` and ``reference_fit`` are the chaser as it was when
 each half-step built a ``Theta`` and an ``EstFunState``: they evaluate every
 quantity through ``estfun_state``, ``_beta_step``, ``step_control``,
-``_with_dispersion``, ``quasi_score`` and ``pearson_score``.  ``fit`` and
-``initialize`` must reproduce them bit for bit, and raise the same error with
-the same message wherever they raise.
+``_with_dispersion`` (defined here, as the program no longer calls it),
+``quasi_score`` and ``pearson_score``.  ``fit`` and ``initialize`` must
+reproduce them bit for bit, and raise the same error with the same message
+wherever they raise.
 """
 
 import numpy as np
@@ -26,19 +27,31 @@ from ptwreg.chaser import (
     initialize,
     step_control,
 )
-from ptwreg.errors import PtwError, SingularMatrixError
+from ptwreg.errors import PtwError, SingularMatrixError, VarianceNonpositiveError
 from ptwreg.estfun import (
+    EstFunState,
     PtwModel,
     Theta,
+    _dispersion_weights,
     _s_lambda,
     _weigh,
-    _with_dispersion,
     estfun_state,
     pearson_score,
     quasi_score,
 )
 from ptwreg.numcore import RngStream, quiet, solve_linear
 from ptwreg.simstudy import _simulate, make_scenario
+
+
+def _with_dispersion(state, theta):
+    """The state at theta when only (phi, p) differ from ``state.theta``:
+    mu, the residuals and log mu carry over, C and the W weights are redone.
+    Runs in its quiet caller's error state."""
+    C, w_phi, w_p = _dispersion_weights(state.mu, state.log_mu, theta.phi, theta.p)
+    return EstFunState(
+        mu=state.mu, C=C, resid=state.resid, resid2=state.resid2, W_phi=w_phi, W_p=w_p,
+        log_mu=state.log_mu, X=state.X, weights=state.weights, theta=theta,
+    )
 
 
 @quiet
@@ -178,6 +191,19 @@ def assert_same_fit(model, config):
     if not want.converged:
         return "nonconverged"
     return None if np.isfinite(want.std_errors).all() else "nonfinite_se"
+
+
+def test_dispersion_update_matches_fresh_state():
+    model = _replicate("ptw-p1.5-di5", 100, 0, 0, 0)
+    theta = reference_initialize(model)
+    moved = Theta(theta.beta, 0.7, 1.9)
+    fresh = estfun_state(model, moved)
+    reused = _with_dispersion(estfun_state(model, theta), moved)
+    for name in ("mu", "C", "resid", "resid2", "W_phi", "W_p", "log_mu", "W_beta"):
+        assert np.array_equal(getattr(reused, name), getattr(fresh, name)), name
+    assert reused.theta is moved
+    with pytest.raises(VarianceNonpositiveError):
+        _with_dispersion(fresh, Theta(theta.beta, -5.0, 1.9))
 
 
 # ptw-p3-di2 replicates (seed, replicate) by sample size, drawn from the

@@ -7,7 +7,6 @@ from ptwreg.estfun import (
     Theta,
     _s_beta,
     _s_lambda,
-    _with_dispersion,
     estfun_state,
     godambe_covariance,
     pearson_score,
@@ -108,18 +107,6 @@ def test_state_fields_consistent():
     assert np.allclose(state.C, mu + theta.phi * mu**theta.p, rtol=1e-12)
     assert np.allclose(state.resid, model.y - mu)
     assert np.allclose(state.resid2, (model.y - mu) ** 2)
-
-
-def test_dispersion_update_matches_fresh_state():
-    model, theta, _ = sim_model()
-    moved = Theta(theta.beta, 0.7, 1.9)
-    fresh = estfun_state(model, moved)
-    reused = _with_dispersion(estfun_state(model, theta), moved)
-    for name in ("mu", "C", "resid", "resid2", "W_phi", "W_p", "log_mu", "W_beta"):
-        assert np.array_equal(getattr(reused, name), getattr(fresh, name)), name
-    assert reused.theta is moved
-    with pytest.raises(VarianceNonpositiveError):
-        _with_dispersion(fresh, Theta(theta.beta, -5.0, 1.9))
 
 
 @pytest.mark.filterwarnings("error")

@@ -373,6 +373,24 @@ def test_pmf_curve_threads_fit_their_buffers_in_the_bound(monkeypatch):
         assert pools == threads
 
 
+def test_loglik_threads_fit_their_arrays_in_the_bound(monkeypatch):
+    # five Monte Carlo means at 5,000 draws, each holding 5 arrays of the
+    # draws' size, on 8 CPUs: room for two means makes two threads, room
+    # for less than one the calling thread alone, with the 1-CPU result
+    mu, y = [0.5, 1.5, 2.5, 4.0, 6.0], [0, 1, 2, 3, 4]
+    b = budget(seed=3, draws=5_000)
+    monkeypatch.setattr(ptwdist, "_usable_cpus", lambda: 1)
+    reference = ptw_loglik(mu, 0.6, 1.3, y, b)
+    assert reference.method == "monte-carlo"
+    monkeypatch.setattr(ptwdist, "_usable_cpus", lambda: 8)
+    pools = _record_pools(monkeypatch)
+    for room, threads in ((2 * 5 * 8 * 5_000, [(2,)]), (5 * 8 * 5_000 - 1, [])):
+        pools.clear()
+        monkeypatch.setattr(ptwdist, "_MC_BUFFER_BYTES", room)
+        assert ptw_loglik(mu, 0.6, 1.3, y, b) == reference
+        assert pools == threads
+
+
 def test_pmf_curve_holds_one_draw_set(monkeypatch):
     # a 100,000-draw curve on two threads keeps its draws and its estimates;
     # log z and the threads' buffers are gone once it returns
