@@ -15,6 +15,7 @@ import contextvars
 import hashlib
 import os
 import struct
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -132,12 +133,17 @@ def ptw_sample(params: PtwParams, n: int, rng: RngStream) -> np.ndarray:
     if params.phi == 0:
         raise InvalidParameterError("sampling requires phi > 0 (phi = 0 is Poisson)")
     gen = rng.generator()
-    return sample_ptw_mu(np.full(_sample_size(n), params.mu), params.phi, params.p, gen)
+    return sample_ptw_mu(params.mu, params.phi, params.p, gen, _sample_size(n))
 
 
-def sample_ptw_mu(mu, phi: float, p: float, gen) -> np.ndarray:
-    """One count per entry of ``mu``: vectorized Poisson-Tweedie sampling core."""
-    z = sample_tweedie_mu(mu, phi, p, gen)
+def sample_ptw_mu(mu, phi: float, p: float, gen, size=None) -> np.ndarray:
+    """Poisson-Tweedie counts: ``size`` of them, by default one per entry of
+    ``mu``; the vectorized sampling core.
+
+    As in :func:`~ptwreg.tweedie.sample_tweedie_mu`, ``mu`` is a scalar or
+    an array that broadcasts to ``size``, and a scalar mean with a count
+    draws the same bits as a vector of its copies."""
+    z = sample_tweedie_mu(mu, phi, p, gen, size)
     _require_poisson_rates(z)
     return gen.poisson(z)
 
@@ -164,7 +170,7 @@ def _mixing_draws(mu: float, phi: float, p: float, m: int, rng: RngStream) -> np
         struct.pack("<ddd", mu, phi, p), digest_size=8
     ).digest()
     gen = rng.substream(int.from_bytes(digest, "little")).generator()
-    z = sample_tweedie_mu(np.full(m, mu), phi, p, gen)
+    z = sample_tweedie_mu(mu, phi, p, gen, m)
     z.setflags(write=False)
     return z
 
@@ -486,17 +492,36 @@ def _run_in_order(jobs: list, job_bytes: int) -> list:
     threads (numpy's samplers and ufuncs release the interpreter lock),
     each in a copy of the caller's context so that numpy's error state
     carries over; where that is 1 or less, one after another on the
-    calling thread.  Jobs still queued after an error are cancelled, and
-    every thread has ended when this returns."""
+    calling thread.  Each thread takes the next job in order until none is
+    left or one has failed, so no job starts after an error, and every job
+    before a failed one has started; every thread has ended when this
+    returns."""
     workers = min(len(jobs), _usable_cpus(), _MC_BUFFER_BYTES // job_bytes)
     if workers <= 1:
         return [job() for job in jobs]
-    pool = ThreadPoolExecutor(workers, thread_name_prefix="ptw_loglik")
-    try:
-        futures = [pool.submit(contextvars.copy_context().run, job) for job in jobs]
-        return [future.result() for future in futures]
-    finally:
-        pool.shutdown(cancel_futures=True)
+    results = [None] * len(jobs)
+    errors = {}
+    queue = enumerate(jobs)
+    lock = threading.Lock()
+
+    def take_jobs():
+        while True:
+            with lock:
+                index, job = (None, None) if errors else next(queue, (None, None))
+            if job is None:
+                return
+            try:
+                results[index] = job()
+            except BaseException as exc:
+                with lock:
+                    errors[index] = exc
+
+    with ThreadPoolExecutor(workers, thread_name_prefix="ptw_loglik") as pool:
+        for _ in range(workers):
+            pool.submit(contextvars.copy_context().run, take_jobs)
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 def _monte_carlo_terms(

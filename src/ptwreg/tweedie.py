@@ -53,32 +53,42 @@ def _require_supported_power(p: float) -> None:
         )
 
 
-def sample_tweedie_mu(mu, phi: float, p: float, gen: Generator) -> np.ndarray:
-    """Draw one Tw_p(mu_i, phi) variate per entry of the mean vector ``mu``.
+def sample_tweedie_mu(mu, phi: float, p: float, gen: Generator, size=None) -> np.ndarray:
+    """Draw Tw_p(mu, phi) variates: ``size`` of them, by default one per
+    entry of ``mu``.
 
-    Internal vectorized core shared by :func:`tweedie_sample` and the
-    Poisson-Tweedie samplers; ``gen`` is consumed sequentially.
+    numpy's sampler convention: ``mu`` is a scalar or an array that
+    broadcasts to ``size``, so a constant mean is passed as a scalar with
+    the draw count, never as a vector of copies.  Both forms draw the same
+    bits and leave ``gen`` in the same state, as numpy calls one per-element
+    routine whatever the parameters' shapes.  Internal vectorized core
+    shared by :func:`tweedie_sample` and the Poisson-Tweedie samplers;
+    ``gen`` is consumed sequentially.
     """
     mu = np.asarray(mu, dtype=float)
+    if size is None:
+        size = mu.shape
     _require_supported_power(p)
     if p == 1.0:
         rate = mu / phi
         _require_poisson_rates(rate)
-        return phi * gen.poisson(rate, size=mu.shape).astype(float)
+        return phi * gen.poisson(rate, size=size).astype(float)
     if p == 2.0:
-        return gen.gamma(1.0 / phi, phi * mu, size=mu.shape)
+        return gen.gamma(1.0 / phi, phi * mu, size=size)
     if p == 3.0:
-        return gen.wald(mu, 1.0 / phi, size=mu.shape)
-    # 1 < p < 2: Poisson sum of gammas
+        return gen.wald(mu, 1.0 / phi, size=size)
+    # 1 < p < 2: Poisson sum of gammas, drawn only where the count is positive
     lam = mu ** (2.0 - p) / (phi * (2.0 - p))
     shape = (2.0 - p) / (p - 1.0)
     scale = phi * (p - 1.0) * mu ** (p - 1.0)
     _require_poisson_rates(lam)
-    counts = gen.poisson(lam, size=mu.shape)
-    out = np.zeros(mu.shape)
-    pos = counts > 0
-    if np.any(pos):
-        out[pos] = gen.gamma(counts[pos] * shape, np.broadcast_to(scale, mu.shape)[pos])
+    counts = gen.poisson(lam, size=size)
+    out = np.zeros(counts.shape)
+    pos = np.flatnonzero(counts)
+    if pos.size:
+        if np.ndim(scale):  # varying means: each positive count's own scale
+            scale = np.broadcast_to(scale, counts.shape).ravel()[pos]
+        out.ravel()[pos] = gen.gamma(counts.ravel()[pos] * shape, scale)
     return out
 
 
@@ -96,7 +106,7 @@ def tweedie_sample(params: TweedieParams, n: int, rng: RngStream) -> np.ndarray:
         For powers outside {1} | (1, 2] | {3}.
     """
     gen = rng.generator()
-    return sample_tweedie_mu(np.full(_sample_size(n), params.mu), params.phi, params.p, gen)
+    return sample_tweedie_mu(params.mu, params.phi, params.p, gen, _sample_size(n))
 
 
 def tweedie_density(params: TweedieParams, z) -> np.ndarray | float:

@@ -387,9 +387,9 @@ def test_indices_evaluates_each_pmf_once(monkeypatch, capsys):
         calls.append(list(ys))
         return route(params, ys, budget)
 
-    def counting_sampler(*args):
-        samples.append(args[0].size)
-        return sampler(*args)
+    def counting_sampler(mu, phi, p, gen, size=None):
+        samples.append(size)
+        return sampler(mu, phi, p, gen, size)
 
     monkeypatch.setattr(ptwdist, "_pmf_monte_carlo", counting_route)
     monkeypatch.setattr(ptwdist, "sample_tweedie_mu", counting_sampler)

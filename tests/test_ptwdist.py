@@ -1,8 +1,10 @@
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 import pytest
@@ -774,9 +776,9 @@ def test_pmf_curve_then_heavy_tails_sample_once(monkeypatch):
     samples = []
     sampler = ptwdist.sample_tweedie_mu
 
-    def counting(*args):
-        samples.append(args[0].size)
-        return sampler(*args)
+    def counting(mu, phi, p, gen, size=None):
+        samples.append(size)
+        return sampler(mu, phi, p, gen, size)
 
     monkeypatch.setattr(ptwdist, "sample_tweedie_mu", counting)
     _mixing_draws.cache_clear()
@@ -901,6 +903,32 @@ def test_loglik_leaves_no_threads_behind(monkeypatch):
     ptw_loglik([1.5, 2.5, 3.5, 4.5], 0.6, 1.4, [0, 1, 2, 3], budget(seed=2, draws=5_000))
     with pytest.raises(NonpositivePmfError):
         ptw_loglik([2.0, 3.0, 4.0], 0.5, 1.5, [600, 1, 2], budget(seed=2, draws=500))
+    assert threading.active_count() == before
+
+
+def test_runner_raises_the_first_error_in_order_and_starts_no_job_after_it(monkeypatch):
+    # three threads: job 4 fails while jobs 2 and 3 hold the other two, and
+    # these end only after it, so no thread is free before job 4's error is
+    # in; job 2 fails later in wall time but first in order, and is raised
+    monkeypatch.setattr(ptwdist, "_usable_cpus", lambda: 3)
+    started, four_failed = [], threading.Event()
+
+    def job(index):
+        started.append(index)
+        if index == 4:
+            four_failed.set()
+            raise ValueError("job 4")
+        if index in (2, 3):
+            assert four_failed.wait(10)
+            time.sleep(0.2)  # time for the runner to take in job 4's error
+            if index == 2:
+                raise ValueError("job 2")
+        return index
+
+    before = threading.active_count()
+    with pytest.raises(ValueError, match="job 2"):
+        ptwdist._run_in_order([partial(job, k) for k in range(8)], 1)
+    assert sorted(started) == [0, 1, 2, 3, 4]
     assert threading.active_count() == before
 
 

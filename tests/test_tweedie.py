@@ -4,8 +4,10 @@ from scipy import integrate
 
 from ptwreg.errors import InvalidParameterError, UnsupportedPowerError
 from ptwreg.numcore import RngStream
+from ptwreg.ptwdist import PtwParams, ptw_sample, sample_ptw_mu
 from ptwreg.tweedie import (
     TweedieParams,
+    sample_tweedie_mu,
     tweedie_density,
     tweedie_laplace,
     tweedie_sample,
@@ -37,6 +39,52 @@ def test_poisson_rates_numpy_cannot_draw_are_invalid(p):
     # is above numpy's limit: that raised numpy's "lam value too large"
     with pytest.raises(InvalidParameterError, match="beyond numpy's sampler limit"):
         tweedie_sample(TweedieParams(1e200, 0.5, p), 2, RngStream(0))
+
+
+# every sampler branch: p = 1, the compound Poisson-gamma with and without
+# zero draws (the dicentrics mean 0.074 draws about 80% zeros), p = 2, p = 3
+_BRANCHES = [
+    (6.0, 1.5, 1.0, None),
+    (0.074, 0.5, 1.087, True),
+    (50.0, 0.5, 1.5, False),
+    (8.0, 0.5, 2.0, None),
+    (8.0, 0.5, 3.0, None),
+]
+
+
+@pytest.mark.parametrize("mu, phi, p, zeros", _BRANCHES)
+def test_scalar_mean_draws_the_bits_of_its_vector(mu, phi, p, zeros):
+    m = 10_000
+    scalar_gen, vector_gen = RngStream(7).generator(), RngStream(7).generator()
+    scalar = sample_tweedie_mu(mu, phi, p, scalar_gen, size=m)
+    vector = sample_tweedie_mu(np.full(m, mu), phi, p, vector_gen)
+    assert scalar.shape == vector.shape == (m,) and scalar.dtype == vector.dtype
+    assert scalar.tobytes() == vector.tobytes()
+    assert scalar_gen.random() == vector_gen.random()
+    if zeros is not None:
+        assert bool(np.any(vector == 0)) == zeros
+
+
+@pytest.mark.parametrize("mu, phi, p", [case[:3] for case in _BRANCHES])
+def test_scalar_mean_ptw_sample_draws_the_bits_of_its_vector(mu, phi, p):
+    n = 10_000
+    counts = ptw_sample(PtwParams(mu, phi, p), n, RngStream(7))
+    scalar_gen, vector_gen = RngStream(7).generator(), RngStream(7).generator()
+    vector = sample_ptw_mu(np.full(n, mu), phi, p, vector_gen)
+    assert counts.tobytes() == vector.tobytes()
+    assert sample_ptw_mu(mu, phi, p, scalar_gen, n).tobytes() == vector.tobytes()
+    assert scalar_gen.random() == vector_gen.random()
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5])
+def test_scalar_mean_poisson_rate_refusal_is_the_vectors(p):
+    refusals = []
+    for mu, size in ((1e300, 3), (np.full(3, 1e300), None)):
+        with pytest.raises(InvalidParameterError) as caught:
+            sample_tweedie_mu(mu, 0.5, p, RngStream(0).generator(), size=size)
+        refusals.append((type(caught.value), str(caught.value)))
+    assert refusals[0] == refusals[1]
+    assert "beyond numpy's sampler limit" in refusals[0][1]
 
 
 def test_unsupported_power_sampling():
