@@ -23,18 +23,32 @@ call estfun's array functions on them (``_mean_terms``,
 ``_sens_beta`` through ``_newton_beta``; ``_variance`` through ``_halve``,
 whose accepted mu**p and C feed ``_lambda_weights``).  No iteration builds
 a ``Theta`` or an ``EstFunState``; ``_beta_step`` and ``step_control`` take
-the same steps on those records.  Standard errors come from the inverse
-Godambe information assembled blockwise on one ``EstFunState`` built from
-the loop's last arrays: the beta block is -S_beta^{-1} and the dispersion
-block S_lambda^{-1} V_lambda S_lambda^{-T}, each computed without
+the same steps on those records.  At the study's sizes numpy's cost per
+call outweighs its arithmetic, so the loops keep their bookkeeping on
+Python floats: the score sup-norm (``_sup_norm``), the largest parameter
+change (taken only once the score is below the tolerance),
+``initialize``'s max|delta beta| and the finiteness of beta.  The refusal
+checks are direct numpy reductions: C in (0, inf) in ``_halve`` (a minimum
+and a maximum), C <= 0 in ``_dispersion_weights`` and a finite log mu in
+``_mean_terms``.  The array formulas keep their operation order and memory
+layout, so every fit is the same bit for bit as with numpy's ``.all()``,
+``.any()`` and ``.max()`` (``tests/test_chaser_reference.py`` and
+``tests/test_check_reference.py``).
+
+Standard errors come from the inverse Godambe information assembled
+blockwise on one ``EstFunState`` built from the loop's last arrays: the
+beta block is -S_beta^{-1} and the dispersion block
+S_lambda^{-1} V_lambda S_lambda^{-T}, each computed without
 cross-propagation (the convention the reference results use and the one
 reported here).
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
+from operator import sub
 
 import numpy as np
 
@@ -189,7 +203,8 @@ def initialize(model: PtwModel, config: FitConfig | None = None) -> Theta:
         # At phi = 0 the variance mu + 0 * mu**1 is mu itself, bit for bit.
         mu, _, resid, _ = _mean_terms(model, beta)
         beta_new = _newton_beta(X, w, mu, mu, beta, _psi_beta(X, w, mu, resid, mu))
-        done = np.max(np.abs(beta_new - beta)) < 1e-10
+        # On Python floats; a non-finite beta_new is refused just below.
+        done = max(map(abs, map(sub, beta_new.tolist(), beta.tolist()))) < 1e-10
         _require_finite_beta(beta_new)
         beta = beta_new
         if done:
@@ -220,7 +235,10 @@ def _halve(phi, p, delta, mu, phi_sign, p_floor):
         if feasible:
             # Trial points far out may overflow; that just means "infeasible".
             mu_p, c = _variance(mu, phi_new, p_new)
-            feasible = bool((c > 0).all() and np.isfinite(c).all())
+            # Every c_i in (0, inf): numpy's minimum carries a NaN through, so
+            # a NaN c_i fails the first test.  initial keeps an empty c.
+            feasible = (np.minimum.reduce(c, initial=math.inf) > 0
+                        and np.maximum.reduce(c, initial=-math.inf) < math.inf)
         if feasible:
             _require_finite_lambda(phi_new, p_new)
             return phi_new, p_new, mu_p, c
@@ -253,6 +271,14 @@ def step_control(
 
 
 _LAMBDA_INDEX = {"phi": 0, "p": 1}
+
+
+def _sup_norm(values: list) -> float:
+    """max |v| over a list of Python floats; NaN when one is NaN, as with
+    numpy's max (Python's max may skip a NaN)."""
+    if any(map(math.isnan, values)):
+        return math.nan
+    return max(map(abs, values))
 
 
 def _sandwich(state: EstFunState, free: tuple[str, ...]) -> np.ndarray:
@@ -319,14 +345,16 @@ def fit(model: PtwModel, config: FitConfig | None = None) -> FitResult:
 
         # The quasi-score here is also the next beta step's psi_beta.
         psi_beta = _psi_beta(X, w, mu, resid, C)
-        score = psi_beta
+        score = psi_beta.tolist()
         if free:
-            score = np.concatenate([psi_beta, _psi_lambda(w, resid2, C, w_phi, w_p)[lam]])
-        score_norm = float(np.abs(score).max())
+            score += _psi_lambda(w, resid2, C, w_phi, w_p)[lam]
+        score_norm = _sup_norm(score)
         current = _theta_array(beta, phi, p)
-        param_change = float(np.abs(current - prev).max())
         trace.append((current, score_norm))
-        if score_norm < _TOL and param_change < _TOL:
+        # The largest parameter change, on Python floats, only once the
+        # score is small: theta is finite, so it holds no NaN.
+        if score_norm < _TOL and max(
+                map(abs, map(sub, current.tolist(), prev.tolist()))) < _TOL:
             converged = True
             break
 

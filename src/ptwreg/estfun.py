@@ -22,10 +22,13 @@ array function, which those functions call on a state's fields:
 ``_mean_terms`` (mu, log mu and the residuals, refusing a mean that under-
 or overflows), ``_variance`` and ``_lambda_weights`` (C, W_phi and W_p,
 joined with the C > 0 refusal in ``_dispersion_weights``), ``_psi_beta``
-and ``_psi_lambda`` (the two scores), and ``_sens_beta`` and
-``_sens_lambda`` (the S_beta and S_lambda blocks).  The chaser's loops call
-the same array functions on arrays they hold themselves, so an iteration
-builds no state.
+and ``_psi_lambda`` (the two scores, from the per-observation terms
+``_quasi_terms`` and ``_pearson_terms``), and ``_sens_beta`` and
+``_sens_lambda`` (the S_beta and S_lambda blocks; ``_lambda_c2`` is the
+W C^2 factor S_lambda shares with its cross block).  ``variability`` and
+``sensitivity`` take their per-observation terms from the same functions.
+The chaser's loops call the same array functions on arrays they hold
+themselves, so an iteration builds no state.
 
 Parameter ordering everywhere: (beta_1..beta_Q, phi, p).
 """
@@ -125,7 +128,8 @@ class Theta:
 
 
 def _require_finite_beta(beta: np.ndarray) -> None:
-    if not np.isfinite(beta).all():
+    # On Python floats: cheaper than numpy's calls for Q coefficients.
+    if not all(map(math.isfinite, beta.ravel().tolist())):
         raise InvalidParameterError("beta must be finite")
 
 
@@ -190,7 +194,9 @@ def _mean_terms(model: PtwModel, beta: np.ndarray):
     mu = np.exp(model.linear_predictor(beta))
     log_mu = np.log(mu)
     # log mu is finite exactly when 0 < mu < inf: one check covers both ends.
-    if not np.isfinite(log_mu).all():
+    # Its finite values lie within [-745, 710], so their sum is finite
+    # exactly when every one of them is.
+    if not math.isfinite(np.add.reduce(log_mu)):
         if np.isfinite(mu).all():
             raise InvalidParameterError("linear predictor underflow: mu is 0")
         raise InvalidParameterError("linear predictor overflow: mu is not finite")
@@ -214,7 +220,8 @@ def _dispersion_weights(mu, log_mu, phi, p):
     """C = mu + phi mu^p, W_phi and W_p; raises VarianceNonpositiveError
     when some C_i <= 0."""
     mu_p, C = _variance(mu, phi, p)
-    if (C <= 0).any():
+    # fmin skips NaN, as (C <= 0).any() does; initial keeps an empty C.
+    if np.fmin.reduce(C, initial=math.inf) <= 0:
         raise VarianceNonpositiveError(
             f"min(mu + phi*mu^p) = {np.min(C):.6g} <= 0 at phi = {phi}, p = {p}"
         )
@@ -228,15 +235,26 @@ def _weigh(weights: np.ndarray | None, values: np.ndarray) -> np.ndarray:
     return weights * values if values.ndim == 1 else weights[:, None] * values
 
 
+def _quasi_terms(mu, resid, C):
+    """mu_i C_i^{-1} (y_i - mu_i): observation i's quasi-score, per x_ij."""
+    return mu * resid / C
+
+
+def _pearson_terms(resid2, C):
+    """The Pearson bracket (y_i - mu_i)^2 - C_i."""
+    return resid2 - C
+
+
 def _psi_beta(X, weights, mu, resid, C):
     """The quasi-score sum_i w_i mu_i x_ij C_i^{-1} (y_i - mu_i)."""
-    return X.T @ _weigh(weights, mu * resid / C)
+    return X.T @ _weigh(weights, _quasi_terms(mu, resid, C))
 
 
 def _psi_lambda(weights, resid2, C, w_phi, w_p):
-    """The Pearson score: the bracket (y - mu)^2 - C against W_phi and W_p."""
-    bracket = _weigh(weights, resid2 - C)
-    return np.array([(w_phi * bracket).sum(), (w_p * bracket).sum()])
+    """The Pearson score: the bracket (y - mu)^2 - C against W_phi and W_p,
+    as a list of two Python floats (``pearson_score`` makes it an array)."""
+    bracket = _weigh(weights, _pearson_terms(resid2, C))
+    return [float(np.add.reduce(w_phi * bracket)), float(np.add.reduce(w_p * bracket))]
 
 
 def _sens_beta(X, weights, mu, C):
@@ -252,10 +270,16 @@ def _lambda_matrix(w_phi, w_p):
     return wl
 
 
+def _lambda_c2(weights, C, wl):
+    """The rows of ``wl`` (n x 2, from ``_lambda_matrix``) times w_i C_i^2:
+    the left factor of S_lambda and of its cross block."""
+    return wl * _weigh(weights, C**2)[:, None]
+
+
 def _sens_lambda(weights, C, w_phi, w_p):
     """S_lambda_jk = -sum_i w_i W_{i lambda_j} C_i^2 W_{i lambda_k}."""
     wl = _lambda_matrix(w_phi, w_p)
-    return -(wl * _weigh(weights, C**2)[:, None]).T @ wl
+    return -_lambda_c2(weights, C, wl).T @ wl
 
 
 def quasi_score(state: EstFunState) -> np.ndarray:
@@ -267,7 +291,7 @@ def quasi_score(state: EstFunState) -> np.ndarray:
 def pearson_score(state: EstFunState) -> np.ndarray:
     """psi_lambda = (phi component, p component): squared-residual bracket
     (y - mu)^2 - C contracted against the W_phi and W_p weights."""
-    return _psi_lambda(state.weights, state.resid2, state.C, state.W_phi, state.W_p)
+    return np.array(_psi_lambda(state.weights, state.resid2, state.C, state.W_phi, state.W_p))
 
 
 def _s_beta(state: EstFunState) -> np.ndarray:
@@ -298,7 +322,7 @@ def sensitivity(state: EstFunState) -> np.ndarray:
     s = np.zeros((q + 2, q + 2))
     s[:q, :q] = _s_beta(state)
     s[q:, q:] = _s_lambda(state)
-    weighted = _lambda_matrix(state.W_phi, state.W_p) * _weigh(state.weights, state.C**2)[:, None]
+    weighted = _lambda_c2(state.weights, state.C, _lambda_matrix(state.W_phi, state.W_p))
     s[q:, :q] = -weighted.T @ state.W_beta
     return s
 
@@ -316,8 +340,9 @@ def variability(state: EstFunState) -> np.ndarray:
     q = state.X.shape[1]
     v = np.zeros((q + 2, q + 2))
     v[:q, :q] = -_s_beta(state)
-    psi_beta_i = (state.mu * state.resid / state.C)[:, None] * state.X
-    psi_lambda_i = _lambda_matrix(state.W_phi, state.W_p) * (state.resid2 - state.C)[:, None]
+    psi_beta_i = _quasi_terms(state.mu, state.resid, state.C)[:, None] * state.X
+    psi_lambda_i = (_lambda_matrix(state.W_phi, state.W_p)
+                    * _pearson_terms(state.resid2, state.C)[:, None])
     weighted = _weigh(state.weights, psi_lambda_i)
     v[q:, q:] = weighted.T @ psi_lambda_i
     cross = weighted.T @ psi_beta_i

@@ -203,10 +203,11 @@ def _factor(lapack, A: np.ndarray, scale, zero_msg: str, singular_msg: str, *arg
         raise SingularMatrixError(zero_msg)
     out = lapack(A, *args)
     # The smallest pivot, on Python floats: cheaper than numpy's calls at
-    # these orders.  A NaN pivot passes the check, as with numpy's min.
-    pivots = [abs(d) for d in out[0].diagonal().tolist()]
-    pivot = math.nan if any(map(math.isnan, pivots)) else min(pivots)
-    if pivot < 1e-12 * scale:
+    # these orders.  A NaN pivot passes the check, as with numpy's min;
+    # Python's min may skip a NaN, so NaN is looked for only on refusal.
+    pivots = out[0].diagonal().tolist()
+    pivot = min(map(abs, pivots))
+    if pivot < 1e-12 * scale and not any(map(math.isnan, pivots)):
         raise SingularMatrixError(singular_msg.format(pivot=pivot, bound=1e-12 * scale))
     return out
 
@@ -246,13 +247,18 @@ def solve_linear(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise InvalidParameterError(f"A must be square, got shape {A.shape}")
-    if b.shape[0] != A.shape[0]:
+    shape = A.shape
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise InvalidParameterError(f"A must be square, got shape {shape}")
+    if b.shape[0] != shape[0]:
         raise InvalidParameterError("dimension mismatch between A and b")
-    # The checks run on Python floats: for the 2 x 2 to 5 x 5 systems of a
-    # fit they cost less than numpy's calls.
+    # The checks run on Python floats: for the 1 x 1 to 5 x 5 systems of a
+    # fit they cost less than numpy's calls.  A sum is finite only when
+    # every term is; a sum that overflows from finite terms is looked at
+    # term by term.
     entries = A.ravel().tolist()
-    if not all(map(math.isfinite, entries + b.ravel().tolist())):
+    rhs = b.ravel().tolist()
+    if not math.isfinite(sum(entries) + sum(rhs)) and not all(map(math.isfinite, entries + rhs)):
         raise InvalidParameterError("A and b must be finite")
-    return _factor(dgesv, A, max(map(abs, entries)), "zero matrix", _SINGULAR, b)[2]
+    # max|A| of finite entries, without a call per entry
+    return _factor(dgesv, A, max(max(entries), -min(entries)), "zero matrix", _SINGULAR, b)[2]

@@ -241,12 +241,24 @@ def test_ptw_p3_replicates_match_the_reference(n):
         "InvalidParameterError", "nonconverged"}
 
 
-@pytest.mark.parametrize("name", ["ptw-p1.5-di5", "ptw-p2-di5", "compoisson-nu4",
-                                  "gammacount-nu4"])
-def test_study_cell_matches_the_reference(name):
+_STUDY_NAMES = ["ptw-p1.5-di5", "ptw-p2-di5", "compoisson-nu4", "gammacount-nu4"]
+
+
+# Off the default config: a fixed power solves 1 x 1 lambda systems, and a
+# nonnegative dispersion meets _halve's sign refusal (ptw-p2-di5) and a
+# singular first lambda step (the underdispersed generators).
+@pytest.mark.parametrize(
+    "name, config",
+    [pytest.param(name, FitConfig(), id=name) for name in _STUDY_NAMES]
+    + [pytest.param(name, FitConfig(power_mode=2.0), id=f"{name}-power-2")
+       for name in _STUDY_NAMES]
+    + [pytest.param(name, FitConfig(phi_sign="nonnegative"), id=f"{name}-phi-nonnegative")
+       for name in _STUDY_NAMES],
+)
+def test_study_cell_matches_the_reference(name, config):
     # the n = 100 cell of a study at seed 0: its 50 replicates
     for r in range(50):
-        assert_same_fit(_replicate(name, 100, 0, 0, r), FitConfig())
+        assert_same_fit(_replicate(name, 100, 0, 0, r), config)
 
 
 @pytest.mark.parametrize(
