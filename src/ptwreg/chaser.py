@@ -35,6 +35,16 @@ layout, so every fit is the same bit for bit as with numpy's ``.all()``,
 ``.any()`` and ``.max()`` (``tests/test_chaser_reference.py`` and
 ``tests/test_check_reference.py``).
 
+A study fits many replicates that share one design, where numpy's cost
+per call dominates.  ``_fit_block`` runs the same iteration for all of them
+at once on (R, n) arrays, with 2-D forms whose every row equals the 1-D
+form bit for bit, and commits an iteration for a replicate only where
+nothing out of the ordinary happened: no refusal, no halving or power
+floor, no power numpy's ``array ** scalar`` special-cases
+(``_FAST_POWERS``), no convergence.  ``fit(model, config, resume)`` takes
+each replicate over from its last committed iterate and runs the rest
+with the code above, so each result equals the uninterrupted fit's.
+
 Standard errors come from the inverse Godambe information assembled
 blockwise on one ``EstFunState`` built from the loop's last arrays: the
 beta block is -S_beta^{-1} and the dispersion block
@@ -55,6 +65,7 @@ import numpy as np
 from .errors import (
     BoundaryTrapError,
     InvalidParameterError,
+    PtwError,
     RankDeficiencyError,
     SingularMatrixError,
 )
@@ -65,8 +76,10 @@ from .estfun import (
     _dispersion_weights,
     _lambda_weights,
     _mean_terms,
+    _pearson_terms,
     _psi_beta,
     _psi_lambda,
+    _quasi_terms,
     _require_finite_beta,
     _require_finite_lambda,
     _s_lambda,
@@ -86,6 +99,12 @@ _MAX_HALVINGS = 30
 _ALPHA = 0.5  # the dispersion step's constant
 _TOL = 1e-6  # on the score sup-norm and on the largest parameter change
 _MAX_ITER = 200
+# numpy's ``array ** scalar`` computes these exponents by other routines
+# (reciprocal, ones, sqrt, a copy, square), whose last bits may differ from
+# the general power that the lockstep block's ``array ** column`` takes.
+_FAST_POWERS = (-1.0, 0.0, 0.5, 1.0, 2.0)
+# Replicates x observations in one lockstep block: 128 KB per (R, n) array.
+_BLOCK_CELLS = 2**14
 
 
 def _is_number(value) -> bool:
@@ -294,7 +313,8 @@ def _sandwich(state: EstFunState, free: tuple[str, ...]) -> np.ndarray:
 
 
 @quiet
-def fit(model: PtwModel, config: FitConfig | None = None) -> FitResult:
+def fit(model: PtwModel, config: FitConfig | None = None,
+        resume: tuple[Theta, list] | None = None) -> FitResult:
     """Fit the Poisson-Tweedie regression by the modified chaser.
 
     Returns the last iterate with ``converged=False`` (plus a warning)
@@ -303,6 +323,14 @@ def fit(model: PtwModel, config: FitConfig | None = None) -> FitResult:
     when the design loses full column rank.  Overflow stays quiet here, as
     in every public function of the fit (see ``numcore.quiet``); the
     private helpers it calls run in its error state.
+
+    ``resume`` = (theta, trace) continues this same fit from an iterate it
+    passes through: ``initialize``'s start with an empty trace, or the
+    theta of the trace's last entry after ``len(trace)`` iterations, before
+    the fit has converged.  The loop rebuilds its arrays at theta with the
+    code that built them, so the result equals the uninterrupted fit's
+    field for field.  A study's lockstep block (``_fit_block``) hands each
+    replicate over this way.
     """
     config = config or FitConfig()
     free = config.free_dispersion()
@@ -313,21 +341,26 @@ def fit(model: PtwModel, config: FitConfig | None = None) -> FitResult:
     lam = slice(_LAMBDA_INDEX[free[0]], _LAMBDA_INDEX[free[-1]] + 1) if free else None
     p_floor = P_FLOOR if "p" in free else None
 
-    trace: list = []
+    if resume is None:
+        start, trace = initialize(model, config), []
+    else:
+        start, trace = resume[0], list(resume[1])
+        if len(trace) >= _MAX_ITER:
+            raise InvalidParameterError(
+                f"cannot resume after {len(trace)} of {_MAX_ITER} iterations")
     warn: list = []
     converged = False
     score_norm = np.inf
     lambda_step_norm = np.inf
-    iterations = 0
+    iterations = len(trace)
 
-    start = initialize(model, config)
     beta, phi, p = start.beta, start.phi, start.p
     X, w = model.X, model.weights
     mu, log_mu, resid, resid2 = _mean_terms(model, beta)
     C, w_phi, w_p = _dispersion_weights(mu, log_mu, phi, p)
     psi_beta = _psi_beta(X, w, mu, resid, C)
     current = _theta_array(beta, phi, p)
-    for iterations in range(1, _MAX_ITER + 1):
+    for iterations in range(iterations + 1, _MAX_ITER + 1):
         prev = current
         beta = _newton_beta(X, w, mu, C, beta, psi_beta)
         _require_finite_beta(beta)
@@ -397,3 +430,196 @@ def fit(model: PtwModel, config: FitConfig | None = None) -> FitResult:
         converged=converged,
         warnings=warn,
     )
+
+
+# The lockstep block: the loop of ``fit`` for R replicates that share one
+# design, on (R, n) arrays.  Each 2-D form is bit-equal, row by row, to the
+# 1-D form in estfun that it stands for: X beta and X^T v as stacks of the
+# broadcast design against a column (one gemv per row), S_beta and S_lambda
+# as stacked products of the transposed factor (one gemm per row), sums as
+# np.add.reduce along the rows, and the elementwise formulas through
+# estfun's own functions with (R, 1) columns of phi and p.  X @ B.T, v @ X
+# and einsum take other kernels and are not used.
+
+
+def _stack(a: np.ndarray, rows: int) -> np.ndarray:
+    """``a`` repeated ``rows`` times along a new first axis, as a view."""
+    return np.broadcast_to(a, (rows,) + a.shape)
+
+
+def _block_mean_terms(X, Y, B):
+    """``_mean_terms`` row by row: (mu, log mu, y - mu, (y - mu)^2) and
+    whether each row's log mu is finite."""
+    mu = np.exp((_stack(X, len(B)) @ B[:, :, None])[:, :, 0])
+    log_mu = np.log(mu)
+    finite = np.isfinite(np.add.reduce(log_mu, axis=1))
+    resid = Y - mu
+    return mu, log_mu, resid, resid**2, finite
+
+
+def _block_psi_beta(X, mu, resid, C):
+    """``_psi_beta`` row by row (R x Q)."""
+    return (_stack(X.T, len(mu)) @ _quasi_terms(mu, resid, C)[:, :, None])[:, :, 0]
+
+
+def _block_psi_lambda(resid2, C, w_phi, w_p):
+    """``_psi_lambda`` row by row (R x 2)."""
+    bracket = _pearson_terms(resid2, C)
+    return np.stack([np.add.reduce(w_phi * bracket, axis=1),
+                     np.add.reduce(w_p * bracket, axis=1)], axis=1)
+
+
+def _times_columns(v, columns):
+    """The (R, n, k) block whose column j is v * columns[j], filled one
+    column at a time: numpy's broadcast loop over 2 or 3 inner entries costs
+    more than the products, which are the same."""
+    out = np.empty(v.shape + (len(columns),))
+    for j, column in enumerate(columns):
+        np.multiply(v, column, out=out[:, :, j])
+    return out
+
+
+def _block_sens_beta(X, mu, C):
+    """``_sens_beta`` row by row (R x Q x Q)."""
+    return -_times_columns(mu, X.T).transpose(0, 2, 1) @ _times_columns(mu / C, X.T)
+
+
+def _block_sens_lambda(C, w_phi, w_p):
+    """``_sens_lambda`` row by row (R x 2 x 2), from (R, n, 2) W blocks."""
+    wl = np.stack([w_phi, w_p], axis=2)
+    return -_times_columns(C**2, (w_phi, w_p)).transpose(0, 2, 1) @ wl
+
+
+def _solve_rows(A, b, ok) -> np.ndarray:
+    """solve_linear(A[j], b[j]) for each row j still ok; a row whose solve
+    refuses is marked not ok, and its solution is left at 0."""
+    out = np.zeros(b.shape)
+    for j in np.flatnonzero(ok).tolist():
+        try:
+            out[j] = solve_linear(A[j], b[j])
+        except PtwError:
+            ok[j] = False
+    return out
+
+
+@quiet
+def _fit_block(models: list, config: FitConfig) -> list:
+    """Run the chaser on every model at once, up to where ``fit`` must take
+    over each one: a resume (theta, trace) per model, or None where ``fit``
+    must start from scratch (``initialize`` refuses the model).
+
+    The models share one design array and carry neither weights nor an
+    offset, as a study's replicates at one sample size do.  Each model's
+    start comes from ``initialize``; then iteration k is run for every
+    model on (R, n) arrays, and committed for a model only when it refused
+    nothing, took its first dispersion step without halving or the power
+    floor, kept p off ``_FAST_POWERS`` and did not converge.  Everything
+    else — that iteration again, the halvings, every refusal, the last
+    iterations, the budget, the sandwich and the warnings — is ``fit``'s,
+    which makes ``fit(model, config, resume)`` equal ``fit(model, config)``
+    field for field.  The models run in chunks of ``_BLOCK_CELLS`` cells.
+    """
+    resumes = [None] * len(models)
+    if not models:
+        return resumes
+    X = models[0].X
+    if any(m.X is not X or m.weights is not None or m.offset is not None for m in models):
+        raise InvalidParameterError(
+            "a lockstep block needs one shared design and no weights or offset")
+    n, q = X.shape
+    if "p" in config.free_dispersion() and n <= q + 2:
+        return resumes  # fit refuses these before it starts
+    step = max(1, _BLOCK_CELLS // n)
+    for lo in range(0, len(models), step):
+        resumes[lo:lo + step] = _lockstep(X, models[lo:lo + step], config)
+    return resumes
+
+
+def _lockstep(X, models, config):
+    """``_fit_block`` on one chunk of models."""
+    free = config.free_dispersion()
+    lam = slice(_LAMBDA_INDEX[free[0]], _LAMBDA_INDEX[free[-1]] + 1) if free else None
+    p_floor = P_FLOOR if "p" in free else None
+    resumes = [None] * len(models)
+    starts = {}
+    for i, model in enumerate(models):
+        try:
+            starts[i] = initialize(model, config)
+        except PtwError:
+            pass  # fit calls initialize again, and raises there
+    if not starts:
+        return resumes
+    traces = {i: [] for i in starts}
+    rows = list(starts)  # the model of each row
+    B = np.array([t.beta for t in starts.values()])
+    phi = np.array([t.phi for t in starts.values()])
+    p = np.array([t.p for t in starts.values()])
+    Y = np.array([models[i].y for i in rows])
+
+    def hand_over(leave, rows, B, phi, p):
+        """Each row in ``leave`` gets the iterate (B, phi, p) with its trace."""
+        for j in np.flatnonzero(leave).tolist():
+            i = rows[j]
+            theta = starts[i]
+            if traces[i]:
+                # a free (phi, p) is numpy's after a step, as in fit
+                theta = (Theta(B[j].copy(), phi[j], p[j]) if free
+                         else Theta(B[j].copy(), theta.phi, theta.p))
+            resumes[i] = (theta, traces[i])
+
+    # The state fit holds before its first iteration.
+    mu, _, resid, _, ok = _block_mean_terms(X, Y, B)
+    ok &= ~np.isin(p, _FAST_POWERS)
+    C = _variance(mu, phi[:, None], p[:, None])[1]
+    ok &= ~(np.fmin.reduce(C, axis=1, initial=math.inf) <= 0)
+    psi_beta = _block_psi_beta(X, mu, resid, C)
+    current = np.concatenate([B, phi[:, None], p[:, None]], axis=1)
+    hand_over(~ok, rows, B, phi, p)
+
+    # Iteration _MAX_ITER, the budget's last, is always fit's.
+    for _ in range(1, _MAX_ITER):
+        if not ok.all():
+            if not ok.any():
+                return resumes
+            rows = [i for i, kept in zip(rows, ok.tolist()) if kept]
+            B, phi, p, Y = B[ok], phi[ok], p[ok], Y[ok]
+            mu, C, psi_beta, current = mu[ok], C[ok], psi_beta[ok], current[ok]
+            ok = ok[ok]
+
+        B_new = B - _solve_rows(_block_sens_beta(X, mu, C), psi_beta, ok)
+        ok &= np.isfinite(B_new).all(axis=1)
+        mu, log_mu, resid, resid2, finite = _block_mean_terms(X, Y, B_new)
+        ok &= finite
+        mu_p, C = _variance(mu, phi[:, None], p[:, None])
+        ok &= ~(np.fmin.reduce(C, axis=1, initial=math.inf) <= 0)
+        phi_new, p_new = phi, p
+        if free:
+            w_phi, w_p = _lambda_weights(mu_p, C, log_mu, phi[:, None])
+            psi_l = _block_psi_lambda(resid2, C, w_phi, w_p)[:, lam]
+            delta = np.zeros((len(B), 2))
+            delta[:, lam] = _ALPHA * _solve_rows(
+                _block_sens_lambda(C, w_phi, w_p)[:, lam, lam], psi_l, ok)
+            phi_new, p_new = phi - delta[:, 0], p - delta[:, 1]
+            # the first trial point, taken only when _halve would accept it
+            if p_floor is not None:
+                ok &= ~(p_new < p_floor)
+            if config.phi_sign == "nonnegative":
+                ok &= phi_new >= 0
+            ok &= np.isfinite(phi_new) & np.isfinite(p_new) & ~np.isin(p_new, _FAST_POWERS)
+            mu_p, C = _variance(mu, phi_new[:, None], p_new[:, None])
+            ok &= ((np.minimum.reduce(C, axis=1, initial=math.inf) > 0)
+                   & (np.maximum.reduce(C, axis=1, initial=-math.inf) < math.inf))
+            w_phi, w_p = _lambda_weights(mu_p, C, log_mu, phi_new[:, None])
+        psi_beta = _block_psi_beta(X, mu, resid, C)
+        score = [psi_beta]
+        if free:
+            score.append(_block_psi_lambda(resid2, C, w_phi, w_p)[:, lam])
+        norm = np.abs(np.concatenate(score, axis=1)).max(axis=1)
+        new = np.concatenate([B_new, phi_new[:, None], p_new[:, None]], axis=1)
+        ok &= np.isfinite(norm) & ~((norm < _TOL) & (np.abs(new - current).max(axis=1) < _TOL))
+        hand_over(~ok, rows, B, phi, p)
+        for j, norm_j in zip(np.flatnonzero(ok).tolist(), norm[ok].tolist()):
+            traces[rows[j]].append((new[j], norm_j))
+        B, phi, p, current = B_new, phi_new, p_new, new
+    hand_over(ok, rows, B, phi, p)
+    return resumes

@@ -69,6 +69,8 @@ class PtwModel:
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "y", y)
         n, q = X.shape
+        if q == 0:
+            raise InvalidParameterError(f"the design needs a column, got shape {X.shape}")
         if y.shape != (n,):
             raise InvalidParameterError(f"y must have length {n}, got shape {y.shape}")
         if n < q:

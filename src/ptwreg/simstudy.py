@@ -3,8 +3,12 @@
 Scenarios cover overdispersed Poisson-Tweedie generators (power 1.1, 1.5, 2,
 3 crossed with dispersion indices 2, 5, 10, 20 at mu = 10) and underdispersed
 COM-Poisson / Gamma-Count generators (nu = 2, 4, 6, 8), each fitted with the
-extended model.  Replicates run serially, in a fixed order, each on its own
-independent RNG substream, so a seeded study reproduces exactly.
+extended model.  Each replicate draws from its own independent RNG
+substream, so a seeded study reproduces exactly.  The replicates at one
+sample size share their design: ``chaser._fit_block`` runs their chaser
+iterations in lockstep, and one ``fit`` call per replicate
+(``_one_replicate``) finishes each from where the block handed it over,
+with the same result as a fit on its own.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .chaser import FitConfig, fit
+from .chaser import FitConfig, _fit_block, fit
 from .errors import InvalidParameterError, MissingBaselineError, PtwError
 from .estfun import PtwModel, Theta
 from .numcore import RngStream
@@ -190,12 +194,22 @@ def _simulate(scenario: Scenario, n: int, gen) -> tuple[np.ndarray, np.ndarray]:
     return design, gammacount_sample_lam(lam, nu, gen).astype(float)
 
 
-def _one_replicate(scenario: Scenario, n: int, stream: RngStream):
-    """Fit one simulated dataset; None marks an excluded replicate."""
-    gen = stream.generator()
-    design, y = _simulate(scenario, n, gen)
+def _replicate_models(scenario: Scenario, n: int, seed: int, index: int) -> list[PtwModel]:
+    """The datasets of every replicate at sample size ``n`` (the ``index``-th
+    size), replicate r drawn from the substream (seed, (index, r)).  They
+    share one design array, which ``_fit_block`` requires."""
+    models = []
+    for r in range(scenario.replicates):
+        design, y = _simulate(scenario, n, RngStream(seed, (index, r)).generator())
+        models.append(PtwModel(models[0].X if models else design, y))
+    return models
+
+
+def _one_replicate(model: PtwModel, config: FitConfig, resume):
+    """Fit one simulated dataset from where the lockstep block handed it
+    over; None marks an excluded replicate."""
     try:
-        result = fit(PtwModel(design, y), FitConfig())
+        result = fit(model, config, resume=resume)
     except PtwError:
         return None
     if not result.converged or not np.all(np.isfinite(result.std_errors)):
@@ -204,8 +218,8 @@ def _one_replicate(scenario: Scenario, n: int, stream: RngStream):
 
 
 def _worker_count() -> int:
-    """How many replicates ``run_study`` fits at once: one, as it runs them
-    one after another (reported among the machine facts of a perfbench run)."""
+    """How many threads ``run_study`` fits on: one (reported among the
+    machine facts of a perfbench run)."""
     return 1
 
 
@@ -214,15 +228,21 @@ def run_study(scenario: Scenario, seed: int) -> StudyResult:
 
     Replicate (size index i, replicate r) always draws from the substream
     (seed, (i, r)); failed fits are excluded from the summaries and counted.
+    The replicates at one size share their design, so ``chaser._fit_block``
+    runs their chaser iterations in lockstep; each is then finished by one
+    ``fit`` call, which gives it the result of a fit on its own.
     """
     truth = scenario_truth(scenario).as_array()
     names = scenario.parameter_names
     reps = scenario.replicates
+    config = FitConfig()
 
     cells: list[StudyCell] = []
     failures: list[tuple[int, int]] = []
     for i, n in enumerate(scenario.sample_sizes):
-        block = [_one_replicate(scenario, n, RngStream(seed, (i, r))) for r in range(reps)]
+        models = _replicate_models(scenario, n, seed, i)
+        resumes = _fit_block(models, config)
+        block = [_one_replicate(m, config, resume) for m, resume in zip(models, resumes)]
         kept = [o for o in block if o is not None]
         failures.append((n, reps - len(kept)))
         if len(kept) < 2:

@@ -77,19 +77,14 @@ def sample_tweedie_mu(mu, phi: float, p: float, gen: Generator, size=None) -> np
         return gen.gamma(1.0 / phi, phi * mu, size=size)
     if p == 3.0:
         return gen.wald(mu, 1.0 / phi, size=size)
-    # 1 < p < 2: Poisson sum of gammas, drawn only where the count is positive
+    # 1 < p < 2: Poisson sum of gammas.  numpy's gamma returns 0 at shape 0
+    # without drawing, so a zero count takes no variate from gen.
     lam = mu ** (2.0 - p) / (phi * (2.0 - p))
     shape = (2.0 - p) / (p - 1.0)
     scale = phi * (p - 1.0) * mu ** (p - 1.0)
     _require_poisson_rates(lam)
     counts = gen.poisson(lam, size=size)
-    out = np.zeros(counts.shape)
-    pos = np.flatnonzero(counts)
-    if pos.size:
-        if np.ndim(scale):  # varying means: each positive count's own scale
-            scale = np.broadcast_to(scale, counts.shape).ravel()[pos]
-        out.ravel()[pos] = gen.gamma(counts.ravel()[pos] * shape, scale)
-    return out
+    return gen.gamma(counts * shape, scale, size=counts.shape)
 
 
 def tweedie_sample(params: TweedieParams, n: int, rng: RngStream) -> np.ndarray:

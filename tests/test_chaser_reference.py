@@ -6,15 +6,17 @@ quantity through ``estfun_state``, ``_beta_step``, ``step_control``,
 ``_with_dispersion`` (defined here, as the program no longer calls it),
 ``quasi_score`` and ``pearson_score``.  ``fit`` and ``initialize`` must
 reproduce them bit for bit, and raise the same error with the same message
-wherever they raise.
+wherever they raise; so must a study's way to fit, the lockstep block
+(``_fit_block``) followed by ``fit`` resumed where the block handed over.
 """
 
 import numpy as np
 import pytest
 
-from ptwreg import ModelSpecConfig, build_design, dataset_table
+from ptwreg import ModelSpecConfig, build_design, chaser, dataset_table
 from ptwreg.chaser import (
     _ALPHA,
+    _FAST_POWERS,
     _LAMBDA_INDEX,
     _MAX_ITER,
     _TOL,
@@ -22,6 +24,7 @@ from ptwreg.chaser import (
     FitConfig,
     FitResult,
     _beta_step,
+    _fit_block,
     _sandwich,
     fit,
     initialize,
@@ -166,19 +169,11 @@ def _same_theta(got, want):
     assert (type(got.phi), type(got.p)) == (type(want.phi), type(want.p))
 
 
-def assert_same_fit(model, config):
-    """``fit`` and ``initialize`` equal the reference loops; returns why the
-    fit would be excluded from a study, or None when it is kept."""
-    start = _outcome(initialize, model, config)
-    start_ref = _outcome(reference_initialize, model, config)
-    if isinstance(start_ref, Exception):
-        assert (type(start), str(start)) == (type(start_ref), str(start_ref))
-    else:
-        _same_theta(start, start_ref)
-    got, want = _outcome(fit, model, config), _outcome(reference_fit, model, config)
+def _assert_same_outcome(got, want):
+    """Two fit outcomes, each a FitResult or the PtwError raised, are equal."""
     if isinstance(want, Exception):
         assert (type(got), str(got)) == (type(want), str(want))
-        return type(want).__name__
+        return
     _same_theta(got.theta_hat, want.theta_hat)
     assert _bits(got.covariance) == _bits(want.covariance)
     assert _bits(got.std_errors) == _bits(want.std_errors)
@@ -188,6 +183,24 @@ def assert_same_fit(model, config):
     assert len(got.trace) == len(want.trace)
     for (current, norm), (current_ref, norm_ref) in zip(got.trace, want.trace):
         assert _bits(current) == _bits(current_ref) and norm == norm_ref
+
+
+def assert_same_fit(model, config, *resumes):
+    """``fit`` and ``initialize`` equal the reference loops, and so does
+    ``fit`` resumed from each of ``resumes``; returns why the fit would be
+    excluded from a study, or None when it is kept."""
+    start = _outcome(initialize, model, config)
+    start_ref = _outcome(reference_initialize, model, config)
+    if isinstance(start_ref, Exception):
+        assert (type(start), str(start)) == (type(start_ref), str(start_ref))
+    else:
+        _same_theta(start, start_ref)
+    want = _outcome(reference_fit, model, config)
+    _assert_same_outcome(_outcome(fit, model, config), want)
+    for resume in resumes:
+        _assert_same_outcome(_outcome(fit, model, config, resume), want)
+    if isinstance(want, Exception):
+        return type(want).__name__
     if not want.converged:
         return "nonconverged"
     return None if np.isfinite(want.std_errors).all() else "nonfinite_se"
@@ -227,12 +240,21 @@ def _replicate(name, n, seed, index, r):
     return PtwModel(design, y)
 
 
+def _block(name, n, index, keys):
+    """The replicates (seed, r) in ``keys`` at the ``index``-th sample size
+    ``n``, sharing one design array as the lockstep block requires."""
+    models = [_replicate(name, n, seed, index, r) for seed, r in keys]
+    return [PtwModel(models[0].X, model.y) for model in models]
+
+
 @pytest.mark.parametrize("n", sorted(_P3_REPLICATES))
 def test_ptw_p3_replicates_match_the_reference(n):
     index = sorted(_P3_REPLICATES).index(n)
+    models = _block("ptw-p3-di2", n, index, _P3_REPLICATES[n])
+    resumes = _fit_block(models, FitConfig())
     reasons = {
-        (seed, r): assert_same_fit(_replicate("ptw-p3-di2", n, seed, index, r), FitConfig())
-        for seed, r in _P3_REPLICATES[n]
+        key: assert_same_fit(model, FitConfig(), resume)
+        for key, model, resume in zip(_P3_REPLICATES[n], models, resumes)
     }
     assert reasons == _P3_REPLICATES[n]
     # every way a study replicate is excluded, at each size
@@ -257,8 +279,9 @@ _STUDY_NAMES = ["ptw-p1.5-di5", "ptw-p2-di5", "compoisson-nu4", "gammacount-nu4"
 )
 def test_study_cell_matches_the_reference(name, config):
     # the n = 100 cell of a study at seed 0: its 50 replicates
-    for r in range(50):
-        assert_same_fit(_replicate(name, 100, 0, 0, r), config)
+    models = _block(name, 100, 0, [(0, r) for r in range(50)])
+    for model, resume in zip(models, _fit_block(models, config)):
+        assert_same_fit(model, config, resume)
 
 
 @pytest.mark.parametrize(
@@ -283,3 +306,132 @@ def test_offset_fit_matches_the_reference():
     model = PtwModel(X=X, y=y, offset=offset)
     for config in (FitConfig(), FitConfig(power_mode=2.0), FitConfig(phi_fixed=0.3)):
         assert assert_same_fit(model, config) is None
+
+
+# What fit meets in its first iteration after a hand-over, read off the
+# resumed fit: the error it raises, a halving, the power floor or a
+# refused negative phi in ``_halve``, convergence, the end of the budget,
+# or a power on which numpy's ``array ** scalar`` takes another routine.
+def _first_resumed_iteration(monkeypatch, model, config, resume):
+    theta, trace = resume
+    events = set()
+    if theta.p in _FAST_POWERS:
+        events.add("fast power")
+    halve = chaser._halve
+
+    def spy(phi, p, delta, mu, phi_sign, p_floor):
+        trial = delta.copy()
+        out = halve(phi, p, delta, mu, phi_sign, p_floor)
+        if not np.array_equal(trial, delta):
+            events.add("halving")
+        if p_floor is not None and p - trial[1] < p_floor:
+            events.add("p floor")
+        if phi_sign == "nonnegative" and phi - trial[0] < 0:
+            events.add("phi sign")
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(chaser, "_halve", spy)
+        patch.setattr(chaser, "_MAX_ITER", len(trace) + 1)  # that iteration alone
+        result = _outcome(fit, model, config, resume)
+    if isinstance(result, Exception):
+        events.add(type(result).__name__)
+    elif result.converged:
+        events.add("converged")
+    elif len(trace) + 1 == _MAX_ITER:
+        events.add("budget")
+    return events
+
+
+# One study replicate per reason the block hands a fit over:
+# (reason, scenario, n, seed, replicate, config, iterations the block commits).
+_HAND_OVERS = [
+    ("halving", "ptw-p1.5-di2", 100, 0, 47, FitConfig(), 1),
+    ("p floor", "ptw-p1.1-di2", 100, 0, 39, FitConfig(), 1),
+    ("phi sign", "ptw-p1.5-di2", 100, 0, 17, FitConfig(phi_sign="nonnegative"), 0),
+    ("RankDeficiencyError", "compoisson-nu4", 100, 1, 14, FitConfig(power_mode=1.7), 96),
+    ("SingularMatrixError", "compoisson-nu2", 100, 1, 7, FitConfig(), 20),
+    ("VarianceNonpositiveError", "ptw-p2-di2", 100, 0, 5, FitConfig(), 5),
+    ("InvalidParameterError", "ptw-p3-di20", 100, 1, 5, FitConfig(), 4),
+    ("converged", "ptw-p1.5-di5", 100, 0, 0, FitConfig(phi_fixed=0.0), 0),
+    ("budget", "compoisson-nu2", 100, 1, 4, FitConfig(), _MAX_ITER - 1),
+    ("fast power", "ptw-p1.5-di5", 100, 0, 0, FitConfig(power_mode=2.0), 0),
+    # no dispersion step: only the start's power can send it to fit
+    ("fast power", "ptw-p1.5-di5", 100, 0, 0, FitConfig(phi_fixed=0.3, power_mode=2.0), 0),
+]
+
+
+@pytest.mark.parametrize("reason, name, n, seed, r, config, committed", _HAND_OVERS,
+                         ids=[case[0] + (", fixed phi" if case[5].phi_fixed else "")
+                              for case in _HAND_OVERS])
+def test_block_hands_over_each_reason(monkeypatch, reason, name, n, seed, r, config,
+                                      committed):
+    # the beta solve refuses as RankDeficiencyError, the lambda solve as
+    # SingularMatrixError; C <= 0 is VarianceNonpositiveError
+    model = _replicate(name, n, seed, 0, r)
+    (resume,) = _fit_block([model], config)
+    assert len(resume[1]) == committed
+    assert reason in _first_resumed_iteration(monkeypatch, model, config, resume)
+    assert_same_fit(model, config, resume)
+
+
+def test_block_leaves_a_refused_start_to_fit():
+    X = np.column_stack([np.ones(60), np.linspace(-1.0, 1.0, 60)])
+    refused = PtwModel(X, np.r_[np.zeros(59), 1.0])  # initialize's mean underflows
+    kept = PtwModel(X, np.zeros(60))  # a start whose C is below 0
+    assert isinstance(_outcome(initialize, refused), PtwError)
+    resumes = _fit_block([refused, kept], FitConfig())
+    assert resumes[0] is None and resumes[1][1] == []
+    for model, resume in zip((refused, kept), resumes):
+        assert_same_fit(model, FitConfig(), resume)
+
+
+def test_block_chunks_give_the_same_hand_overs(monkeypatch):
+    models = _block("ptw-p1.5-di5", 100, 0, [(0, r) for r in range(7)])
+    whole = _fit_block(models, FitConfig())
+    monkeypatch.setattr(chaser, "_BLOCK_CELLS", 300)  # chunks of 3, 3 and 1
+    for (theta, trace), (theta_ref, trace_ref) in zip(_fit_block(models, FitConfig()), whole):
+        _same_theta(theta, theta_ref)
+        assert len(trace) == len(trace_ref) > 0
+        for (current, norm), (current_ref, norm_ref) in zip(trace, trace_ref):
+            assert _bits(current) == _bits(current_ref) and norm == norm_ref
+
+
+def test_block_refuses_models_it_cannot_run_together():
+    a, b = _replicate("ptw-p1.5-di5", 100, 0, 0, 0), _replicate("ptw-p1.5-di5", 100, 0, 0, 1)
+    weighted = PtwModel(a.X, a.y, weights=np.ones(100))
+    for models in ([a, b], [a, weighted]):  # two design arrays; weights
+        with pytest.raises(PtwError, match="one shared design"):
+            _fit_block(models, FitConfig())
+    assert _fit_block([], FitConfig()) == []
+
+
+def test_fit_resumes_from_every_iterate_of_the_dicentrics_fit():
+    # the weighted free-power fit: each iterate before the last, with the
+    # trace up to it, resumes to the uninterrupted fit
+    model, _ = build_design(dataset_table("dicentrics"),
+                            ModelSpecConfig(response="y", terms=("dose", "dose^2")))
+    full = fit(model)
+    q = model.n_coef
+    iterates = [initialize(model)] + [Theta(current[:q], current[q], current[q + 1])
+                                      for current, _ in full.trace[:-1]]
+    assert len(iterates) == full.iterations > 1
+    for k, theta in enumerate(iterates):
+        _assert_same_outcome(fit(model, None, (theta, full.trace[:k])), full)
+    with pytest.raises(PtwError, match="cannot resume"):
+        fit(model, None, (iterates[-1], full.trace[:1] * _MAX_ITER))
+
+
+def test_numpy_special_cases_exactly_the_fast_powers():
+    # numpy 2.4.6 computes x ** e for a scalar e in {-1, 0, 0.5, 1, 2} by
+    # 1/x, 1, sqrt, x and x*x; at any other e it takes the general power,
+    # whose bits the block's x ** column reproduces row by row
+    x = RngStream(5).generator().uniform(0.01, 50.0, 20_000)
+    rows = np.stack([x, x[::-1]])
+    fast = {-1.0: 1.0 / x, 0.0: np.ones_like(x), 0.5: np.sqrt(x), 1.0: x, 2.0: x * x}
+    assert set(fast) == set(_FAST_POWERS)
+    for e, value in fast.items():
+        assert _bits(x**e) == _bits(value)
+    grid = np.arange(-4.0, 4.25, 0.25).tolist() + [1.0 / 3.0, 1.5 + 2**-40, 2.0 - 2**-40]
+    for e in set(grid) - set(_FAST_POWERS):
+        assert _bits(x**e) == _bits((rows ** np.full((2, 1), e))[0]), e

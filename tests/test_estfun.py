@@ -144,6 +144,12 @@ def test_weights_validated_and_counted():
             PtwModel(X=X, y=y, weights=bad)
 
 
+def test_design_without_columns_is_refused():
+    # fit died on it with a bare ValueError from max() in solve_linear
+    with pytest.raises(InvalidParameterError, match=r"needs a column, got shape \(3, 0\)"):
+        PtwModel(X=np.zeros((3, 0)), y=np.zeros(3))
+
+
 def test_weighted_sums_equal_expanded_sums():
     weighted, expanded, theta = weighted_model()
     for func in (quasi_score, pearson_score, sensitivity, variability):

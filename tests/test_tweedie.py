@@ -76,6 +76,42 @@ def test_scalar_mean_ptw_sample_draws_the_bits_of_its_vector(mu, phi, p):
     assert scalar_gen.random() == vector_gen.random()
 
 
+def _scatter_gamma_sample(mu, phi, p, gen, size=None):
+    """The 1 < p < 2 sampler as it was: gammas drawn only at the positive
+    Poisson counts and scattered into zeros."""
+    mu = np.asarray(mu, dtype=float)
+    lam = mu ** (2.0 - p) / (phi * (2.0 - p))
+    shape = (2.0 - p) / (p - 1.0)
+    scale = phi * (p - 1.0) * mu ** (p - 1.0)
+    counts = gen.poisson(lam, size=mu.shape if size is None else size)
+    out = np.zeros(counts.shape)
+    pos = np.flatnonzero(counts)
+    if pos.size:
+        if np.ndim(scale):
+            scale = np.broadcast_to(scale, counts.shape).ravel()[pos]
+        out.ravel()[pos] = gen.gamma(counts.ravel()[pos] * shape, scale)
+    return out
+
+
+# a scalar mean with mostly zero counts, one with almost none, varying
+# means from mostly zero to none, and no draws at all
+@pytest.mark.parametrize("mu, phi, p, size, zeros", [
+    (0.074, 0.5, 1.087, 20_000, (0.8, 0.85)),
+    (3.0, 0.5, 1.5, 20_000, (0.0, 0.01)),
+    (np.geomspace(1e-4, 30.0, 20_000), 0.7, 1.3, None, (0.5, 0.65)),
+    (6.0, 0.5, 1.5, 0, None),
+])
+def test_gamma_sum_sampler_keeps_the_bits_of_the_scatter(mu, phi, p, size, zeros):
+    gen, ref_gen = RngStream(9).generator(), RngStream(9).generator()
+    got = sample_tweedie_mu(mu, phi, p, gen, size)
+    want = _scatter_gamma_sample(mu, phi, p, ref_gen, size)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+    assert gen.bit_generator.state == ref_gen.bit_generator.state
+    if zeros is not None:
+        assert zeros[0] < np.mean(got == 0) < zeros[1]
+
+
 @pytest.mark.parametrize("p", [1.0, 1.5])
 def test_scalar_mean_poisson_rate_refusal_is_the_vectors(p):
     refusals = []
