@@ -35,15 +35,17 @@ layout, so every fit is the same bit for bit as with numpy's ``.all()``,
 ``.any()`` and ``.max()`` (``tests/test_chaser_reference.py`` and
 ``tests/test_check_reference.py``).
 
-A study fits many replicates that share one design, where numpy's cost
-per call dominates.  ``_fit_block`` runs the same iteration for all of them
-at once on (R, n) arrays, with 2-D forms whose every row equals the 1-D
-form bit for bit, and commits an iteration for a replicate only where
-nothing out of the ordinary happened: no refusal, no halving or power
-floor, no power numpy's ``array ** scalar`` special-cases
-(``_FAST_POWERS``), no convergence.  ``fit(model, config, resume)`` takes
-each replicate over from its last committed iterate and runs the rest
-with the code above, so each result equals the uninterrupted fit's.
+A study fits many replicates that share one design, at ``FitConfig()``,
+where numpy's cost per call dominates.  ``_fit_block`` runs that one
+configuration's iteration for all of them at once on (R, n) arrays: X beta
+and the scores through estfun's functions on a leading replicate axis, the
+S blocks through forms of its own, every row equal to the 1-D form bit for
+bit.  It commits an iteration for a replicate only where nothing out of
+the ordinary happened: no refusal, no halving or power floor, no power
+numpy's ``array ** scalar`` special-cases (``_FAST_POWERS``), no
+convergence.  ``fit(model, resume=resume)`` takes each replicate over from
+its last committed iterate and runs the rest with the code above, so each
+result equals the uninterrupted fit's.
 
 Standard errors come from the inverse Godambe information assembled
 blockwise on one ``EstFunState`` built from the loop's last arrays: the
@@ -76,10 +78,8 @@ from .estfun import (
     _dispersion_weights,
     _lambda_weights,
     _mean_terms,
-    _pearson_terms,
     _psi_beta,
     _psi_lambda,
-    _quasi_terms,
     _require_finite_beta,
     _require_finite_lambda,
     _s_lambda,
@@ -293,11 +293,11 @@ _LAMBDA_INDEX = {"phi": 0, "p": 1}
 
 
 def _sup_norm(values: list) -> float:
-    """max |v| over a list of Python floats; NaN when one is NaN, as with
-    numpy's max (Python's max may skip a NaN)."""
+    """max |v| over a list of floats, Python's or numpy's, as a Python float;
+    NaN when one is NaN, as with numpy's max (Python's max may skip a NaN)."""
     if any(map(math.isnan, values)):
         return math.nan
-    return max(map(abs, values))
+    return float(max(map(abs, values)))
 
 
 def _sandwich(state: EstFunState, free: tuple[str, ...]) -> np.ndarray:
@@ -432,41 +432,27 @@ def fit(model: PtwModel, config: FitConfig | None = None,
     )
 
 
-# The lockstep block: the loop of ``fit`` for R replicates that share one
-# design, on (R, n) arrays.  Each 2-D form is bit-equal, row by row, to the
-# 1-D form in estfun that it stands for: X beta and X^T v as stacks of the
-# broadcast design against a column (one gemv per row), S_beta and S_lambda
-# as stacked products of the transposed factor (one gemm per row), sums as
-# np.add.reduce along the rows, and the elementwise formulas through
-# estfun's own functions with (R, 1) columns of phi and p.  X @ B.T, v @ X
-# and einsum take other kernels and are not used.
+# The lockstep block: the loop of ``fit`` at ``FitConfig()`` for R replicates
+# that share one design, on (R, n) arrays.  X beta and both scores are
+# estfun's own functions on a leading replicate axis, and the elementwise
+# formulas take (R, 1) columns of phi and p (see estfun's docstring).
+# S_beta and S_lambda keep block forms of their own, stacked products of the
+# transposed factor filled one column at a time (one gemm per row), each row
+# bit-equal to the 1-D product: on a 2-core x86-64 machine, one broadcast
+# form shared with estfun made study cells about 7-18% slower at n = 500
+# and 1000, and these column forms in estfun made the 26-row dicentrics fit
+# about 15% slower.
 
 
-def _stack(a: np.ndarray, rows: int) -> np.ndarray:
-    """``a`` repeated ``rows`` times along a new first axis, as a view."""
-    return np.broadcast_to(a, (rows,) + a.shape)
-
-
-def _block_mean_terms(X, Y, B):
-    """``_mean_terms`` row by row: (mu, log mu, y - mu, (y - mu)^2) and
+def _block_mean_terms(model, Y, B):
+    """``_mean_terms`` row by row, for the coefficient rows ``B`` and the
+    counts ``Y`` on ``model``'s design: (mu, log mu, y - mu, (y - mu)^2) and
     whether each row's log mu is finite."""
-    mu = np.exp((_stack(X, len(B)) @ B[:, :, None])[:, :, 0])
+    mu = np.exp(model.linear_predictor(B))
     log_mu = np.log(mu)
     finite = np.isfinite(np.add.reduce(log_mu, axis=1))
     resid = Y - mu
     return mu, log_mu, resid, resid**2, finite
-
-
-def _block_psi_beta(X, mu, resid, C):
-    """``_psi_beta`` row by row (R x Q)."""
-    return (_stack(X.T, len(mu)) @ _quasi_terms(mu, resid, C)[:, :, None])[:, :, 0]
-
-
-def _block_psi_lambda(resid2, C, w_phi, w_p):
-    """``_psi_lambda`` row by row (R x 2)."""
-    bracket = _pearson_terms(resid2, C)
-    return np.stack([np.add.reduce(w_phi * bracket, axis=1),
-                     np.add.reduce(w_p * bracket, axis=1)], axis=1)
 
 
 def _times_columns(v, columns):
@@ -503,20 +489,21 @@ def _solve_rows(A, b, ok) -> np.ndarray:
 
 
 @quiet
-def _fit_block(models: list, config: FitConfig) -> list:
-    """Run the chaser on every model at once, up to where ``fit`` must take
-    over each one: a resume (theta, trace) per model, or None where ``fit``
-    must start from scratch (``initialize`` refuses the model).
+def _fit_block(models: list) -> list:
+    """Run the chaser at ``FitConfig()`` on every model at once, up to where
+    ``fit`` must take over each one: a resume (theta, trace) per model, or
+    None where ``fit`` must start from scratch (``initialize`` refuses the
+    model).
 
     The models share one design array and carry neither weights nor an
     offset, as a study's replicates at one sample size do.  Each model's
-    start comes from ``initialize``; then iteration k is run for every
-    model on (R, n) arrays, and committed for a model only when it refused
-    nothing, took its first dispersion step without halving or the power
-    floor, kept p off ``_FAST_POWERS`` and did not converge.  Everything
-    else — that iteration again, the halvings, every refusal, the last
-    iterations, the budget, the sandwich and the warnings — is ``fit``'s,
-    which makes ``fit(model, config, resume)`` equal ``fit(model, config)``
+    start comes from ``initialize``, with p at 1.5; then iteration k is run
+    for every model on (R, n) arrays, and committed for a model only when it
+    refused nothing, took its first dispersion step without halving or the
+    power floor, kept p off ``_FAST_POWERS`` and did not converge.
+    Everything else — that iteration again, the halvings, every refusal, the
+    last iterations, the budget, the sandwich and the warnings — is
+    ``fit``'s, which makes ``fit(model, resume=resume)`` equal ``fit(model)``
     field for field.  The models run in chunks of ``_BLOCK_CELLS`` cells.
     """
     resumes = [None] * len(models)
@@ -527,24 +514,21 @@ def _fit_block(models: list, config: FitConfig) -> list:
         raise InvalidParameterError(
             "a lockstep block needs one shared design and no weights or offset")
     n, q = X.shape
-    if "p" in config.free_dispersion() and n <= q + 2:
-        return resumes  # fit refuses these before it starts
+    if n <= q + 2:
+        return resumes  # fit refuses a free power here before it starts
     step = max(1, _BLOCK_CELLS // n)
     for lo in range(0, len(models), step):
-        resumes[lo:lo + step] = _lockstep(X, models[lo:lo + step], config)
+        resumes[lo:lo + step] = _lockstep(X, models[lo:lo + step])
     return resumes
 
 
-def _lockstep(X, models, config):
+def _lockstep(X, models):
     """``_fit_block`` on one chunk of models."""
-    free = config.free_dispersion()
-    lam = slice(_LAMBDA_INDEX[free[0]], _LAMBDA_INDEX[free[-1]] + 1) if free else None
-    p_floor = P_FLOOR if "p" in free else None
     resumes = [None] * len(models)
     starts = {}
     for i, model in enumerate(models):
         try:
-            starts[i] = initialize(model, config)
+            starts[i] = initialize(model)
         except PtwError:
             pass  # fit calls initialize again, and raises there
     if not starts:
@@ -557,22 +541,18 @@ def _lockstep(X, models, config):
     Y = np.array([models[i].y for i in rows])
 
     def hand_over(leave, rows, B, phi, p):
-        """Each row in ``leave`` gets the iterate (B, phi, p) with its trace."""
+        """Each row in ``leave`` gets the iterate (B, phi, p) with its trace;
+        after a step its (phi, p) is numpy's, as in fit."""
         for j in np.flatnonzero(leave).tolist():
             i = rows[j]
-            theta = starts[i]
-            if traces[i]:
-                # a free (phi, p) is numpy's after a step, as in fit
-                theta = (Theta(B[j].copy(), phi[j], p[j]) if free
-                         else Theta(B[j].copy(), theta.phi, theta.p))
+            theta = Theta(B[j].copy(), phi[j], p[j]) if traces[i] else starts[i]
             resumes[i] = (theta, traces[i])
 
     # The state fit holds before its first iteration.
-    mu, _, resid, _, ok = _block_mean_terms(X, Y, B)
-    ok &= ~np.isin(p, _FAST_POWERS)
+    mu, _, resid, _, ok = _block_mean_terms(models[0], Y, B)
     C = _variance(mu, phi[:, None], p[:, None])[1]
     ok &= ~(np.fmin.reduce(C, axis=1, initial=math.inf) <= 0)
-    psi_beta = _block_psi_beta(X, mu, resid, C)
+    psi_beta = _psi_beta(X, None, mu, resid, C)
     current = np.concatenate([B, phi[:, None], p[:, None]], axis=1)
     hand_over(~ok, rows, B, phi, p)
 
@@ -588,33 +568,24 @@ def _lockstep(X, models, config):
 
         B_new = B - _solve_rows(_block_sens_beta(X, mu, C), psi_beta, ok)
         ok &= np.isfinite(B_new).all(axis=1)
-        mu, log_mu, resid, resid2, finite = _block_mean_terms(X, Y, B_new)
+        mu, log_mu, resid, resid2, finite = _block_mean_terms(models[0], Y, B_new)
         ok &= finite
         mu_p, C = _variance(mu, phi[:, None], p[:, None])
         ok &= ~(np.fmin.reduce(C, axis=1, initial=math.inf) <= 0)
-        phi_new, p_new = phi, p
-        if free:
-            w_phi, w_p = _lambda_weights(mu_p, C, log_mu, phi[:, None])
-            psi_l = _block_psi_lambda(resid2, C, w_phi, w_p)[:, lam]
-            delta = np.zeros((len(B), 2))
-            delta[:, lam] = _ALPHA * _solve_rows(
-                _block_sens_lambda(C, w_phi, w_p)[:, lam, lam], psi_l, ok)
-            phi_new, p_new = phi - delta[:, 0], p - delta[:, 1]
-            # the first trial point, taken only when _halve would accept it
-            if p_floor is not None:
-                ok &= ~(p_new < p_floor)
-            if config.phi_sign == "nonnegative":
-                ok &= phi_new >= 0
-            ok &= np.isfinite(phi_new) & np.isfinite(p_new) & ~np.isin(p_new, _FAST_POWERS)
-            mu_p, C = _variance(mu, phi_new[:, None], p_new[:, None])
-            ok &= ((np.minimum.reduce(C, axis=1, initial=math.inf) > 0)
-                   & (np.maximum.reduce(C, axis=1, initial=-math.inf) < math.inf))
-            w_phi, w_p = _lambda_weights(mu_p, C, log_mu, phi_new[:, None])
-        psi_beta = _block_psi_beta(X, mu, resid, C)
-        score = [psi_beta]
-        if free:
-            score.append(_block_psi_lambda(resid2, C, w_phi, w_p)[:, lam])
-        norm = np.abs(np.concatenate(score, axis=1)).max(axis=1)
+        w_phi, w_p = _lambda_weights(mu_p, C, log_mu, phi[:, None])
+        psi_l = np.stack(_psi_lambda(None, resid2, C, w_phi, w_p), axis=1)
+        delta = _ALPHA * _solve_rows(_block_sens_lambda(C, w_phi, w_p), psi_l, ok)
+        phi_new, p_new = phi - delta[:, 0], p - delta[:, 1]
+        # the first trial point, taken only when _halve would accept it
+        ok &= (~(p_new < P_FLOOR) & np.isfinite(phi_new) & np.isfinite(p_new)
+               & ~np.isin(p_new, _FAST_POWERS))
+        mu_p, C = _variance(mu, phi_new[:, None], p_new[:, None])
+        ok &= ((np.minimum.reduce(C, axis=1, initial=math.inf) > 0)
+               & (np.maximum.reduce(C, axis=1, initial=-math.inf) < math.inf))
+        w_phi, w_p = _lambda_weights(mu_p, C, log_mu, phi_new[:, None])
+        psi_beta = _psi_beta(X, None, mu, resid, C)
+        score = np.column_stack([psi_beta, *_psi_lambda(None, resid2, C, w_phi, w_p)])
+        norm = np.abs(score).max(axis=1)
         new = np.concatenate([B_new, phi_new[:, None], p_new[:, None]], axis=1)
         ok &= np.isfinite(norm) & ~((norm < _TOL) & (np.abs(new - current).max(axis=1) < _TOL))
         hand_over(~ok, rows, B, phi, p)

@@ -30,6 +30,15 @@ W C^2 factor S_lambda shares with its cross block).  ``variability`` and
 The chaser's loops call the same array functions on arrays they hold
 themselves, so an iteration builds no state.
 
+``PtwModel.linear_predictor``, ``_psi_beta`` and ``_psi_lambda`` also take
+a leading replicate axis: R coefficient vectors (R x Q), or (R, n) arrays
+of per-observation terms.  Row j of the result equals the 1-D call on row
+j bit for bit: the products are stacks of matrix-vector products, and the
+sums are np.add.reduce along the last axis.  The elementwise
+``_variance``, ``_lambda_weights``, ``_quasi_terms`` and ``_pearson_terms``
+broadcast, with (R, 1) columns of phi and p.  A study's lockstep block
+(``chaser._fit_block``) calls them this way.
+
 Parameter ordering everywhere: (beta_1..beta_Q, phi, p).
 """
 
@@ -105,7 +114,9 @@ class PtwModel:
         return self.X.shape[1]
 
     def linear_predictor(self, beta: np.ndarray) -> np.ndarray:
-        eta = self.X @ beta
+        """X beta + offset; a stack of coefficient vectors (R x Q) gives one
+        row per vector (R x n), each equal to its own 1-D call bit for bit."""
+        eta = (self.X @ beta[..., None])[..., 0]
         if self.offset is not None:
             eta = eta + self.offset
         return eta
@@ -231,10 +242,9 @@ def _dispersion_weights(mu, log_mu, phi, p):
 
 
 def _weigh(weights: np.ndarray | None, values: np.ndarray) -> np.ndarray:
-    """``values`` (rows first) times the frequency weights; as is when unweighted."""
-    if weights is None:
-        return values
-    return weights * values if values.ndim == 1 else weights[:, None] * values
+    """``values`` (observations on the last axis) times the frequency
+    weights; as is when unweighted."""
+    return values if weights is None else weights * values
 
 
 def _quasi_terms(mu, resid, C):
@@ -248,15 +258,17 @@ def _pearson_terms(resid2, C):
 
 
 def _psi_beta(X, weights, mu, resid, C):
-    """The quasi-score sum_i w_i mu_i x_ij C_i^{-1} (y_i - mu_i)."""
-    return X.T @ _weigh(weights, _quasi_terms(mu, resid, C))
+    """The quasi-score sum_i w_i mu_i x_ij C_i^{-1} (y_i - mu_i): a Q-vector,
+    or R x Q for (R, n) arrays."""
+    return (X.T @ _weigh(weights, _quasi_terms(mu, resid, C))[..., None])[..., 0]
 
 
 def _psi_lambda(weights, resid2, C, w_phi, w_p):
     """The Pearson score: the bracket (y - mu)^2 - C against W_phi and W_p,
-    as a list of two Python floats (``pearson_score`` makes it an array)."""
+    as the pair (phi component, p component) of numpy floats, or of
+    R-vectors for (R, n) arrays (``pearson_score`` makes it an array)."""
     bracket = _weigh(weights, _pearson_terms(resid2, C))
-    return [float(np.add.reduce(w_phi * bracket)), float(np.add.reduce(w_p * bracket))]
+    return np.add.reduce(w_phi * bracket, axis=-1), np.add.reduce(w_p * bracket, axis=-1)
 
 
 def _sens_beta(X, weights, mu, C):
@@ -345,7 +357,7 @@ def variability(state: EstFunState) -> np.ndarray:
     psi_beta_i = _quasi_terms(state.mu, state.resid, state.C)[:, None] * state.X
     psi_lambda_i = (_lambda_matrix(state.W_phi, state.W_p)
                     * _pearson_terms(state.resid2, state.C)[:, None])
-    weighted = _weigh(state.weights, psi_lambda_i)
+    weighted = _weigh(state.weights, psi_lambda_i.T).T  # n x 2, laid out as psi_lambda_i
     v[q:, q:] = weighted.T @ psi_lambda_i
     cross = weighted.T @ psi_beta_i
     v[q:, :q] = cross

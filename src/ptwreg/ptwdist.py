@@ -40,7 +40,7 @@ from .numcore import (
     _sample_size,
     gauss_laguerre,
 )
-from .tweedie import TweedieParams, sample_tweedie_mu, tweedie_density, tweedie_laplace
+from .tweedie import TweedieParams, _log_laplace, sample_tweedie_mu, tweedie_density
 
 # With phi * mu**p at or below this, the mixing distribution is numerically
 # degenerate at mu and the pmf is Poisson to more digits than MC can resolve.
@@ -423,10 +423,16 @@ def _check_count(y) -> int:
 
 def ptw_pzero(params: PtwParams) -> float:
     """P(Y = 0) = E[exp(-Z)]: the mixing Laplace transform at s = 1."""
+    return float(np.exp(_log_pzero(params)))
+
+
+def _log_pzero(params: PtwParams) -> float:
+    """log P(Y = 0): -mu on the Poisson route, else the mixing Laplace
+    exponent at s = 1."""
     _check_probabilistic(params)
     if params.phi == 0 or params.phi * params.mu**params.p <= _POISSON_LIMIT:
-        return float(np.exp(-params.mu))
-    return float(tweedie_laplace(params_as_tweedie(params), 1.0))
+        return -params.mu
+    return float(_log_laplace(params_as_tweedie(params), 1.0))
 
 
 def dispersion_index(params: PtwParams) -> float:
@@ -436,8 +442,15 @@ def dispersion_index(params: PtwParams) -> float:
 
 
 def zero_inflation_index(params: PtwParams) -> float:
-    """ZI = 1 + log P(Y=0) / mu; zero for Poisson, positive under zero-inflation."""
-    return 1.0 + np.log(ptw_pzero(params)) / params.mu
+    """ZI = 1 + log P(Y=0) / mu; zero for Poisson, positive under zero-inflation.
+
+    Where P(Y=0) underflows to 0 or a subnormal, log P(Y=0) is its exponent
+    itself, not the log of what is left of the float."""
+    log_p0 = _log_pzero(params)
+    p0 = np.exp(log_p0)
+    if p0 < np.finfo(float).tiny:
+        return 1.0 + log_p0 / params.mu
+    return 1.0 + np.log(p0) / params.mu
 
 
 def heavy_tail_index(params: PtwParams, y: int, budget: PmfConfig | None = None) -> float:

@@ -90,11 +90,12 @@ def _compoisson_log_weights(lam: np.ndarray, nu: float) -> np.ndarray:
 
 
 def compoisson_pmf(params: ComPoissonParams, y) -> np.ndarray | float:
-    """Exact pmf, normalized by the truncated series; 0 outside 0..Y*."""
+    """Exact pmf, normalized by the truncated series; 0 outside the counts
+    0..Y*."""
     logw = _compoisson_log_weights(np.array([params.lam]), params.nu)[:, 0]
     y = np.asarray(y)
-    inside = (y >= 0) & (y <= len(logw) - 1)
-    out = np.where(inside, np.exp(logw[np.clip(y, 0, len(logw) - 1)]), 0.0)
+    inside = (y >= 0) & (y <= len(logw) - 1) & (y == np.floor(y))
+    out = np.where(inside, np.exp(logw[np.where(inside, y, 0).astype(int)]), 0.0)
     return out if out.ndim else float(out)
 
 
@@ -158,11 +159,13 @@ def compoisson_sample(params: ComPoissonParams, n: int, rng: RngStream) -> np.nd
 
 def gammacount_pmf(params: GammaCountParams, y) -> np.ndarray | float:
     """P(Y = y) = G(y nu, nu lambda) - G((y+1) nu, nu lambda), with the
-    regularized lower incomplete gamma G and the G(0, .) = 1 convention."""
+    regularized lower incomplete gamma G and the G(0, .) = 1 convention;
+    0 at a y that is not a count."""
     y = np.asarray(y, dtype=float)
     t = params.nu * params.lam
     out = gammainc(np.maximum(y * params.nu, 0.0), t) - gammainc((y + 1) * params.nu, t)
     # gammainc(0, t) = 1 covers y = 0 automatically
+    out = np.where((y >= 0) & (y == np.floor(y)), out, 0.0)
     return out if out.ndim else float(out)
 
 

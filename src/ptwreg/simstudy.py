@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .chaser import FitConfig, _fit_block, fit
+from .chaser import _fit_block, fit
 from .errors import InvalidParameterError, MissingBaselineError, PtwError
 from .estfun import PtwModel, Theta
 from .numcore import RngStream
@@ -205,11 +205,11 @@ def _replicate_models(scenario: Scenario, n: int, seed: int, index: int) -> list
     return models
 
 
-def _one_replicate(model: PtwModel, config: FitConfig, resume):
-    """Fit one simulated dataset from where the lockstep block handed it
-    over; None marks an excluded replicate."""
+def _one_replicate(model: PtwModel, resume):
+    """Fit one simulated dataset at ``FitConfig()`` from where the lockstep
+    block handed it over; None marks an excluded replicate."""
     try:
-        result = fit(model, config, resume=resume)
+        result = fit(model, resume=resume)
     except PtwError:
         return None
     if not result.converged or not np.all(np.isfinite(result.std_errors)):
@@ -235,14 +235,13 @@ def run_study(scenario: Scenario, seed: int) -> StudyResult:
     truth = scenario_truth(scenario).as_array()
     names = scenario.parameter_names
     reps = scenario.replicates
-    config = FitConfig()
 
     cells: list[StudyCell] = []
     failures: list[tuple[int, int]] = []
     for i, n in enumerate(scenario.sample_sizes):
         models = _replicate_models(scenario, n, seed, i)
-        resumes = _fit_block(models, config)
-        block = [_one_replicate(m, config, resume) for m, resume in zip(models, resumes)]
+        resumes = _fit_block(models)
+        block = [_one_replicate(m, resume) for m, resume in zip(models, resumes)]
         kept = [o for o in block if o is not None]
         failures.append((n, reps - len(kept)))
         if len(kept) < 2:

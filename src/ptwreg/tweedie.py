@@ -141,6 +141,13 @@ def tweedie_laplace(params: TweedieParams, s) -> np.ndarray | float:
     the p = 1 and p = 2 limits use their exponential/log forms.  Small
     tilts switch to a second-order expansion for numerical stability.
     """
+    out = np.exp(_log_laplace(params, s))
+    return out if out.ndim else float(out)
+
+
+def _log_laplace(params: TweedieParams, s) -> np.ndarray:
+    """The exponent of ``tweedie_laplace``: log E[exp(-s Z)], finite where
+    the transform itself underflows."""
     s = np.asarray(s, dtype=float)
     if np.any(s < 0) or not np.all(np.isfinite(s)):
         raise InvalidParameterError("s must be finite and non-negative")
@@ -162,5 +169,4 @@ def tweedie_laplace(params: TweedieParams, s) -> np.ndarray | float:
         if np.any(small):
             series = -s * mu + 0.5 * s**2 * phi * mu**p
             log_lt = np.where(small, series, log_lt)
-    out = np.exp(log_lt)
-    return out if out.ndim else float(out)
+    return log_lt

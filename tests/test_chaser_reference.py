@@ -251,7 +251,7 @@ def _block(name, n, index, keys):
 def test_ptw_p3_replicates_match_the_reference(n):
     index = sorted(_P3_REPLICATES).index(n)
     models = _block("ptw-p3-di2", n, index, _P3_REPLICATES[n])
-    resumes = _fit_block(models, FitConfig())
+    resumes = _fit_block(models)
     reasons = {
         key: assert_same_fit(model, FitConfig(), resume)
         for key, model, resume in zip(_P3_REPLICATES[n], models, resumes)
@@ -278,9 +278,14 @@ _STUDY_NAMES = ["ptw-p1.5-di5", "ptw-p2-di5", "compoisson-nu4", "gammacount-nu4"
        for name in _STUDY_NAMES],
 )
 def test_study_cell_matches_the_reference(name, config):
-    # the n = 100 cell of a study at seed 0: its 50 replicates
+    # the n = 100 cell of a study at seed 0: its 50 replicates, through the
+    # lockstep block at the one configuration it runs
     models = _block(name, 100, 0, [(0, r) for r in range(50)])
-    for model, resume in zip(models, _fit_block(models, config)):
+    if config != FitConfig():
+        for model in models:
+            assert_same_fit(model, config)
+        return
+    for model, resume in zip(models, _fit_block(models)):
         assert_same_fit(model, config, resume)
 
 
@@ -309,14 +314,12 @@ def test_offset_fit_matches_the_reference():
 
 
 # What fit meets in its first iteration after a hand-over, read off the
-# resumed fit: the error it raises, a halving, the power floor or a
-# refused negative phi in ``_halve``, convergence, the end of the budget,
-# or a power on which numpy's ``array ** scalar`` takes another routine.
-def _first_resumed_iteration(monkeypatch, model, config, resume):
+# resumed fit: the error it raises, a halving or the power floor in
+# ``_halve``, convergence, the end of the budget, or a power on which numpy's
+# ``array ** scalar`` takes another routine.
+def _first_resumed_iteration(monkeypatch, model, resume):
     theta, trace = resume
     events = set()
-    if theta.p in _FAST_POWERS:
-        events.add("fast power")
     halve = chaser._halve
 
     def spy(phi, p, delta, mu, phi_sign, p_floor):
@@ -326,53 +329,53 @@ def _first_resumed_iteration(monkeypatch, model, config, resume):
             events.add("halving")
         if p_floor is not None and p - trial[1] < p_floor:
             events.add("p floor")
-        if phi_sign == "nonnegative" and phi - trial[0] < 0:
-            events.add("phi sign")
         return out
 
     with monkeypatch.context() as patch:
         patch.setattr(chaser, "_halve", spy)
         patch.setattr(chaser, "_MAX_ITER", len(trace) + 1)  # that iteration alone
-        result = _outcome(fit, model, config, resume)
+        result = _outcome(fit, model, None, resume)
     if isinstance(result, Exception):
         events.add(type(result).__name__)
     elif result.converged:
         events.add("converged")
     elif len(trace) + 1 == _MAX_ITER:
         events.add("budget")
+    if not isinstance(result, Exception) and result.trace[-1][0][-1] in chaser._FAST_POWERS:
+        events.add("fast power")
     return events
 
 
-# One study replicate per reason the block hands a fit over:
-# (reason, scenario, n, seed, replicate, config, iterations the block commits).
+# One study replicate per reason the block hands a fit over: (reason,
+# scenario, n, size index, seed, replicate, iterations the block commits).
 _HAND_OVERS = [
-    ("halving", "ptw-p1.5-di2", 100, 0, 47, FitConfig(), 1),
-    ("p floor", "ptw-p1.1-di2", 100, 0, 39, FitConfig(), 1),
-    ("phi sign", "ptw-p1.5-di2", 100, 0, 17, FitConfig(phi_sign="nonnegative"), 0),
-    ("RankDeficiencyError", "compoisson-nu4", 100, 1, 14, FitConfig(power_mode=1.7), 96),
-    ("SingularMatrixError", "compoisson-nu2", 100, 1, 7, FitConfig(), 20),
-    ("VarianceNonpositiveError", "ptw-p2-di2", 100, 0, 5, FitConfig(), 5),
-    ("InvalidParameterError", "ptw-p3-di20", 100, 1, 5, FitConfig(), 4),
-    ("converged", "ptw-p1.5-di5", 100, 0, 0, FitConfig(phi_fixed=0.0), 0),
-    ("budget", "compoisson-nu2", 100, 1, 4, FitConfig(), _MAX_ITER - 1),
-    ("fast power", "ptw-p1.5-di5", 100, 0, 0, FitConfig(power_mode=2.0), 0),
-    # no dispersion step: only the start's power can send it to fit
-    ("fast power", "ptw-p1.5-di5", 100, 0, 0, FitConfig(phi_fixed=0.3, power_mode=2.0), 0),
+    ("halving", "ptw-p1.5-di2", 100, 0, 0, 47, 1),
+    ("p floor", "ptw-p1.1-di2", 100, 0, 0, 39, 1),
+    ("RankDeficiencyError", "ptw-p3-di10", 500, 2, 3, 26, 3),
+    ("SingularMatrixError", "compoisson-nu2", 100, 0, 1, 7, 20),
+    ("VarianceNonpositiveError", "ptw-p2-di2", 100, 0, 0, 5, 5),
+    ("InvalidParameterError", "ptw-p3-di20", 100, 0, 1, 5, 4),
+    ("converged", "ptw-p1.5-di5", 100, 0, 0, 0, 28),
+    ("budget", "compoisson-nu2", 100, 0, 1, 4, _MAX_ITER - 1),
+    # the power of the next iteration is made one of _FAST_POWERS
+    ("fast power", "ptw-p1.5-di5", 100, 0, 0, 0, 2),
 ]
 
 
-@pytest.mark.parametrize("reason, name, n, seed, r, config, committed", _HAND_OVERS,
-                         ids=[case[0] + (", fixed phi" if case[5].phi_fixed else "")
-                              for case in _HAND_OVERS])
-def test_block_hands_over_each_reason(monkeypatch, reason, name, n, seed, r, config,
+@pytest.mark.parametrize("reason, name, n, index, seed, r, committed", _HAND_OVERS,
+                         ids=[case[0] for case in _HAND_OVERS])
+def test_block_hands_over_each_reason(monkeypatch, reason, name, n, index, seed, r,
                                       committed):
     # the beta solve refuses as RankDeficiencyError, the lambda solve as
     # SingularMatrixError; C <= 0 is VarianceNonpositiveError
-    model = _replicate(name, n, seed, 0, r)
-    (resume,) = _fit_block([model], config)
+    model = _replicate(name, n, seed, index, r)
+    if reason == "fast power":
+        (free_run,) = _fit_block([model])
+        monkeypatch.setattr(chaser, "_FAST_POWERS", (free_run[1][committed][0][-1],))
+    (resume,) = _fit_block([model])
     assert len(resume[1]) == committed
-    assert reason in _first_resumed_iteration(monkeypatch, model, config, resume)
-    assert_same_fit(model, config, resume)
+    assert reason in _first_resumed_iteration(monkeypatch, model, resume)
+    assert_same_fit(model, FitConfig(), resume)
 
 
 def test_block_leaves_a_refused_start_to_fit():
@@ -380,7 +383,7 @@ def test_block_leaves_a_refused_start_to_fit():
     refused = PtwModel(X, np.r_[np.zeros(59), 1.0])  # initialize's mean underflows
     kept = PtwModel(X, np.zeros(60))  # a start whose C is below 0
     assert isinstance(_outcome(initialize, refused), PtwError)
-    resumes = _fit_block([refused, kept], FitConfig())
+    resumes = _fit_block([refused, kept])
     assert resumes[0] is None and resumes[1][1] == []
     for model, resume in zip((refused, kept), resumes):
         assert_same_fit(model, FitConfig(), resume)
@@ -388,9 +391,9 @@ def test_block_leaves_a_refused_start_to_fit():
 
 def test_block_chunks_give_the_same_hand_overs(monkeypatch):
     models = _block("ptw-p1.5-di5", 100, 0, [(0, r) for r in range(7)])
-    whole = _fit_block(models, FitConfig())
+    whole = _fit_block(models)
     monkeypatch.setattr(chaser, "_BLOCK_CELLS", 300)  # chunks of 3, 3 and 1
-    for (theta, trace), (theta_ref, trace_ref) in zip(_fit_block(models, FitConfig()), whole):
+    for (theta, trace), (theta_ref, trace_ref) in zip(_fit_block(models), whole):
         _same_theta(theta, theta_ref)
         assert len(trace) == len(trace_ref) > 0
         for (current, norm), (current_ref, norm_ref) in zip(trace, trace_ref):
@@ -402,8 +405,8 @@ def test_block_refuses_models_it_cannot_run_together():
     weighted = PtwModel(a.X, a.y, weights=np.ones(100))
     for models in ([a, b], [a, weighted]):  # two design arrays; weights
         with pytest.raises(PtwError, match="one shared design"):
-            _fit_block(models, FitConfig())
-    assert _fit_block([], FitConfig()) == []
+            _fit_block(models)
+    assert _fit_block([]) == []
 
 
 def test_fit_resumes_from_every_iterate_of_the_dicentrics_fit():

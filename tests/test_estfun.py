@@ -5,6 +5,8 @@ from ptwreg.errors import InvalidParameterError, SingularMatrixError, VarianceNo
 from ptwreg.estfun import (
     PtwModel,
     Theta,
+    _psi_beta,
+    _psi_lambda,
     _s_beta,
     _s_lambda,
     estfun_state,
@@ -166,6 +168,34 @@ def test_weighted_sums_equal_expanded_sums():
         assert np.array_equal(
             func(estfun_state(unit, theta)), func(estfun_state(plain, theta))
         ), func
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+def test_leading_axis_rows_equal_the_1d_calls(weighted):
+    # a study's lockstep block evaluates R replicates at once: row j of each
+    # leading-axis result must be the 1-D call on row j, bit for bit
+    gen = RngStream(41).generator()
+    for n, q, rows in ((20, 1, 2), (26, 3, 60), (100, 2, 50), (537, 3, 7), (1200, 2, 13)):
+        X = np.column_stack([np.ones(n), gen.normal(size=(n, q - 1))])
+        weights = gen.integers(1, 30, n).astype(float) if weighted else None
+        offset = gen.normal(size=n) if weighted else None
+        model = PtwModel(X=X, y=gen.poisson(3.0, n), offset=offset, weights=weights)
+        B = 0.5 * gen.normal(size=(rows, q))
+        mu = np.exp(gen.normal(size=(rows, n)))
+        resid = 3.0 * gen.normal(size=(rows, n))
+        C = mu + gen.uniform(size=(rows, n))
+        w_phi, w_p = gen.normal(size=(2, rows, n))
+        eta = model.linear_predictor(B)
+        psi_beta = _psi_beta(X, weights, mu, resid, C)
+        psi_phi, psi_p = _psi_lambda(weights, resid**2, C, w_phi, w_p)
+        assert eta.shape == (rows, n) and psi_beta.shape == (rows, q)
+        assert psi_phi.shape == psi_p.shape == (rows,)
+        for j in range(rows):
+            assert eta[j].tobytes() == model.linear_predictor(B[j]).tobytes()
+            assert psi_beta[j].tobytes() == _psi_beta(
+                X, weights, mu[j], resid[j], C[j]).tobytes()
+            one = _psi_lambda(weights, resid[j] ** 2, C[j], w_phi[j], w_p[j])
+            assert np.array([psi_phi[j], psi_p[j]]).tobytes() == np.array(one).tobytes()
 
 
 @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])

@@ -6,6 +6,7 @@ loaded here from its file, and nothing is installed, so a renamed traced
 function or a reordered signature fails in this suite.
 """
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -17,7 +18,8 @@ from ptwreg.chaser import FitConfig, fit, step_control
 from ptwreg.estfun import PtwModel, Theta
 from ptwreg.numcore import RngStream
 
-_TRACER_FILE = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+_PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+_TRACER_FILE = _PERFBENCH / "tracer.py"
 
 
 @pytest.fixture(scope="module")
@@ -32,6 +34,25 @@ def test_every_traced_name_resolves(tracer):
     for module_name, attr in tracer.TRACED:
         target = getattr(importlib.import_module(module_name), attr, None)
         assert callable(target), f"{module_name}.{attr}"
+
+
+def test_every_name_the_worker_calls_resolves():
+    # perfbench/worker.py calls some ptwreg.<module>.<name> directly (the
+    # machine facts it reports); deleting one would fail every benchmark run
+    tree = ast.parse((_PERFBENCH / "worker.py").read_text())
+    called = {
+        (node.func.value.value.id, node.func.value.attr, node.func.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Attribute)
+        and isinstance(node.func.value.value, ast.Name)
+        and node.func.value.value.id == "ptwreg"
+    }
+    assert called  # the worker reports at least one fact from ptwreg
+    for package, module_name, attr in called:
+        module = importlib.import_module(f"{package}.{module_name}")
+        assert callable(getattr(module, attr, None)), f"{package}.{module_name}.{attr}"
 
 
 def test_step_shrunk_reads_step_control_arguments(tracer):

@@ -516,6 +516,22 @@ def test_zero_inflation_values():
     assert zero_inflation_index(PtwParams(10.0, 0.8, 1.1)) > 0
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "mu, phi, p, want",
+    [
+        (800.0, 0.0, 1.0, 0.0),  # Poisson: P(0) = exp(-800) is 0
+        (3000.0, 0.001, 2.0, 1.0 - np.log1p(3.0) / 3.0),  # NB: P(0) = 4^-1000
+        (2000.0, 0.5, 1.0, 1.0 + np.expm1(-0.5) / 0.5),  # Neyman type A
+    ],
+)
+def test_zero_inflation_where_p0_underflows(mu, phi, p, want):
+    # log P(0) is taken from its exponent, not from the 0 exp leaves
+    params = PtwParams(mu, phi, p)
+    assert ptw_pzero(params) == 0.0
+    assert zero_inflation_index(params) == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+
 def test_heavy_tail_values():
     # Poisson limit: exact ratio mu/(y+1)
     ht = heavy_tail_index(PtwParams(10.0, 1e-10, 2.0), 100)

@@ -159,6 +159,20 @@ def test_pmfs_are_zero_at_negative_counts():
     assert probs[0] == probs[1] == 0.0 and probs[2] > 0.0
 
 
+@pytest.mark.parametrize(
+    "pmf, params",
+    [(compoisson_pmf, ComPoissonParams(3.0, 2.0)), (gammacount_pmf, GammaCountParams(3.0, 2.0))],
+    ids=["com-poisson", "gamma-count"],
+)
+def test_pmfs_are_zero_off_the_counts(pmf, params):
+    # the COM-Poisson pmf raised numpy's IndexError at 2.5, and the
+    # Gamma-Count pmf gave 0.321 there and NaN at -2
+    assert pmf(params, 2.5) == pmf(params, -2) == 0.0
+    probs = pmf(params, np.array([-2.0, -1.0, 0.0, 1.5, 2.0, 2.5]))
+    assert probs[0] == probs[1] == probs[3] == probs[5] == 0.0
+    assert probs[2] > 0.0 and probs[4] == pmf(params, 2)
+
+
 # -------------------------------------------------------------------- samplers
 
 
