@@ -37,15 +37,18 @@ layout, so every fit is the same bit for bit as with numpy's ``.all()``,
 
 A study fits many replicates that share one design, at ``FitConfig()``,
 where numpy's cost per call dominates.  ``_fit_block`` runs that one
-configuration's iteration for all of them at once on (R, n) arrays: X beta
-and the scores through estfun's functions on a leading replicate axis, the
-S blocks through forms of its own, every row equal to the 1-D form bit for
-bit.  It commits an iteration for a replicate only where nothing out of
-the ordinary happened: no refusal, no halving or power floor, no power
-numpy's ``array ** scalar`` special-cases (``_FAST_POWERS``), no
-convergence.  ``fit(model, resume=resume)`` takes each replicate over from
-its last committed iterate and runs the rest with the code above, so each
-result equals the uninterrupted fit's.
+configuration for all of them at once on (R, n) arrays, from
+``initialize``'s Newton loop to convergence: X beta and the scores through
+estfun's functions on a leading replicate axis, the S blocks through forms
+of its own, the small systems through one batched LAPACK solve behind a
+pivot screen (``_solve_rows``), and a step that needs halving or the power
+floor through ``_halve`` on its own row; every row equals the 1-D
+computation bit for bit.  A replicate leaves the block on a refusal, on a
+power numpy's ``array ** scalar`` special-cases (``_FAST_POWERS``), at the
+budget's last iteration or once it converges.  ``fit(model,
+resume=resume)`` takes it over from its last committed iterate and runs
+the rest with the code above, or goes straight to the sandwich when that
+iterate converged, so each result equals the uninterrupted fit's.
 
 Standard errors come from the inverse Godambe information assembled
 blockwise on one ``EstFunState`` built from the loop's last arrays: the
@@ -103,8 +106,13 @@ _MAX_ITER = 200
 # (reciprocal, ones, sqrt, a copy, square), whose last bits may differ from
 # the general power that the lockstep block's ``array ** column`` takes.
 _FAST_POWERS = (-1.0, 0.0, 0.5, 1.0, 2.0)
-# Replicates x observations in one lockstep block: 128 KB per (R, n) array.
-_BLOCK_CELLS = 2**14
+# Replicates x observations in one lockstep block: 512 KB per (R, n) array,
+# so that a study cell of 50 replicates at n <= 1000 runs as one chunk.  In
+# chunks of 2**14 cells (16 replicates at n = 1000) the replicates still
+# running near the budget ran it one or two at a time: a ptw-p3-di2 cell at
+# n = 1000 took a median 316 ms of CPU against 245 ms in one chunk, for
+# about 6 MB more peak memory (one BLAS thread, 2-core x86-64).
+_BLOCK_CELLS = 2**16
 
 
 def _is_number(value) -> bool:
@@ -300,6 +308,15 @@ def _sup_norm(values: list) -> float:
     return float(max(map(abs, values)))
 
 
+def _has_converged(current: np.ndarray, score_norm: float, prev: np.ndarray) -> bool:
+    """The stopping rule: the score sup-norm at the iterate ``current`` and
+    its largest change from ``prev`` are both below the tolerance.  The
+    change is taken on Python floats, only once the score is small: theta is
+    finite, so it holds no NaN."""
+    return score_norm < _TOL and max(
+        map(abs, map(sub, current.tolist(), prev.tolist()))) < _TOL
+
+
 def _sandwich(state: EstFunState, free: tuple[str, ...]) -> np.ndarray:
     """Godambe covariance at ``state``, blockwise (cross-sensitivity
     omitted), restricted to the estimated parameters."""
@@ -326,11 +343,14 @@ def fit(model: PtwModel, config: FitConfig | None = None,
 
     ``resume`` = (theta, trace) continues this same fit from an iterate it
     passes through: ``initialize``'s start with an empty trace, or the
-    theta of the trace's last entry after ``len(trace)`` iterations, before
-    the fit has converged.  The loop rebuilds its arrays at theta with the
-    code that built them, so the result equals the uninterrupted fit's
-    field for field.  A study's lockstep block (``_fit_block``) hands each
-    replicate over this way.
+    theta of the trace's last entry after ``len(trace)`` iterations.  When
+    the trace's last two entries meet the stopping rule, the fit has
+    converged there and goes straight to the sandwich; a fit that converged
+    at its first iteration cannot be resumed so, as the rule then reads the
+    start, which the trace does not hold.  The fit rebuilds its arrays at
+    theta with the code that built them, so the result equals the
+    uninterrupted fit's field for field.  A study's lockstep block
+    (``_fit_block``) hands each replicate over this way.
     """
     config = config or FitConfig()
     free = config.free_dispersion()
@@ -345,11 +365,12 @@ def fit(model: PtwModel, config: FitConfig | None = None,
         start, trace = initialize(model, config), []
     else:
         start, trace = resume[0], list(resume[1])
-        if len(trace) >= _MAX_ITER:
-            raise InvalidParameterError(
-                f"cannot resume after {len(trace)} of {_MAX_ITER} iterations")
+    # a trace whose last two entries meet the stopping rule has converged
+    converged = len(trace) > 1 and _has_converged(*trace[-1], trace[-2][0])
+    if len(trace) >= _MAX_ITER and not converged:
+        raise InvalidParameterError(
+            f"cannot resume after {len(trace)} of {_MAX_ITER} iterations")
     warn: list = []
-    converged = False
     score_norm = np.inf
     lambda_step_norm = np.inf
     iterations = len(trace)
@@ -360,7 +381,8 @@ def fit(model: PtwModel, config: FitConfig | None = None,
     C, w_phi, w_p = _dispersion_weights(mu, log_mu, phi, p)
     psi_beta = _psi_beta(X, w, mu, resid, C)
     current = _theta_array(beta, phi, p)
-    for iterations in range(iterations + 1, _MAX_ITER + 1):
+    last = iterations if converged else _MAX_ITER
+    for iterations in range(iterations + 1, last + 1):
         prev = current
         beta = _newton_beta(X, w, mu, C, beta, psi_beta)
         _require_finite_beta(beta)
@@ -384,10 +406,7 @@ def fit(model: PtwModel, config: FitConfig | None = None,
         score_norm = _sup_norm(score)
         current = _theta_array(beta, phi, p)
         trace.append((current, score_norm))
-        # The largest parameter change, on Python floats, only once the
-        # score is small: theta is finite, so it holds no NaN.
-        if score_norm < _TOL and max(
-                map(abs, map(sub, current.tolist(), prev.tolist()))) < _TOL:
+        if _has_converged(current, score_norm, prev):
             converged = True
             break
 
@@ -476,11 +495,48 @@ def _block_sens_lambda(C, w_phi, w_p):
     return -_times_columns(C**2, (w_phi, w_p)).transpose(0, 2, 1) @ wl
 
 
+def _pivots_clear(A, b):
+    """The rows j of the stack ``A`` (R x q x q) on which solve_linear(A[j],
+    b[j]) is sure to pass its checks: A[j] and b[j] finite, and every pivot
+    of A[j]'s partially pivoted LU above solve_linear's cut 1e-12 max|A[j]|.
+
+    With PA = LU, |L| <= 1 and U^{-1} = A^{-1} P^T L, so 1/|u_kk| is at most
+    a row's absolute sum of A^{-1}: cofactors over det A.  Scaled to
+    max|A| = 1, Hadamard's inequality bounds each cofactor by
+    (q-1)^((q-1)/2), so every pivot is at least |det| / (q (q-1)^((q-1)/2))
+    times max|A|; the rows cleared are those where that bound is twice the
+    cut.  LAPACK's computed factors are exact for A + E with |E| <= gamma_q
+    q 2^(q-1) max|A| (Higham, Thm 9.3; growth at most 2^(q-1)), for gesv
+    and for numpy's determinant alike, and for q <= 5 each moves the scaled
+    determinant by under an eighth of the bound: the factor 2 covers both.
+    That holds while no step under- or overflows, so max|A| must lie within
+    1e-250 and 1e250; a zero or non-finite A[j] lies outside, and orders
+    above 5 clear nothing.
+    """
+    q = A.shape[-1]
+    if q > 5:
+        return np.zeros(len(A), dtype=bool)
+    scale = np.abs(A).max(axis=(1, 2))
+    det = np.linalg.det(A / scale[:, None, None])
+    return ((np.abs(det) > 2e-12 * q * (q - 1) ** ((q - 1) / 2))
+            & (scale > 1e-250) & (scale < 1e250) & np.isfinite(b).all(axis=1))
+
+
 def _solve_rows(A, b, ok) -> np.ndarray:
-    """solve_linear(A[j], b[j]) for each row j still ok; a row whose solve
-    refuses is marked not ok, and its solution is left at 0."""
+    """solve_linear(A[j], b[j]) for each row j still ok, bit for bit; a row
+    whose solve refuses is marked not ok, and its solution is left at 0.
+
+    The rows ``_pivots_clear`` clears are solved together by numpy's
+    batched gesv, the LAPACK routine solve_linear calls, and equal its
+    per-row results bit for bit; the others go through solve_linear, so
+    every refusal is its own.  For 50 systems of order 2 or 3, solve_linear
+    row by row takes about 217 us and this about 52 us (2-core x86-64).
+    """
     out = np.zeros(b.shape)
-    for j in np.flatnonzero(ok).tolist():
+    clear = ok & _pivots_clear(A, b)
+    if clear.any():
+        out[clear] = np.linalg.solve(A[clear], b[clear][:, :, None])[:, :, 0]
+    for j in np.flatnonzero(ok & ~clear).tolist():
         try:
             out[j] = solve_linear(A[j], b[j])
         except PtwError:
@@ -496,15 +552,19 @@ def _fit_block(models: list) -> list:
     model).
 
     The models share one design array and carry neither weights nor an
-    offset, as a study's replicates at one sample size do.  Each model's
-    start comes from ``initialize``, with p at 1.5; then iteration k is run
-    for every model on (R, n) arrays, and committed for a model only when it
-    refused nothing, took its first dispersion step without halving or the
-    power floor, kept p off ``_FAST_POWERS`` and did not converge.
-    Everything else — that iteration again, the halvings, every refusal, the
-    last iterations, the budget, the sandwich and the warnings — is
-    ``fit``'s, which makes ``fit(model, resume=resume)`` equal ``fit(model)``
-    field for field.  The models run in chunks of ``_BLOCK_CELLS`` cells.
+    offset, as a study's replicates at one sample size do.  Their starts
+    are ``initialize``'s, its Newton loop run for all of them at once
+    (``_block_starts``); then iteration k is run for every model on (R, n)
+    arrays, a dispersion step that needs halving or the power floor taking
+    ``_halve`` on its own row.  The iteration is committed for a model
+    unless it refused something, left p on one of ``_FAST_POWERS`` or
+    converged at iteration 1 or at the power floor; a model that converges
+    otherwise is handed over with its converging iteration committed, and
+    ``fit`` goes straight to the sandwich.  The rest — the uncommitted
+    iteration, every refusal, the budget's last iteration, the sandwich and
+    the warnings — is ``fit``'s, which makes ``fit(model, resume=resume)``
+    equal ``fit(model)`` field for field.  The models run in chunks of
+    ``_BLOCK_CELLS`` cells.
     """
     resumes = [None] * len(models)
     if not models:
@@ -522,22 +582,53 @@ def _fit_block(models: list) -> list:
     return resumes
 
 
+def _block_starts(X, models) -> list:
+    """``initialize(model)`` for each model, bit for bit, or None where it
+    refuses.  The least-squares start stays per model (the batched form
+    differs in its last bits); the Poisson Newton loop runs on (R, n)
+    arrays, each row stopping where ``initialize``'s loop would."""
+    starts = [None] * len(models)
+    B = np.array([np.linalg.lstsq(X, np.log(m.y + 0.5), rcond=None)[0] for m in models])
+    Y = np.array([m.y for m in models])
+    ok = np.isfinite(B).all(axis=1)
+    running = np.flatnonzero(ok)
+    for _ in range(100):
+        if not running.size:
+            break
+        beta = B[running]
+        # At phi = 0 the variance mu + 0 * mu**1 is mu itself, bit for bit.
+        mu, _, resid, _, good = _block_mean_terms(models[0], Y[running], beta)
+        beta_new = beta - _solve_rows(_block_sens_beta(X, mu, mu),
+                                      _psi_beta(X, None, mu, resid, mu), good)
+        good &= np.isfinite(beta_new).all(axis=1)
+        done = np.abs(beta_new - beta).max(axis=1) < 1e-10
+        B[running] = beta_new
+        ok[running[~good]] = False
+        running = running[good & ~done]
+
+    p0 = 1.5  # initialize's start for a free power
+    mu = np.exp(models[0].linear_predictor(B))
+    phi0 = (np.add.reduce((Y - mu) ** 2 - mu, axis=1)
+            / np.add.reduce(mu**p0, axis=1)).tolist()
+    phi_floor = (-0.9 * np.minimum.reduce(mu ** (1.0 - p0), axis=1)).tolist()
+    for i in np.flatnonzero(ok).tolist():
+        phi = max(phi0[i], phi_floor[i])  # Python's max, as initialize's
+        if math.isfinite(phi):
+            starts[i] = Theta(B[i].copy(), phi, p0)
+    return starts
+
+
 def _lockstep(X, models):
     """``_fit_block`` on one chunk of models."""
     resumes = [None] * len(models)
-    starts = {}
-    for i, model in enumerate(models):
-        try:
-            starts[i] = initialize(model)
-        except PtwError:
-            pass  # fit calls initialize again, and raises there
-    if not starts:
+    starts = _block_starts(X, models)
+    rows = [i for i, start in enumerate(starts) if start is not None]  # the model of each row
+    if not rows:
         return resumes
-    traces = {i: [] for i in starts}
-    rows = list(starts)  # the model of each row
-    B = np.array([t.beta for t in starts.values()])
-    phi = np.array([t.phi for t in starts.values()])
-    p = np.array([t.p for t in starts.values()])
+    traces = {i: [] for i in rows}
+    B = np.array([starts[i].beta for i in rows])
+    phi = np.array([starts[i].phi for i in rows])
+    p = np.array([starts[i].p for i in rows])
     Y = np.array([models[i].y for i in rows])
 
     def hand_over(leave, rows, B, phi, p):
@@ -557,7 +648,7 @@ def _lockstep(X, models):
     hand_over(~ok, rows, B, phi, p)
 
     # Iteration _MAX_ITER, the budget's last, is always fit's.
-    for _ in range(1, _MAX_ITER):
+    for k in range(1, _MAX_ITER):
         if not ok.all():
             if not ok.any():
                 return resumes
@@ -576,21 +667,38 @@ def _lockstep(X, models):
         psi_l = np.stack(_psi_lambda(None, resid2, C, w_phi, w_p), axis=1)
         delta = _ALPHA * _solve_rows(_block_sens_lambda(C, w_phi, w_p), psi_l, ok)
         phi_new, p_new = phi - delta[:, 0], p - delta[:, 1]
-        # the first trial point, taken only when _halve would accept it
-        ok &= (~(p_new < P_FLOOR) & np.isfinite(phi_new) & np.isfinite(p_new)
-               & ~np.isin(p_new, _FAST_POWERS))
         mu_p, C = _variance(mu, phi_new[:, None], p_new[:, None])
-        ok &= ((np.minimum.reduce(C, axis=1, initial=math.inf) > 0)
-               & (np.maximum.reduce(C, axis=1, initial=-math.inf) < math.inf))
+        # Where _halve would not take the first trial point, it runs on the row.
+        first = (~(p_new < P_FLOOR) & np.isfinite(phi_new) & np.isfinite(p_new)
+                 & (np.minimum.reduce(C, axis=1, initial=math.inf) > 0)
+                 & (np.maximum.reduce(C, axis=1, initial=-math.inf) < math.inf))
+        for j in np.flatnonzero(ok & ~first).tolist():
+            try:
+                phi_new[j], p_new[j], mu_p[j], C[j] = _halve(
+                    phi[j], p[j], delta[j].copy(), mu[j], "any", P_FLOOR)
+            except PtwError:
+                ok[j] = False
+        ok &= ~np.isin(p_new, _FAST_POWERS)
         w_phi, w_p = _lambda_weights(mu_p, C, log_mu, phi_new[:, None])
         psi_beta = _psi_beta(X, None, mu, resid, C)
         score = np.column_stack([psi_beta, *_psi_lambda(None, resid2, C, w_phi, w_p)])
         norm = np.abs(score).max(axis=1)
         new = np.concatenate([B_new, phi_new[:, None], p_new[:, None]], axis=1)
-        ok &= np.isfinite(norm) & ~((norm < _TOL) & (np.abs(new - current).max(axis=1) < _TOL))
+        ok &= np.isfinite(norm)
+        stop = ok & (norm < _TOL) & (np.abs(new - current).max(axis=1) < _TOL)
+        # Convergence is committed, except where fit's record of it is not
+        # the block's: at iteration 1 the rule reads the start, which the
+        # trace does not hold, and a floored p is fit's Python float.
+        if k == 1:
+            ok &= ~stop
+        else:
+            ok &= ~(stop & (p_new == P_FLOOR))
         hand_over(~ok, rows, B, phi, p)
         for j, norm_j in zip(np.flatnonzero(ok).tolist(), norm[ok].tolist()):
             traces[rows[j]].append((new[j], norm_j))
+        stop &= ok
+        hand_over(stop, rows, B_new, phi_new, p_new)
+        ok &= ~stop
         B, phi, p, current = B_new, phi_new, p_new, new
     hand_over(ok, rows, B, phi, p)
     return resumes

@@ -467,7 +467,13 @@ def heavy_tail_index(params: PtwParams, y: int, budget: PmfConfig | None = None)
 
 def _heavy_tail_ratio(y: int, den: PmfEstimate, num: PmfEstimate) -> tuple[float, float]:
     """HT(y) = num/den with its delta-method Monte Carlo s.e.; refused when
-    pmf(y) = ``den`` is zero or not above 10x its Monte Carlo s.e."""
+    pmf(y) = ``den`` is zero or not above 10x its Monte Carlo s.e.  A zero
+    from an exact route is an underflow, which no Monte Carlo budget mends."""
+    if den.value == 0.0 and den.mc_stderr == 0.0 and den.method != "monte-carlo":
+        raise UnreliableEstimateError(
+            f"pmf({y}) underflows to 0 by the exact {den.method} route, so the "
+            "consecutive-probability ratio is undefined at this count"
+        )
     if den.value <= 10.0 * den.mc_stderr or den.value == 0.0:
         raise UnreliableEstimateError(
             f"pmf({y}) = {den.value:.3e} (MC s.e. {den.mc_stderr:.3e}) is too noisy "

@@ -24,6 +24,7 @@ from ptwreg.chaser import (
     FitConfig,
     FitResult,
     _beta_step,
+    _block_starts,
     _fit_block,
     _sandwich,
     fit,
@@ -289,17 +290,49 @@ def test_study_cell_matches_the_reference(name, config):
         assert_same_fit(model, config, resume)
 
 
-@pytest.mark.parametrize(
+_DICENTRICS_CONFIGS = pytest.mark.parametrize(
     "config",
     [FitConfig(), FitConfig(power_mode=1.0), FitConfig(power_mode=2.0),
      FitConfig(power_mode=3.0), FitConfig(phi_fixed=0.0), FitConfig(phi_sign="nonnegative")],
     ids=["free", "power-1", "power-2", "power-3", "phi-0", "phi-nonnegative"],
 )
-def test_weighted_dicentrics_fits_match_the_reference(config):
+
+
+def _dicentrics():
     model, _ = build_design(dataset_table("dicentrics"),
                             ModelSpecConfig(response="y", terms=("dose", "dose^2")))
+    return model
+
+
+@_DICENTRICS_CONFIGS
+def test_weighted_dicentrics_fits_match_the_reference(config):
+    model = _dicentrics()
     assert model.weights is not None
     assert assert_same_fit(model, config) is None
+
+
+@_DICENTRICS_CONFIGS
+def test_fit_resumed_from_its_converged_trace_is_the_same_fit(monkeypatch, config):
+    # the last two entries meet the stopping rule: fit goes straight to the
+    # sandwich, even on a budget that ends at the trace.  At phi = 0 the
+    # Poisson start is the fit, which converges at iteration 1: its rule
+    # reads the start, so it resumes from there.
+    model = _dicentrics()
+    full = fit(model, config)
+    assert full.converged and (full.iterations > 1) == (config.phi_fixed != 0.0)
+    resume = (full.theta_hat, full.trace)
+    if full.iterations == 1:
+        resume = (initialize(model, config), [])
+    monkeypatch.setattr(chaser, "_MAX_ITER", full.iterations)
+    _assert_same_outcome(fit(model, config, resume), full)
+
+
+def test_study_replicate_resumed_from_its_converged_trace_is_the_same_fit(monkeypatch):
+    model = _replicate("ptw-p1.5-di5", 500, 0, 1, 3)
+    full = fit(model)
+    assert full.converged and full.iterations > 1
+    monkeypatch.setattr(chaser, "_MAX_ITER", full.iterations)
+    _assert_same_outcome(fit(model, None, (full.theta_hat, full.trace)), full)
 
 
 def test_offset_fit_matches_the_reference():
@@ -313,13 +346,9 @@ def test_offset_fit_matches_the_reference():
         assert assert_same_fit(model, config) is None
 
 
-# What fit meets in its first iteration after a hand-over, read off the
-# resumed fit: the error it raises, a halving or the power floor in
-# ``_halve``, convergence, the end of the budget, or a power on which numpy's
-# ``array ** scalar`` takes another routine.
-def _first_resumed_iteration(monkeypatch, model, resume):
-    theta, trace = resume
-    events = set()
+def _halve_spy(events):
+    """``chaser._halve``, adding "halving" to ``events`` when it halves the
+    step and "p floor" when it floors the power."""
     halve = chaser._halve
 
     def spy(phi, p, delta, mu, phi_sign, p_floor):
@@ -331,8 +360,18 @@ def _first_resumed_iteration(monkeypatch, model, resume):
             events.add("p floor")
         return out
 
+    return spy
+
+
+# What fit meets in its first iteration after a hand-over, read off the
+# resumed fit: the error it raises, a halving or the power floor in
+# ``_halve``, convergence, the end of the budget, or a power on which numpy's
+# ``array ** scalar`` takes another routine.
+def _first_resumed_iteration(monkeypatch, model, resume):
+    theta, trace = resume
+    events = set()
     with monkeypatch.context() as patch:
-        patch.setattr(chaser, "_halve", spy)
+        patch.setattr(chaser, "_halve", _halve_spy(events))
         patch.setattr(chaser, "_MAX_ITER", len(trace) + 1)  # that iteration alone
         result = _outcome(fit, model, None, resume)
     if isinstance(result, Exception):
@@ -346,16 +385,14 @@ def _first_resumed_iteration(monkeypatch, model, resume):
     return events
 
 
-# One study replicate per reason the block hands a fit over: (reason,
-# scenario, n, size index, seed, replicate, iterations the block commits).
+# One study replicate per reason the block hands a fit over before an
+# iteration it does not commit: (reason, scenario, n, size index, seed,
+# replicate, iterations the block commits).
 _HAND_OVERS = [
-    ("halving", "ptw-p1.5-di2", 100, 0, 0, 47, 1),
-    ("p floor", "ptw-p1.1-di2", 100, 0, 0, 39, 1),
     ("RankDeficiencyError", "ptw-p3-di10", 500, 2, 3, 26, 3),
     ("SingularMatrixError", "compoisson-nu2", 100, 0, 1, 7, 20),
     ("VarianceNonpositiveError", "ptw-p2-di2", 100, 0, 0, 5, 5),
     ("InvalidParameterError", "ptw-p3-di20", 100, 0, 1, 5, 4),
-    ("converged", "ptw-p1.5-di5", 100, 0, 0, 0, 28),
     ("budget", "compoisson-nu2", 100, 0, 1, 4, _MAX_ITER - 1),
     # the power of the next iteration is made one of _FAST_POWERS
     ("fast power", "ptw-p1.5-di5", 100, 0, 0, 0, 2),
@@ -378,6 +415,86 @@ def test_block_hands_over_each_reason(monkeypatch, reason, name, n, index, seed,
     assert_same_fit(model, FitConfig(), resume)
 
 
+# Study replicates whose run in the block takes a halving, the power floor
+# or convergence in its stride: (event, scenario, n, size index, seed,
+# replicate, iterations the block commits, why fit takes the replicate over).
+# The first halves and then meets C <= 0; the other two converge in the
+# block, and fit goes straight to the sandwich.
+_COMMITS = [
+    ("halving", "ptw-p1.5-di2", 100, 0, 0, 47, 10, "VarianceNonpositiveError"),
+    ("p floor", "ptw-p1.1-di2", 100, 0, 0, 39, 27, "converged"),
+    ("converged", "ptw-p1.5-di5", 100, 0, 0, 0, 29, "converged"),
+]
+
+
+@pytest.mark.parametrize("event, name, n, index, seed, r, committed, reason", _COMMITS,
+                         ids=[case[0] for case in _COMMITS])
+def test_block_commits_through(monkeypatch, event, name, n, index, seed, r, committed,
+                               reason):
+    model = _replicate(name, n, seed, index, r)
+    events = set()
+    with monkeypatch.context() as patch:
+        patch.setattr(chaser, "_halve", _halve_spy(events))
+        (resume,) = _fit_block([model])
+    assert len(resume[1]) == committed
+    assert event in events if event != "converged" else not events
+    if reason == "converged":
+        # a budget that ends at the trace: only a converged trace resumes
+        with monkeypatch.context() as patch:
+            patch.setattr(chaser, "_MAX_ITER", committed)
+            resumed = fit(model, None, resume)
+        assert resumed.converged and resumed.iterations == committed
+    else:
+        assert reason in _first_resumed_iteration(monkeypatch, model, resume)
+    assert_same_fit(model, FitConfig(), resume)
+
+
+def test_block_hands_over_where_halve_raises(monkeypatch):
+    # with no halvings allowed, the replicate that halves at iteration 2
+    # meets BoundaryTrapError there, in the block and in fit alike
+    model = _replicate("ptw-p1.5-di2", 100, 0, 0, 47)
+    monkeypatch.setattr(chaser, "_MAX_HALVINGS", 0)
+    (resume,) = _fit_block([model])
+    assert len(resume[1]) == 1
+    assert "BoundaryTrapError" in _first_resumed_iteration(monkeypatch, model, resume)
+    assert assert_same_fit(model, FitConfig(), resume) == "BoundaryTrapError"
+
+
+def test_block_hands_over_a_halved_power_on_a_fast_power(monkeypatch):
+    # the power that iteration 2's halving lands on is made one of
+    # _FAST_POWERS: the block hands that iteration to fit
+    model = _replicate("ptw-p1.5-di2", 100, 0, 0, 47)
+    (free_run,) = _fit_block([model])
+    monkeypatch.setattr(chaser, "_FAST_POWERS", (free_run[1][1][0][-1],))
+    events = set()
+    with monkeypatch.context() as patch:
+        patch.setattr(chaser, "_halve", _halve_spy(events))
+        (resume,) = _fit_block([model])
+    assert len(resume[1]) == 1 and "halving" in events
+    assert {"halving", "fast power"} <= _first_resumed_iteration(monkeypatch, model, resume)
+    assert_same_fit(model, FitConfig(), resume)
+
+
+@pytest.mark.parametrize("tol, iterations", [(1e3, 1), (9.5, 2)],
+                         ids=["iteration 1", "at the power floor"])
+def test_block_leaves_convergence_it_cannot_record_to_fit(monkeypatch, tol, iterations):
+    # a wide tolerance makes a replicate converge at iteration 1, whose
+    # stopping rule reads the start, or at iteration 2 on a floored power,
+    # which fit holds as the Python float P_FLOOR: the block hands both
+    # over before the converging iteration
+    model = _replicate("ptw-p1.1-di2", 100, 0, 0, 39)
+    monkeypatch.setattr(chaser, "_TOL", tol)
+    want = fit(model)
+    assert want.converged and want.iterations == iterations
+    if iterations == 2:
+        assert want.theta_hat.p == P_FLOOR and type(want.theta_hat.p) is float
+    (resume,) = _fit_block([model])
+    assert len(resume[1]) == iterations - 1
+    if iterations == 1:
+        _same_theta(resume[0], initialize(model))
+    _assert_same_outcome(fit(model, None, resume), want)
+
+
 def test_block_leaves_a_refused_start_to_fit():
     X = np.column_stack([np.ones(60), np.linspace(-1.0, 1.0, 60)])
     refused = PtwModel(X, np.r_[np.zeros(59), 1.0])  # initialize's mean underflows
@@ -387,6 +504,28 @@ def test_block_leaves_a_refused_start_to_fit():
     assert resumes[0] is None and resumes[1][1] == []
     for model, resume in zip((refused, kept), resumes):
         assert_same_fit(model, FitConfig(), resume)
+
+
+@pytest.mark.parametrize("name", ["ptw-p3-di2", "compoisson-nu2"])
+def test_block_starts_are_initializes(name):
+    # each row of the block's Poisson Newton loop stops where initialize's
+    # does, and refuses where it raises
+    models = _block(name, 100, 0, [(0, r) for r in range(50)])
+    x = np.linspace(-1.0, 1.0, 60)
+    twin = np.column_stack([np.ones(60), x, x])  # S_beta is singular
+    X = np.column_stack([np.ones(60), x])
+    groups = [models, [PtwModel(twin, np.arange(60.0) % 7), PtwModel(twin, np.ones(60))],
+              [PtwModel(X, np.r_[np.zeros(59), 1.0]), PtwModel(X, np.arange(60.0) % 5)]]
+    refused = 0
+    for group in groups:
+        for model, start in zip(group, quiet(_block_starts)(group[0].X, group)):
+            want = _outcome(initialize, model)
+            if isinstance(want, PtwError):
+                refused += 1
+                assert start is None
+            else:
+                _same_theta(start, want)
+    assert refused >= 3
 
 
 def test_block_chunks_give_the_same_hand_overs(monkeypatch):
@@ -412,8 +551,7 @@ def test_block_refuses_models_it_cannot_run_together():
 def test_fit_resumes_from_every_iterate_of_the_dicentrics_fit():
     # the weighted free-power fit: each iterate before the last, with the
     # trace up to it, resumes to the uninterrupted fit
-    model, _ = build_design(dataset_table("dicentrics"),
-                            ModelSpecConfig(response="y", terms=("dose", "dose^2")))
+    model = _dicentrics()
     full = fit(model)
     q = model.n_coef
     iterates = [initialize(model)] + [Theta(current[:q], current[q], current[q + 1])

@@ -16,9 +16,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg.lapack import dgesv
+from scipy.linalg.lapack import dgesv, dgetrf
 
-from ptwreg.chaser import _MAX_HALVINGS, _halve, _sup_norm
+from ptwreg.chaser import _MAX_HALVINGS, _halve, _pivots_clear, _solve_rows, _sup_norm
 from ptwreg.errors import (
     BoundaryTrapError,
     InvalidParameterError,
@@ -298,3 +298,73 @@ def test_pivot_check_refuses_as_before(diagonal):
         if scale == 1.0:
             assert _raised(outcome) == (any(abs(d) < 1e-12 for d in diagonal)
                                         and not any(map(math.isnan, diagonal)))
+
+
+def _near_cut(q, gen, rows):
+    """``rows`` matrices P^T L U of order q whose LU keeps the row order P:
+    |L_ij| < 1 below the unit diagonal, and U with entries up to 1 and a
+    last pivot at 0.3 to 300 times 1e-12, so that the smallest pivot sits on
+    either side of solve_linear's cut 1e-12 max|A|, most of them within 0.5
+    to 100 times it."""
+    L = np.tril(gen.uniform(-0.9, 0.9, (rows, q, q)), -1) + np.eye(q)
+    U = np.triu(gen.uniform(0.5, 1.0, (rows, q, q)) * gen.choice([-1.0, 1.0], (rows, q, q)))
+    U[:, -1, -1] = 1e-12 * 10.0 ** gen.uniform(-0.5, 2.5, rows)
+    A = L @ U
+    return np.stack([a[gen.permutation(q)] for a in A])
+
+
+def _pivot_ratio(A):
+    """The smallest pivot of getrf's LU of A over solve_linear's cut."""
+    return np.abs(dgetrf(A)[0].diagonal()).min() / (1e-12 * np.abs(A).max())
+
+
+def _solve_edges(q):
+    """(A, b) stacks of order q: matrices near the pivot cut at scales 1e-300
+    to 1e300, zero and singular matrices, and NaN or infinite entries in A
+    or in b."""
+    gen = np.random.default_rng(q)
+    stacks = []
+    for e in (-300, -250, -200, -100, -10, 0, 10, 100, 200, 250, 300):
+        A = _near_cut(q, gen, 30) * 10.0**e
+        stacks.append((A, gen.normal(size=(30, q)) * 10.0**e))
+    special = np.stack([np.zeros((q, q)), -np.zeros((q, q)), np.ones((q, q)), np.eye(q)] * 2)
+    special[4, 0, 0], special[5, -1, 0], special[6, 0, -1] = NAN, INF, -INF
+    b = np.ones((len(special), q))
+    b[3, 0], b[7, -1] = NAN, INF
+    stacks.append((special, b))
+    return np.concatenate([A for A, _ in stacks]), np.concatenate([b for _, b in stacks])
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_batched_solves_are_solve_linears_or_refuse_where_it_does(q):
+    # every row the caller marks ok either equals solve_linear bit for bit,
+    # or is marked not ok exactly where solve_linear raises; the rest stay
+    # not ok and unsolved
+    A, b = _solve_edges(q)
+    ok = np.ones(len(A), dtype=bool)
+    ok[5::11] = False
+    given = ok.copy()
+    out = quiet(_solve_rows)(A, b, ok)
+    for j in range(len(A)):
+        if not given[j]:
+            assert not ok[j] and not out[j].any()
+            continue
+        want = _outcome(solve_linear, A[j], b[j])
+        assert ok[j] == (not _raised(want)), j
+        if ok[j]:
+            assert out[j].tobytes() == want, j
+    # the screen solves rows within 100x the cut in batch and none below it
+    clear = quiet(_pivots_clear)(A, b)
+    finite = np.isfinite(A).all(axis=(1, 2)) & (np.abs(A).max(axis=(1, 2)) > 0)
+    ratio = np.full(len(A), NAN)
+    ratio[finite] = [_pivot_ratio(a) for a in A[finite]]
+    assert (clear & (ratio < 100)).any()
+    assert not (clear & ~(ratio > 1)).any()
+    assert (~clear & (ratio > 1)).any() and (ratio < 1).any()
+
+
+def test_screen_clears_nothing_above_order_five():
+    A = np.stack([np.eye(6)] * 3)
+    assert not _pivots_clear(A, np.ones((3, 6))).any()
+    ok = np.ones(3, dtype=bool)
+    assert np.array_equal(_solve_rows(A, np.ones((3, 6)), ok), np.ones((3, 6))) and ok.all()

@@ -377,6 +377,16 @@ def test_indices_far_tail_with_starved_budget_is_numerical_failure(capsys):
     assert "numerical failure" in err
 
 
+def test_indices_refuse_an_exact_pmf_that_underflows_by_name(capsys):
+    # p = 2 is the exact negative binomial, whose P(0) = 4^-1000 underflows:
+    # the refusal names the route, not a Monte Carlo budget
+    code, out, err = run_cli(
+        ["indices", "--mu", "3000", "--phi", "0.001", "--power", "2"], capsys)
+    assert (code, out) == (2, "")
+    assert "numerical failure: pmf(0) underflows to 0 by the exact closed-form route" in err
+    assert "MC budget" not in err
+
+
 def test_indices_evaluates_each_pmf_once(monkeypatch, capsys):
     # the curve evaluates its Monte Carlo counts in one route call per
     # parameter set: count the ys that route sees and the draw sets sampled
