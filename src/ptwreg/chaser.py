@@ -38,14 +38,15 @@ layout, so every fit is the same bit for bit as with numpy's ``.all()``,
 A study fits many replicates that share one design, at ``FitConfig()``,
 where numpy's cost per call dominates.  ``_fit_block`` runs that one
 configuration for all of them at once on (R, n) arrays, from
-``initialize``'s Newton loop to convergence: X beta and the scores through
-estfun's functions on a leading replicate axis, the S blocks through forms
-of its own, the small systems through one batched LAPACK solve behind a
-pivot screen (``_solve_rows``), and a step that needs halving or the power
-floor through ``_halve`` on its own row; every row equals the 1-D
-computation bit for bit.  A replicate leaves the block on a refusal, on a
-power numpy's ``array ** scalar`` special-cases (``_FAST_POWERS``), at the
-budget's last iteration or once it converges.  ``fit(model,
+``initialize``'s Newton loop to convergence, each chunk of them in one
+workspace that every step writes into (``_Workspace``): X beta and the
+scores through estfun's functions on a leading replicate axis, the S
+blocks through forms of its own, the small systems through one batched
+LAPACK solve behind a pivot screen (``_solve_rows``), and a step that
+needs halving or the power floor through ``_halve`` on its own row; every
+row equals the 1-D computation bit for bit.  A replicate leaves the block
+on a refusal, on a power numpy's ``array ** scalar`` special-cases
+(``_FAST_POWERS``), at the budget's last iteration or once it converges.  ``fit(model,
 resume=resume)`` takes it over from its last committed iterate and runs
 the rest with the code above, or goes straight to the sandwich when that
 iterate converged, so each result equals the uninterrupted fit's.
@@ -106,12 +107,14 @@ _MAX_ITER = 200
 # (reciprocal, ones, sqrt, a copy, square), whose last bits may differ from
 # the general power that the lockstep block's ``array ** column`` takes.
 _FAST_POWERS = (-1.0, 0.0, 0.5, 1.0, 2.0)
-# Replicates x observations in one lockstep block: 512 KB per (R, n) array,
-# so that a study cell of 50 replicates at n <= 1000 runs as one chunk.  In
-# chunks of 2**14 cells (16 replicates at n = 1000) the replicates still
-# running near the budget ran it one or two at a time: a ptw-p3-di2 cell at
-# n = 1000 took a median 316 ms of CPU against 245 ms in one chunk, for
-# about 6 MB more peak memory (one BLAS thread, 2-core x86-64).
+# Replicates x observations in one lockstep block, so that a study cell of
+# 50 replicates at n <= 1000 runs as one chunk.  A chunk's workspace holds
+# eleven (R, n) arrays and two (R, n, max(Q, 2)) factor blocks: 8 (11 + 2
+# max(Q, 2)) bytes per cell, 136 at Q = 3, so 6.5 MiB for such a cell at
+# n = 1000 and at most 8.5 MiB.  In chunks of 2**14 cells (16 replicates at
+# n = 1000) the replicates still running near the budget ran it one or two
+# at a time: a ptw-p3-di2 cell at n = 1000 took a median 316 ms of CPU
+# against 245 ms in one chunk (one BLAS thread, 2-core x86-64).
 _BLOCK_CELLS = 2**16
 
 
@@ -460,39 +463,75 @@ def fit(model: PtwModel, config: FitConfig | None = None,
 # bit-equal to the 1-D product: on a 2-core x86-64 machine, one broadcast
 # form shared with estfun made study cells about 7-18% slower at n = 500
 # and 1000, and these column forms in estfun made the 26-row dicentrics fit
-# about 15% slower.
+# about 15% slower.  Every (R, n) step writes into a ``_Workspace`` made
+# once per chunk, so that an iteration maps no fresh pages.
 
 
-def _block_mean_terms(model, Y, B):
+class _Workspace:
+    """The arrays one chunk of the lockstep block writes into: the counts Y,
+    mu, log mu, y - mu, (y - mu)^2, mu^p, C, W_phi, W_p and two scratch
+    arrays, each (rows, n), and two factor blocks of S_beta, which
+    S_lambda's reuse.  A step on r rows uses the leading r rows of each;
+    the rows that stay are compacted into them (``compact``)."""
+
+    def __init__(self, rows, n, q):
+        (self.Y, self.mu, self.log_mu, self.resid, self.resid2, self.mu_p, self.C,
+         self.w_phi, self.w_p, self.scratch1, self.scratch2) = np.empty((11, rows, n))
+        self.factors = np.empty((2, rows * n * max(q, 2)))
+
+    def factor_pair(self, r, k):
+        """Two contiguous (r, n, k) blocks for the factors of an S block."""
+        size = r * self.Y.shape[1] * k
+        return [f[:size].reshape(r, -1, k) for f in self.factors]
+
+    def compact(self, keep, arrays):
+        """Move the rows of ``arrays`` (some of the (rows, n) arrays) that
+        the boolean mask ``keep`` selects to the leading rows, in order."""
+        for dst, src in enumerate(np.flatnonzero(keep).tolist()):
+            if src != dst:
+                for a in arrays:
+                    a[dst] = a[src]
+
+
+def _block_mean_terms(model, Y, B, ws):
     """``_mean_terms`` row by row, for the coefficient rows ``B`` and the
-    counts ``Y`` on ``model``'s design: (mu, log mu, y - mu, (y - mu)^2) and
-    whether each row's log mu is finite."""
-    mu = np.exp(model.linear_predictor(B))
-    log_mu = np.log(mu)
+    counts ``Y`` on ``model``'s design, in the workspace ``ws``: (mu, log mu,
+    y - mu, (y - mu)^2) and whether each row's log mu is finite."""
+    r = len(B)
+    mu = ws.mu[:r]
+    np.exp(model.linear_predictor(B, out=mu), out=mu)
+    log_mu = np.log(mu, out=ws.log_mu[:r])
     finite = np.isfinite(np.add.reduce(log_mu, axis=1))
-    resid = Y - mu
-    return mu, log_mu, resid, resid**2, finite
+    resid = np.subtract(Y, mu, out=ws.resid[:r])
+    return mu, log_mu, resid, np.square(resid, out=ws.resid2[:r]), finite
 
 
-def _times_columns(v, columns):
-    """The (R, n, k) block whose column j is v * columns[j], filled one
-    column at a time: numpy's broadcast loop over 2 or 3 inner entries costs
-    more than the products, which are the same."""
-    out = np.empty(v.shape + (len(columns),))
+def _times_columns(v, columns, out):
+    """Fill the (R, n, k) block ``out`` so that its column j is
+    v * columns[j], one column at a time: numpy's broadcast loop over 2 or
+    3 inner entries costs more than the products, which are the same."""
     for j, column in enumerate(columns):
         np.multiply(v, column, out=out[:, :, j])
-    return out
 
 
-def _block_sens_beta(X, mu, C):
-    """``_sens_beta`` row by row (R x Q x Q)."""
-    return -_times_columns(mu, X.T).transpose(0, 2, 1) @ _times_columns(mu / C, X.T)
+def _block_sens_beta(X, mu, C, ws):
+    """``_sens_beta`` row by row (R x Q x Q), the sign on -mu."""
+    r = len(mu)
+    left, right = ws.factor_pair(r, X.shape[1])
+    _times_columns(np.negative(mu, out=ws.scratch1[:r]), X.T, left)
+    _times_columns(np.divide(mu, C, out=ws.scratch2[:r]), X.T, right)
+    return left.transpose(0, 2, 1) @ right
 
 
-def _block_sens_lambda(C, w_phi, w_p):
-    """``_sens_lambda`` row by row (R x 2 x 2), from (R, n, 2) W blocks."""
-    wl = np.stack([w_phi, w_p], axis=2)
-    return -_times_columns(C**2, (w_phi, w_p)).transpose(0, 2, 1) @ wl
+def _block_sens_lambda(C, w_phi, w_p, ws):
+    """``_sens_lambda`` row by row (R x 2 x 2), the sign on -C^2."""
+    r = len(C)
+    left, wl = ws.factor_pair(r, 2)
+    neg_c2 = np.negative(np.square(C, out=ws.scratch1[:r]), out=ws.scratch1[:r])
+    for j, w in enumerate((w_phi, w_p)):  # W first, as in estfun's W * -C^2
+        np.multiply(w, neg_c2, out=left[:, :, j])
+        wl[:, :, j] = w
+    return left.transpose(0, 2, 1) @ wl
 
 
 def _pivots_clear(A, b):
@@ -532,8 +571,10 @@ def _solve_rows(A, b, ok) -> np.ndarray:
     every refusal is its own.  For 50 systems of order 2 or 3, solve_linear
     row by row takes about 217 us and this about 52 us (2-core x86-64).
     """
-    out = np.zeros(b.shape)
     clear = ok & _pivots_clear(A, b)
+    if clear.all():
+        return np.linalg.solve(A, b[:, :, None])[:, :, 0]
+    out = np.zeros(b.shape)
     if clear.any():
         out[clear] = np.linalg.solve(A[clear], b[clear][:, :, None])[:, :, 0]
     for j in np.flatnonzero(ok & ~clear).tolist():
@@ -582,24 +623,32 @@ def _fit_block(models: list) -> list:
     return resumes
 
 
-def _block_starts(X, models) -> list:
+def _block_starts(X, models, ws) -> list:
     """``initialize(model)`` for each model, bit for bit, or None where it
     refuses.  The least-squares start stays per model (the batched form
     differs in its last bits); the Poisson Newton loop runs on (R, n)
-    arrays, each row stopping where ``initialize``'s loop would."""
+    arrays of the workspace ``ws``, each row stopping where
+    ``initialize``'s loop would.  It fills ``ws.Y`` with the models' counts."""
     starts = [None] * len(models)
     B = np.array([np.linalg.lstsq(X, np.log(m.y + 0.5), rcond=None)[0] for m in models])
-    Y = np.array([m.y for m in models])
+    R = len(models)
+    Y = ws.Y[:R]
+    for j, m in enumerate(models):
+        Y[j] = m.y
     ok = np.isfinite(B).all(axis=1)
     running = np.flatnonzero(ok)
     for _ in range(100):
-        if not running.size:
+        r = running.size
+        if not r:
             break
         beta = B[running]
+        # the running rows' counts, gathered into W_p, which this loop leaves
+        # free ("clip" writes them there directly; "raise" would buffer them)
+        counts = Y if r == R else np.take(Y, running, axis=0, out=ws.w_p[:r], mode="clip")
         # At phi = 0 the variance mu + 0 * mu**1 is mu itself, bit for bit.
-        mu, _, resid, _, good = _block_mean_terms(models[0], Y[running], beta)
-        beta_new = beta - _solve_rows(_block_sens_beta(X, mu, mu),
-                                      _psi_beta(X, None, mu, resid, mu), good)
+        mu, _, resid, _, good = _block_mean_terms(models[0], counts, beta, ws)
+        beta_new = beta - _solve_rows(_block_sens_beta(X, mu, mu, ws),
+                                      _psi_beta(X, None, mu, resid, mu, ws.scratch1[:r]), good)
         good &= np.isfinite(beta_new).all(axis=1)
         done = np.abs(beta_new - beta).max(axis=1) < 1e-10
         B[running] = beta_new
@@ -607,10 +656,14 @@ def _block_starts(X, models) -> list:
         running = running[good & ~done]
 
     p0 = 1.5  # initialize's start for a free power
-    mu = np.exp(models[0].linear_predictor(B))
-    phi0 = (np.add.reduce((Y - mu) ** 2 - mu, axis=1)
-            / np.add.reduce(mu**p0, axis=1)).tolist()
-    phi_floor = (-0.9 * np.minimum.reduce(mu ** (1.0 - p0), axis=1)).tolist()
+    mu = ws.mu[:R]
+    np.exp(models[0].linear_predictor(B, out=mu), out=mu)
+    dev = ws.scratch1[:R]
+    np.subtract(np.square(np.subtract(Y, mu, out=dev), out=dev), mu, out=dev)
+    mu_p = np.power(mu, p0, out=ws.scratch2[:R])
+    phi0 = (np.add.reduce(dev, axis=1) / np.add.reduce(mu_p, axis=1)).tolist()
+    mu_p = np.power(mu, 1.0 - p0, out=mu_p)
+    phi_floor = (-0.9 * np.minimum.reduce(mu_p, axis=1)).tolist()
     for i in np.flatnonzero(ok).tolist():
         phi = max(phi0[i], phi_floor[i])  # Python's max, as initialize's
         if math.isfinite(phi):
@@ -619,17 +672,19 @@ def _block_starts(X, models) -> list:
 
 
 def _lockstep(X, models):
-    """``_fit_block`` on one chunk of models."""
+    """``_fit_block`` on one chunk of models, in one workspace."""
     resumes = [None] * len(models)
-    starts = _block_starts(X, models)
+    ws = _Workspace(len(models), *X.shape)
+    starts = _block_starts(X, models, ws)
     rows = [i for i, start in enumerate(starts) if start is not None]  # the model of each row
     if not rows:
         return resumes
+    ws.compact([start is not None for start in starts], (ws.Y,))
     traces = {i: [] for i in rows}
     B = np.array([starts[i].beta for i in rows])
     phi = np.array([starts[i].phi for i in rows])
     p = np.array([starts[i].p for i in rows])
-    Y = np.array([models[i].y for i in rows])
+    r, q = len(rows), X.shape[1]
 
     def hand_over(leave, rows, B, phi, p):
         """Each row in ``leave`` gets the iterate (B, phi, p) with its trace;
@@ -640,10 +695,10 @@ def _lockstep(X, models):
             resumes[i] = (theta, traces[i])
 
     # The state fit holds before its first iteration.
-    mu, _, resid, _, ok = _block_mean_terms(models[0], Y, B)
-    C = _variance(mu, phi[:, None], p[:, None])[1]
+    mu, _, resid, _, ok = _block_mean_terms(models[0], ws.Y[:r], B, ws)
+    C = _variance(mu, phi[:, None], p[:, None], out=(ws.mu_p[:r], ws.C[:r]))[1]
     ok &= ~(np.fmin.reduce(C, axis=1, initial=math.inf) <= 0)
-    psi_beta = _psi_beta(X, None, mu, resid, C)
+    psi_beta = _psi_beta(X, None, mu, resid, C, ws.scratch1[:r])
     current = np.concatenate([B, phi[:, None], p[:, None]], axis=1)
     hand_over(~ok, rows, B, phi, p)
 
@@ -653,21 +708,26 @@ def _lockstep(X, models):
             if not ok.any():
                 return resumes
             rows = [i for i, kept in zip(rows, ok.tolist()) if kept]
-            B, phi, p, Y = B[ok], phi[ok], p[ok], Y[ok]
-            mu, C, psi_beta, current = mu[ok], C[ok], psi_beta[ok], current[ok]
+            B, phi, p = B[ok], phi[ok], p[ok]
+            psi_beta, current = psi_beta[ok], current[ok]
+            ws.compact(ok, (ws.Y, ws.mu, ws.C))  # mu and C feed S_beta
             ok = ok[ok]
+            r = len(rows)
 
-        B_new = B - _solve_rows(_block_sens_beta(X, mu, C), psi_beta, ok)
+        B_new = B - _solve_rows(_block_sens_beta(X, ws.mu[:r], ws.C[:r], ws), psi_beta, ok)
         ok &= np.isfinite(B_new).all(axis=1)
-        mu, log_mu, resid, resid2, finite = _block_mean_terms(models[0], Y, B_new)
+        mu, log_mu, resid, resid2, finite = _block_mean_terms(models[0], ws.Y[:r], B_new, ws)
         ok &= finite
-        mu_p, C = _variance(mu, phi[:, None], p[:, None])
+        mu_p, C = _variance(mu, phi[:, None], p[:, None], out=(ws.mu_p[:r], ws.C[:r]))
         ok &= ~(np.fmin.reduce(C, axis=1, initial=math.inf) <= 0)
-        w_phi, w_p = _lambda_weights(mu_p, C, log_mu, phi[:, None])
-        psi_l = np.stack(_psi_lambda(None, resid2, C, w_phi, w_p), axis=1)
-        delta = _ALPHA * _solve_rows(_block_sens_lambda(C, w_phi, w_p), psi_l, ok)
+        w = (ws.w_phi[:r], ws.w_p[:r])
+        w_phi, w_p = _lambda_weights(mu_p, C, log_mu, phi[:, None], out=w)
+        scratch = (ws.scratch1[:r], ws.scratch2[:r])
+        psi_l = np.empty((r, 2))
+        psi_l[:, 0], psi_l[:, 1] = _psi_lambda(None, resid2, C, w_phi, w_p, out=scratch)
+        delta = _ALPHA * _solve_rows(_block_sens_lambda(C, w_phi, w_p, ws), psi_l, ok)
         phi_new, p_new = phi - delta[:, 0], p - delta[:, 1]
-        mu_p, C = _variance(mu, phi_new[:, None], p_new[:, None])
+        mu_p, C = _variance(mu, phi_new[:, None], p_new[:, None], out=(mu_p, C))
         # Where _halve would not take the first trial point, it runs on the row.
         first = (~(p_new < P_FLOOR) & np.isfinite(phi_new) & np.isfinite(p_new)
                  & (np.minimum.reduce(C, axis=1, initial=math.inf) > 0)
@@ -678,11 +738,14 @@ def _lockstep(X, models):
                     phi[j], p[j], delta[j].copy(), mu[j], "any", P_FLOOR)
             except PtwError:
                 ok[j] = False
-        ok &= ~np.isin(p_new, _FAST_POWERS)
-        w_phi, w_p = _lambda_weights(mu_p, C, log_mu, phi_new[:, None])
-        psi_beta = _psi_beta(X, None, mu, resid, C)
-        score = np.column_stack([psi_beta, *_psi_lambda(None, resid2, C, w_phi, w_p)])
-        norm = np.abs(score).max(axis=1)
+        for fast in _FAST_POWERS:
+            ok &= p_new != fast
+        w_phi, w_p = _lambda_weights(mu_p, C, log_mu, phi_new[:, None], out=w)
+        psi_beta = _psi_beta(X, None, mu, resid, C, scratch[0])
+        score = np.empty((r, q + 2))
+        score[:, :q] = psi_beta
+        score[:, q], score[:, q + 1] = _psi_lambda(None, resid2, C, w_phi, w_p, out=scratch)
+        norm = np.abs(score, out=score).max(axis=1)
         new = np.concatenate([B_new, phi_new[:, None], p_new[:, None]], axis=1)
         ok &= np.isfinite(norm)
         stop = ok & (norm < _TOL) & (np.abs(new - current).max(axis=1) < _TOL)

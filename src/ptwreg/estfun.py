@@ -25,8 +25,11 @@ joined with the C > 0 refusal in ``_dispersion_weights``), ``_psi_beta``
 and ``_psi_lambda`` (the two scores, from the per-observation terms
 ``_quasi_terms`` and ``_pearson_terms``), and ``_sens_beta`` and
 ``_sens_lambda`` (the S_beta and S_lambda blocks; ``_lambda_c2`` is the
-W C^2 factor S_lambda shares with its cross block).  ``variability`` and
-``sensitivity`` take their per-observation terms from the same functions.
+-W C^2 factor S_lambda shares with its cross block).  The minus sign of
+each S block rides on one factor, -mu or -C^2: (-a) x = -(a x) bit for bit
+for every non-NaN a and x, signed zeros included, so the products see the
+bits of the negated factor block.  ``variability`` and ``sensitivity``
+take their per-observation terms from the same functions.
 The chaser's loops call the same array functions on arrays they hold
 themselves, so an iteration builds no state.
 
@@ -37,7 +40,10 @@ j bit for bit: the products are stacks of matrix-vector products, and the
 sums are np.add.reduce along the last axis.  The elementwise
 ``_variance``, ``_lambda_weights``, ``_quasi_terms`` and ``_pearson_terms``
 broadcast, with (R, 1) columns of phi and p.  A study's lockstep block
-(``chaser._fit_block``) calls them this way.
+(``chaser._fit_block``) calls them this way, passing ``out=`` buffers of
+its workspace; with ``out=None`` they allocate their results, as ``fit``'s
+loop has them do.  An in-place step keeps the operands of the expression
+it stands for in their order.
 
 Parameter ordering everywhere: (beta_1..beta_Q, phi, p).
 """
@@ -113,12 +119,14 @@ class PtwModel:
     def n_coef(self) -> int:
         return self.X.shape[1]
 
-    def linear_predictor(self, beta: np.ndarray) -> np.ndarray:
+    def linear_predictor(self, beta: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """X beta + offset; a stack of coefficient vectors (R x Q) gives one
-        row per vector (R x n), each equal to its own 1-D call bit for bit."""
-        eta = (self.X @ beta[..., None])[..., 0]
+        row per vector (R x n), each equal to its own 1-D call bit for bit.
+        ``out``, when given, is a contiguous array of the result's shape."""
+        eta = np.matmul(self.X, beta[..., None], out=None if out is None else out[..., None])
+        eta = eta[..., 0]
         if self.offset is not None:
-            eta = eta + self.offset
+            eta = np.add(eta, self.offset, out=out)
         return eta
 
 
@@ -217,16 +225,25 @@ def _mean_terms(model: PtwModel, beta: np.ndarray):
     return mu, log_mu, resid, resid**2
 
 
-def _variance(mu, phi, p):
-    """mu^p and the variance C = mu + phi mu^p."""
-    mu_p = mu**p
-    return mu_p, mu + phi * mu_p
+def _variance(mu, phi, p, out=None):
+    """mu^p and the variance C = mu + phi mu^p; into the pair ``out``."""
+    if out is None:
+        mu_p = mu**p
+        return mu_p, mu + phi * mu_p
+    mu_p, C = out
+    np.power(mu, p, out=mu_p)
+    np.add(mu, np.multiply(phi, mu_p, out=C), out=C)
+    return mu_p, C
 
 
-def _lambda_weights(mu_p, C, log_mu, phi):
-    """W_phi = C^{-2} mu^p and W_p = C^{-2} phi mu^p log mu."""
-    inv_c2 = C**-2.0
-    return inv_c2 * mu_p, inv_c2 * phi * mu_p * log_mu
+def _lambda_weights(mu_p, C, log_mu, phi, out=None):
+    """W_phi = C^{-2} mu^p and W_p = C^{-2} phi mu^p log mu; into the pair
+    ``out``, which must not hold ``mu_p``, ``C`` or ``log_mu``."""
+    w_phi, w_p = (None, None) if out is None else out
+    inv_c2 = np.power(C, -2.0, out=w_p)
+    w_phi = np.multiply(inv_c2, mu_p, out=w_phi)
+    w_p = np.multiply(np.multiply(inv_c2, phi, out=w_p), mu_p, out=w_p)
+    return w_phi, np.multiply(w_p, log_mu, out=w_p)
 
 
 def _dispersion_weights(mu, log_mu, phi, p):
@@ -247,33 +264,37 @@ def _weigh(weights: np.ndarray | None, values: np.ndarray) -> np.ndarray:
     return values if weights is None else weights * values
 
 
-def _quasi_terms(mu, resid, C):
+def _quasi_terms(mu, resid, C, out=None):
     """mu_i C_i^{-1} (y_i - mu_i): observation i's quasi-score, per x_ij."""
-    return mu * resid / C
+    return np.divide(np.multiply(mu, resid, out=out), C, out=out)
 
 
-def _pearson_terms(resid2, C):
+def _pearson_terms(resid2, C, out=None):
     """The Pearson bracket (y_i - mu_i)^2 - C_i."""
-    return resid2 - C
+    return np.subtract(resid2, C, out=out)
 
 
-def _psi_beta(X, weights, mu, resid, C):
+def _psi_beta(X, weights, mu, resid, C, out=None):
     """The quasi-score sum_i w_i mu_i x_ij C_i^{-1} (y_i - mu_i): a Q-vector,
-    or R x Q for (R, n) arrays."""
-    return (X.T @ _weigh(weights, _quasi_terms(mu, resid, C))[..., None])[..., 0]
+    or R x Q for (R, n) arrays; ``out`` holds the per-observation terms."""
+    return (X.T @ _weigh(weights, _quasi_terms(mu, resid, C, out))[..., None])[..., 0]
 
 
-def _psi_lambda(weights, resid2, C, w_phi, w_p):
+def _psi_lambda(weights, resid2, C, w_phi, w_p, out=None):
     """The Pearson score: the bracket (y - mu)^2 - C against W_phi and W_p,
     as the pair (phi component, p component) of numpy floats, or of
-    R-vectors for (R, n) arrays (``pearson_score`` makes it an array)."""
-    bracket = _weigh(weights, _pearson_terms(resid2, C))
-    return np.add.reduce(w_phi * bracket, axis=-1), np.add.reduce(w_p * bracket, axis=-1)
+    R-vectors for (R, n) arrays (``pearson_score`` makes it an array).
+    ``out``, a pair of arrays apart from the inputs, holds the bracket and
+    the products."""
+    bracket, terms = (None, None) if out is None else out
+    bracket = _weigh(weights, _pearson_terms(resid2, C, bracket))
+    psi_phi = np.add.reduce(np.multiply(w_phi, bracket, out=terms), axis=-1)
+    return psi_phi, np.add.reduce(np.multiply(w_p, bracket, out=terms), axis=-1)
 
 
 def _sens_beta(X, weights, mu, C):
-    """S_beta_jk = -sum_i w_i mu_i x_ij C_i^{-1} x_ik mu_i."""
-    return -(mu[:, None] * X).T @ (_weigh(weights, mu / C)[:, None] * X)
+    """S_beta_jk = -sum_i w_i mu_i x_ij C_i^{-1} x_ik mu_i, the sign on -mu."""
+    return ((-mu)[:, None] * X).T @ (_weigh(weights, mu / C)[:, None] * X)
 
 
 def _lambda_matrix(w_phi, w_p):
@@ -285,15 +306,15 @@ def _lambda_matrix(w_phi, w_p):
 
 
 def _lambda_c2(weights, C, wl):
-    """The rows of ``wl`` (n x 2, from ``_lambda_matrix``) times w_i C_i^2:
-    the left factor of S_lambda and of its cross block."""
-    return wl * _weigh(weights, C**2)[:, None]
+    """The rows of ``wl`` (n x 2, from ``_lambda_matrix``) times -w_i C_i^2:
+    the left factor of S_lambda and of its cross block, sign included."""
+    return wl * _weigh(weights, -C**2)[:, None]
 
 
 def _sens_lambda(weights, C, w_phi, w_p):
     """S_lambda_jk = -sum_i w_i W_{i lambda_j} C_i^2 W_{i lambda_k}."""
     wl = _lambda_matrix(w_phi, w_p)
-    return -_lambda_c2(weights, C, wl).T @ wl
+    return _lambda_c2(weights, C, wl).T @ wl
 
 
 def quasi_score(state: EstFunState) -> np.ndarray:
@@ -337,7 +358,7 @@ def sensitivity(state: EstFunState) -> np.ndarray:
     s[:q, :q] = _s_beta(state)
     s[q:, q:] = _s_lambda(state)
     weighted = _lambda_c2(state.weights, state.C, _lambda_matrix(state.W_phi, state.W_p))
-    s[q:, :q] = -weighted.T @ state.W_beta
+    s[q:, :q] = weighted.T @ state.W_beta
     return s
 
 

@@ -244,12 +244,17 @@ def solve_linear(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     ------
     SingularMatrixError
         If any pivot magnitude falls below 1e-12 * max|A|.
+    InvalidParameterError
+        If A is not square or is 0 x 0, b does not match it, or an entry
+        is not finite.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     shape = A.shape
     if len(shape) != 2 or shape[0] != shape[1]:
         raise InvalidParameterError(f"A must be square, got shape {shape}")
+    if not shape[0]:
+        raise InvalidParameterError("A must be at least 1 x 1, got shape (0, 0)")
     if b.shape[0] != shape[0]:
         raise InvalidParameterError("dimension mismatch between A and b")
     # The checks run on Python floats: for the 1 x 1 to 5 x 5 systems of a

@@ -22,8 +22,11 @@ from ptwreg.chaser import (
     _TOL,
     P_FLOOR,
     FitConfig,
+    _Workspace,
     FitResult,
     _beta_step,
+    _block_sens_beta,
+    _block_sens_lambda,
     _block_starts,
     _fit_block,
     _sandwich,
@@ -37,7 +40,11 @@ from ptwreg.estfun import (
     PtwModel,
     Theta,
     _dispersion_weights,
+    _lambda_weights,
     _s_lambda,
+    _sens_beta,
+    _sens_lambda,
+    _variance,
     _weigh,
     estfun_state,
     pearson_score,
@@ -518,7 +525,8 @@ def test_block_starts_are_initializes(name):
               [PtwModel(X, np.r_[np.zeros(59), 1.0]), PtwModel(X, np.arange(60.0) % 5)]]
     refused = 0
     for group in groups:
-        for model, start in zip(group, quiet(_block_starts)(group[0].X, group)):
+        ws = _Workspace(len(group), *group[0].X.shape)
+        for model, start in zip(group, quiet(_block_starts)(group[0].X, group, ws)):
             want = _outcome(initialize, model)
             if isinstance(want, PtwError):
                 refused += 1
@@ -537,6 +545,71 @@ def test_block_chunks_give_the_same_hand_overs(monkeypatch):
         assert len(trace) == len(trace_ref) > 0
         for (current, norm), (current_ref, norm_ref) in zip(trace, trace_ref):
             assert _bits(current) == _bits(current_ref) and norm == norm_ref
+
+
+class _PoisonedWorkspace(_Workspace):
+    """A workspace whose every array starts as NaN."""
+
+    def __init__(self, rows, n, q):
+        super().__init__(rows, n, q)
+        for array in vars(self).values():
+            array.fill(np.nan)
+
+
+@pytest.mark.parametrize("n, index", [(100, 0), (1000, 2)], ids=["n100", "n1000"])
+@pytest.mark.parametrize("name", ["ptw-p3-di2", "gammacount-nu4"])
+def test_block_writes_each_workspace_slot_before_reading_it(monkeypatch, name, n, index):
+    # NaN-filled workspaces, read-only data and chunks of 5, 5 and 2
+    # replicates: a slot read before it is written, a stale row after the
+    # compaction or an out= that aliases an input changes some result
+    models = _block(name, n, index, [(0, r) for r in range(12)])
+    models[0].X.setflags(write=False)
+    for model in models:
+        model.y.setflags(write=False)
+    monkeypatch.setattr(chaser, "_Workspace", _PoisonedWorkspace)
+    monkeypatch.setattr(chaser, "_BLOCK_CELLS", 5 * n)
+    events = set()
+    with monkeypatch.context() as patch:
+        patch.setattr(chaser, "_halve", _halve_spy(events))
+        resumes = _fit_block(models)
+    if name == "ptw-p3-di2":
+        assert "halving" in events
+    # replicates leave their chunk at different iterations: rows are compacted
+    assert len({len(resume[1]) for resume in resumes if resume}) > 1
+    for model, resume in zip(models, resumes):
+        _assert_same_outcome(_outcome(fit, model, None, resume), _outcome(fit, model))
+
+
+def _u64(values) -> list:
+    return np.ascontiguousarray(values).view(np.uint64).tolist()
+
+
+def test_block_sensitivities_are_the_1d_forms_bit_for_bit():
+    # the block's S_beta and S_lambda carry their minus sign on -mu and -C^2
+    # as estfun's do; compared as uint64, so that -0.0 against +0.0 fails.
+    # The binary column gives exact zeros.  In the last four rows C is
+    # non-finite: overflowing in part, in every entry (S_beta is then 0),
+    # NaN where 0 * mu^p is 0 * inf, and -inf
+    X = _replicate("ptw-p1.5-di5", 100, 0, 0, 0).X
+    assert set(X[:, 2].tolist()) == {0.0, 1.0}
+    gen = RngStream(8).generator()
+    B = gen.normal([2.3, 0.8, -1.0], 0.3, size=(8, 3))
+    B[-3] = [5.0, 0.0, 0.0]
+    phi, p = gen.uniform(-0.05, 2.0, 8), gen.uniform(1.05, 3.0, 8)
+    phi[-4:], p[-4:] = [1e308, 0.5, 0.0, -0.5], [3.0, 400.0, 400.0, 400.0]
+    with np.errstate(all="ignore"):
+        mu = np.exp((X @ B[..., None])[..., 0])
+        mu_p, C = _variance(mu, phi[:, None], p[:, None])
+        w_phi, w_p = _lambda_weights(mu_p, C, np.log(mu), phi[:, None])
+        ws = _Workspace(8, *X.shape)
+        s_beta = _block_sens_beta(X, mu, C, ws)
+        s_lambda = _block_sens_lambda(C, w_phi, w_p, ws)
+        for j in range(8):
+            assert _u64(s_beta[j]) == _u64(_sens_beta(X, None, mu[j], C[j])), j
+            assert _u64(s_lambda[j]) == _u64(_sens_lambda(None, C[j], w_phi[j], w_p[j])), j
+    assert np.isfinite(C[:4]).all() and not np.isfinite(C[4:]).all(axis=1).any()
+    assert np.isinf(C[-3]).all() and (s_beta[-3] == 0).all()
+    assert np.isnan(C[-2]).any() and np.isneginf(C[-1]).any()
 
 
 def test_block_refuses_models_it_cannot_run_together():

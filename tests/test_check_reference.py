@@ -99,6 +99,8 @@ def reference_solve_linear(A, b):
     b = np.asarray(b, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise InvalidParameterError(f"A must be square, got shape {A.shape}")
+    if not A.shape[0]:  # a 0 x 0 system, where max() below would raise ValueError
+        raise InvalidParameterError("A must be at least 1 x 1, got shape (0, 0)")
     if b.shape[0] != A.shape[0]:
         raise InvalidParameterError("dimension mismatch between A and b")
     entries = A.ravel().tolist()

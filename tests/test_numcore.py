@@ -109,9 +109,11 @@ def test_solve_matches_getrf_getrs_bitwise():
          "A and b must be finite"),
         (np.ones((2, 3)), np.ones(2), InvalidParameterError, "A must be square, got shape (2, 3)"),
         (np.eye(2), np.ones(3), InvalidParameterError, "dimension mismatch between A and b"),
+        (np.zeros((0, 0)), np.zeros(0), InvalidParameterError,
+         "A must be at least 1 x 1, got shape (0, 0)"),
     ],
     ids=["zero", "rank-one", "near-singular", "scaled", "nan-A", "inf-b", "zero-A-inf-b",
-         "rank-one-nan", "non-square", "mismatch"],
+         "rank-one-nan", "non-square", "mismatch", "empty"],
 )
 def test_solve_errors_and_messages(A, b, error, message):
     # the classes and messages of the two-call solver
