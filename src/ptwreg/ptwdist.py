@@ -148,18 +148,25 @@ def sample_ptw_mu(mu, phi: float, p: float, gen, size=None) -> np.ndarray:
     return gen.poisson(z)
 
 
+@dataclass(frozen=True)
+class _DrawSet:
+    """One parameter set's mixing draws ``z``, read-only, and the Monte
+    Carlo pmf estimates taken from them so far, count -> PmfEstimate."""
+
+    z: np.ndarray
+    estimates: dict = field(default_factory=dict)
+
+
 @lru_cache(maxsize=1)
-def _mixing_draws(mu: float, phi: float, p: float, m: int, rng: RngStream) -> np.ndarray:
+def _mixing_draws(mu: float, phi: float, p: float, m: int, rng: RngStream) -> _DrawSet:
     """Common random numbers: M mixing draws shared across every y for a
     given parameter set, so pmf curves are smooth and consecutive-probability
     ratios are valid.
 
-    Only the last set is kept: consecutive calls at one set (a curve, then
-    its heavy-tail ratios) read it again, and no caller returns to an older
+    Only the last set is kept, with its estimates: consecutive calls at one
+    set (a curve, then its heavy-tail ratios) read it again and evaluate
+    only the counts it has not yet seen, and no caller returns to an older
     set, so a deeper cache would only hold 800 KB per set that no one reads.
-    The pmf estimates taken from the set are kept apart, by
-    ``_mc_estimates`` under the same key, so such a call reads the set only
-    for counts it has not yet seen.
 
     Each parameter set draws from its own substream (indexed by a hash of
     the parameters), so estimates for different parameter sets are
@@ -172,7 +179,7 @@ def _mixing_draws(mu: float, phi: float, p: float, m: int, rng: RngStream) -> np
     gen = rng.substream(int.from_bytes(digest, "little")).generator()
     z = sample_tweedie_mu(mu, phi, p, gen, m)
     z.setflags(write=False)
-    return z
+    return _DrawSet(z)
 
 
 def _log_intensities(z: np.ndarray) -> np.ndarray:
@@ -302,28 +309,18 @@ def params_as_tweedie(params: PtwParams) -> TweedieParams:
     return TweedieParams(params.mu, params.phi, params.p)
 
 
-@lru_cache(maxsize=1)
-def _mc_estimates(mu: float, phi: float, p: float, m: int, rng: RngStream) -> dict:
-    """count -> PmfEstimate: the Monte Carlo estimates taken so far from
-    ``_mixing_draws``' set under the same key.  An estimate depends only on
-    its key and count, so it stays valid when the draws are evicted; like
-    them, only the last set's estimates are kept."""
-    return {}
-
-
 def _pmf_monte_carlo(params: PtwParams, ys: list[int], budget: PmfConfig) -> list[PmfEstimate]:
     """Monte Carlo estimates at ``ys``, each count evaluated once per draw
-    set: counts already estimated are read from ``_mc_estimates``, and each
+    set: counts already estimated are read from the set's record, and each
     new one is one ``_run_in_order`` job with a buffer of the draws' size.
     Every estimate has the same bits on any thread."""
-    key = (params.mu, params.phi, params.p, budget.mc_draws, budget.rng)
-    known = _mc_estimates(*key)
+    draws = _mixing_draws(params.mu, params.phi, params.p, budget.mc_draws, budget.rng)
+    known = draws.estimates
     new = list(dict.fromkeys(y for y in ys if y not in known))
     if new:
-        z = _mixing_draws(*key)
-        log_z, positive = _log_intensities(z), _positive(z)
-        jobs = [partial(_mc_estimate, y, z, log_z, positive) for y in new]
-        known.update(zip(new, _run_in_order(jobs, z.nbytes)))
+        log_z, positive = _log_intensities(draws.z), _positive(draws.z)
+        jobs = [partial(_mc_estimate, y, draws.z, log_z, positive) for y in new]
+        known.update(zip(new, _run_in_order(jobs, draws.z.nbytes)))
     return [known[y] for y in ys]
 
 
@@ -339,12 +336,18 @@ def _mc_estimate(y: int, z: np.ndarray, log_z: np.ndarray, positive: np.ndarray)
     return PmfEstimate(min(value, 1.0), stderr, "monte-carlo")
 
 
+def _poisson_limit(params: PtwParams) -> bool:
+    """Whether the pmf is Poisson's: phi * mu**p <= ``_POISSON_LIMIT``, as at
+    phi = 0, since PtwParams refuses a non-finite mu**p."""
+    return params.phi * params.mu**params.p <= _POISSON_LIMIT
+
+
 def _pmf_exact(params: PtwParams, ys: list[int]) -> list[PmfEstimate | None]:
     """The route dispatcher, and so the evaluable domain: one estimate per
     checked count, None where Monte Carlo is needed (at p = 3, where the
     Gauss-Laguerre rule could not resolve it; callers warn).  A power with no
     route raises UnsupportedPowerError, before any mixing draws are taken."""
-    if params.phi * params.mu**params.p <= _POISSON_LIMIT:
+    if _poisson_limit(params):
         return _pmf_closed_poisson(params.mu, ys)
     if params.p == 2.0:
         return _pmf_closed_nb(params, ys)
@@ -430,7 +433,7 @@ def _log_pzero(params: PtwParams) -> float:
     """log P(Y = 0): -mu on the Poisson route, else the mixing Laplace
     exponent at s = 1."""
     _check_probabilistic(params)
-    if params.phi == 0 or params.phi * params.mu**params.p <= _POISSON_LIMIT:
+    if _poisson_limit(params):
         return -params.mu
     return float(_log_laplace(params_as_tweedie(params), 1.0))
 
@@ -444,13 +447,9 @@ def dispersion_index(params: PtwParams) -> float:
 def zero_inflation_index(params: PtwParams) -> float:
     """ZI = 1 + log P(Y=0) / mu; zero for Poisson, positive under zero-inflation.
 
-    Where P(Y=0) underflows to 0 or a subnormal, log P(Y=0) is its exponent
-    itself, not the log of what is left of the float."""
-    log_p0 = _log_pzero(params)
-    p0 = np.exp(log_p0)
-    if p0 < np.finfo(float).tiny:
-        return 1.0 + log_p0 / params.mu
-    return 1.0 + np.log(p0) / params.mu
+    log P(Y=0) is read from its exponent, never as the log of P(Y=0), which
+    rounds to 1 at small means and underflows at large ones."""
+    return 1.0 + _log_pzero(params) / params.mu
 
 
 def heavy_tail_index(params: PtwParams, y: int, budget: PmfConfig | None = None) -> float:
@@ -554,7 +553,7 @@ def _monte_carlo_terms(
     The kernel's buffers serve every count of the mean and are freed with
     it: kept for a thread's next mean, they would be held while it samples,
     which is when a thread's memory peaks."""
-    z = _mixing_draws(params.mu, params.phi, params.p, budget.mc_draws, budget.rng)
+    z = _mixing_draws(params.mu, params.phi, params.p, budget.mc_draws, budget.rng).z
     m = len(z)
     log_z, positive = _log_intensities(z), _positive(z)
     probs, g = np.empty(m), np.zeros(m)

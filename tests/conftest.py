@@ -15,7 +15,6 @@ def cold_draw_caches():
     estimates kept, so that what a test counts does not hang on the tests
     that ran before it."""
     ptwdist._mixing_draws.cache_clear()
-    ptwdist._mc_estimates.cache_clear()
 
 
 @pytest.fixture(scope="session")

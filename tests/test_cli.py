@@ -431,7 +431,6 @@ def test_pmf_then_indices_evaluate_each_count_once(monkeypatch, capsys):
     assert code == 0
     assert sorted(kernel_calls) == list(range(8))  # y_max + 2, not 2 y_max + 3
     ptwdist._mixing_draws.cache_clear()
-    ptwdist._mc_estimates.cache_clear()
     assert run_cli(["indices", *table], capsys) == (0, warm, "")
 
 

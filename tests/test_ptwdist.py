@@ -1,3 +1,4 @@
+import subprocess
 import sys
 import threading
 import time
@@ -250,7 +251,7 @@ def _reference_pmf(params, y, b):
     est = _reference_exact(params, y)
     if est is not None:
         return est
-    z = _mixing_draws(params.mu, params.phi, params.p, b.mc_draws, b.rng)
+    z = _mixing_draws(params.mu, params.phi, params.p, b.mc_draws, b.rng).z
     probs = np.exp(_reference_poisson_logpmf(y, z))
     stderr = float(np.std(probs, ddof=1) / np.sqrt(len(probs)))
     return ptwdist.PmfEstimate(min(float(np.mean(probs)), 1.0), stderr, "monte-carlo")
@@ -315,7 +316,6 @@ def test_pmf_curve_matches_per_count_reference_exactly(args, ys, methods):
 def _cold(function, *args):
     """``function(*args)`` with no mixing draws or Monte Carlo estimates kept."""
     _mixing_draws.cache_clear()
-    ptwdist._mc_estimates.cache_clear()
     return function(*args)
 
 
@@ -400,14 +400,13 @@ def test_pmf_curve_holds_one_draw_set(monkeypatch):
     params = PtwParams(6.0, 0.5, 1.5)
     ptw_pmf_curve(params, range(30), budget(seed=1))  # warm every one-time cache
     _mixing_draws.cache_clear()
-    ptwdist._mc_estimates.cache_clear()
     tracemalloc.start()
     try:
         ptw_pmf_curve(params, range(30), budget(seed=2))
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert len(ptwdist._mc_estimates(6.0, 0.5, 1.5, 100_000, RngStream(2))) == 30
+    assert len(_mixing_draws(6.0, 0.5, 1.5, 100_000, RngStream(2)).estimates) == 30
     assert held <= 100_000 * 8 + 64 * 1024, held
 
 
@@ -532,6 +531,23 @@ def test_zero_inflation_where_p0_underflows(mu, phi, p, want):
     assert zero_inflation_index(params) == pytest.approx(want, rel=1e-12, abs=1e-15)
 
 
+@pytest.mark.parametrize("mu", [1e-8, 1e-12, 1e-17, 1e-300])
+@pytest.mark.parametrize("phi, p", [(0.0, 1.5), (0.5, 1.5), (2.0, 3.0)])
+def test_zero_inflation_is_exactly_zero_on_the_poisson_route(mu, phi, p):
+    # log P(0) = -mu; the log of its exponential read 1.0 at mu = 1e-300
+    params = PtwParams(mu, phi, p)
+    assert ptwdist._poisson_limit(params)
+    assert zero_inflation_index(params) == 0.0
+
+
+@pytest.mark.parametrize("mu", [0.05, 0.5, 6.0])
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+def test_zero_inflation_reads_the_laplace_exponent(mu, p):
+    params = PtwParams(mu, 0.5, p)
+    assert not ptwdist._poisson_limit(params)
+    assert zero_inflation_index(params) == 1.0 + ptwdist._log_pzero(params) / mu
+
+
 def test_heavy_tail_values():
     # Poisson limit: exact ratio mu/(y+1)
     ht = heavy_tail_index(PtwParams(10.0, 1e-10, 2.0), 100)
@@ -646,7 +662,7 @@ def _loglik_reference(mu, phi, p, y, budget):
         if not mc_counts:
             continue
         methods.add("monte-carlo")
-        z = _mixing_draws(mu_i, phi, p, budget.mc_draws, budget.rng)
+        z = _mixing_draws(mu_i, phi, p, budget.mc_draws, budget.rng).z
         g = np.zeros(len(z))
         for yi, n_y in mc_counts.items():
             probs = np.exp(_reference_poisson_logpmf(yi, z))
@@ -805,6 +821,38 @@ def test_pmf_curve_then_heavy_tails_sample_once(monkeypatch):
     assert samples == [5_000]
 
 
+_FRESH_HEAVY_TAILS = """
+from ptwreg.numcore import RngStream
+from ptwreg.ptwdist import PmfConfig, PtwParams, heavy_tail_index
+b = PmfConfig(mc_draws=5_000, rng=RngStream(3))
+print([heavy_tail_index(PtwParams(6.0, 0.5, 1.5), y, b).hex() for y in range(8)])
+"""
+
+
+def test_draw_record_goes_with_its_draws():
+    # a curve at set A, a log-likelihood at set B that evicts A, then heavy
+    # tails at A: they redraw A and read what a fresh process reads
+    a, b = PtwParams(6.0, 0.5, 1.5), budget(seed=3, draws=5_000)
+    ptw_pmf_curve(a, range(5), b)
+    record = _mixing_draws(a.mu, a.phi, a.p, b.mc_draws, b.rng)
+    assert sorted(record.estimates) == list(range(5))
+    assert not record.z.flags.writeable
+    with pytest.raises(ValueError):
+        record.z[0] = 1.0
+    assert ptw_loglik([2.5], 0.6, 1.4, [1], b).method == "monte-carlo"
+    assert _mixing_draws.cache_info().currsize == 1
+    ratios = [heavy_tail_index(a, y, b).hex() for y in range(8)]
+    assert _mixing_draws.cache_info().currsize == 1
+    redrawn = _mixing_draws(a.mu, a.phi, a.p, b.mc_draws, b.rng)
+    assert redrawn is not record and sorted(redrawn.estimates) == list(range(9))
+    assert np.array_equal(redrawn.z, record.z)
+    proc = subprocess.run(
+        [sys.executable, "-c", _FRESH_HEAVY_TAILS], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{ratios}\n"
+
+
 # ------------------------------------------------------------ thread pool
 
 
@@ -951,7 +999,7 @@ def test_runner_raises_the_first_error_in_order_and_starts_no_job_after_it(monke
 @pytest.mark.parametrize("y", [0, 1, 40])
 def test_buffered_poisson_kernel_equals_the_expression(y):
     # (0.5, 2.0, 1.3) puts about half of the mixing draws at z = 0
-    z = _mixing_draws(0.5, 2.0, 1.3, 20_000, RngStream(4))
+    z = _mixing_draws(0.5, 2.0, 1.3, 20_000, RngStream(4)).z
     assert np.any(z == 0) and np.any(z > 0)
     with np.errstate(divide="ignore", invalid="ignore"):
         log_z = np.log(z)
