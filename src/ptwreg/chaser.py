@@ -44,12 +44,15 @@ scores through estfun's functions on a leading replicate axis, the S
 blocks through forms of its own, the small systems through one batched
 LAPACK solve behind a pivot screen (``_solve_rows``), and a step that
 needs halving or the power floor through ``_halve`` on its own row; every
-row equals the 1-D computation bit for bit.  A replicate leaves the block
-on a refusal, on a power numpy's ``array ** scalar`` special-cases
-(``_FAST_POWERS``), at the budget's last iteration or once it converges.  ``fit(model,
-resume=resume)`` takes it over from its last committed iterate and runs
-the rest with the code above, or goes straight to the sandwich when that
-iterate converged, so each result equals the uninterrupted fit's.
+row equals the 1-D computation bit for bit.  Each replicate's resume,
+(its start, its trace), is made before the first iteration, and the block
+appends to the trace each iteration it commits.  A replicate stops with
+the iteration at which it converges or the budget ends, or before the
+first iteration the block cannot run as ``fit`` would: a refusal, or a
+power numpy's ``array ** scalar`` special-cases (``_FAST_POWERS``).
+``fit(model, resume=resume)`` reads its iterate and state off the start
+and the trace, and runs any iterations left with the code above, so each
+result equals the uninterrupted fit's.
 
 Standard errors come from the inverse Godambe information assembled
 blockwise on one ``EstFunState`` built from the loop's last arrays: the
@@ -344,16 +347,17 @@ def fit(model: PtwModel, config: FitConfig | None = None,
     in every public function of the fit (see ``numcore.quiet``); the
     private helpers it calls run in its error state.
 
-    ``resume`` = (theta, trace) continues this same fit from an iterate it
-    passes through: ``initialize``'s start with an empty trace, or the
-    theta of the trace's last entry after ``len(trace)`` iterations.  When
-    the trace's last two entries meet the stopping rule, the fit has
-    converged there and goes straight to the sandwich; a fit that converged
-    at its first iteration cannot be resumed so, as the rule then reads the
-    start, which the trace does not hold.  The fit rebuilds its arrays at
-    theta with the code that built them, so the result equals the
-    uninterrupted fit's field for field.  A study's lockstep block
-    (``_fit_block``) hands each replicate over this way.
+    ``resume`` = (start, trace) continues this same fit: ``start`` is
+    ``initialize``'s theta and ``trace`` the entries of the iterations run
+    from it, as ``FitResult.trace`` records them.  The fit reads off the
+    trace, with the start standing before its first entry, the iterate it
+    continues from, whether it has converged there, the last score sup-norm
+    and the last dispersion step, as it reads them after its own loop; a
+    converged trace goes straight to the sandwich.  It rebuilds its arrays
+    at that iterate with the code that built them, so the result equals the
+    uninterrupted fit's field for field.  A trace longer than the budget is
+    refused.  A study's lockstep block (``_fit_block``) hands each
+    replicate over this way.
     """
     config = config or FitConfig()
     free = config.free_dispersion()
@@ -368,24 +372,25 @@ def fit(model: PtwModel, config: FitConfig | None = None,
         start, trace = initialize(model, config), []
     else:
         start, trace = resume[0], list(resume[1])
-    # a trace whose last two entries meet the stopping rule has converged
-    converged = len(trace) > 1 and _has_converged(*trace[-1], trace[-2][0])
-    if len(trace) >= _MAX_ITER and not converged:
+    if len(trace) > _MAX_ITER:
         raise InvalidParameterError(
             f"cannot resume after {len(trace)} of {_MAX_ITER} iterations")
+    # The last iterate, the one before it and the last score sup-norm, the
+    # start standing before the first entry; the loop keeps them so.
+    current, prev, score_norm = start.as_array(), None, math.inf
+    if trace:
+        prev = trace[-2][0] if len(trace) > 1 else current
+        current, score_norm = trace[-1]
+    converged = _has_converged(current, score_norm, prev)
     warn: list = []
-    score_norm = np.inf
-    lambda_step_norm = np.inf
-    iterations = len(trace)
 
-    beta, phi, p = start.beta, start.phi, start.p
+    q = model.n_coef
+    beta, phi, p = current[:q].copy(), float(current[q]), float(current[q + 1])
     X, w = model.X, model.weights
     mu, log_mu, resid, resid2 = _mean_terms(model, beta)
     C, w_phi, w_p = _dispersion_weights(mu, log_mu, phi, p)
     psi_beta = _psi_beta(X, w, mu, resid, C)
-    current = _theta_array(beta, phi, p)
-    last = iterations if converged else _MAX_ITER
-    for iterations in range(iterations + 1, last + 1):
+    while not converged and len(trace) < _MAX_ITER:
         prev = current
         beta = _newton_beta(X, w, mu, C, beta, psi_beta)
         _require_finite_beta(beta)
@@ -396,9 +401,7 @@ def fit(model: PtwModel, config: FitConfig | None = None,
             psi_l = _psi_lambda(w, resid2, C, w_phi, w_p)[lam]
             delta = np.zeros(2)
             delta[lam] = _ALPHA * solve_linear(_sens_lambda(w, C, w_phi, w_p)[lam, lam], psi_l)
-            phi_new, p_new, mu_p, C = _halve(phi, p, delta, mu, config.phi_sign, p_floor)
-            lambda_step_norm = max(abs(phi_new - phi), abs(p_new - p))
-            phi, p = phi_new, p_new
+            phi, p, mu_p, C = _halve(phi, p, delta, mu, config.phi_sign, p_floor)
             w_phi, w_p = _lambda_weights(mu_p, C, log_mu, phi)
 
         # The quasi-score here is also the next beta step's psi_beta.
@@ -409,9 +412,7 @@ def fit(model: PtwModel, config: FitConfig | None = None,
         score_norm = _sup_norm(score)
         current = _theta_array(beta, phi, p)
         trace.append((current, score_norm))
-        if _has_converged(current, score_norm, prev):
-            converged = True
-            break
+        converged = _has_converged(current, score_norm, prev)
 
     if not converged:
         warn.append(f"did not converge in {_MAX_ITER} iterations "
@@ -422,7 +423,7 @@ def fit(model: PtwModel, config: FitConfig | None = None,
         mu=mu, C=C, resid=resid, resid2=resid2, W_phi=w_phi, W_p=w_p, log_mu=log_mu,
         X=X, weights=w, theta=theta,
     )
-    layout = tuple(f"beta{j}" for j in range(model.n_coef)) + free
+    layout = tuple(f"beta{j}" for j in range(q)) + free
     try:
         covariance = _sandwich(state, free)
         std_errors = np.sqrt(np.diag(covariance))
@@ -433,8 +434,9 @@ def fit(model: PtwModel, config: FitConfig | None = None,
         std_errors = np.full(k, np.nan)
 
     if "p" in free and np.isfinite(std_errors).all():
-        se_phi = std_errors[model.n_coef]
-        stalled = (not converged) and lambda_step_norm < _TOL and score_norm > _TOL
+        se_phi = std_errors[q]
+        lambda_step = max(map(abs, map(sub, current[q:].tolist(), prev[q:].tolist())))
+        stalled = (not converged) and lambda_step < _TOL and score_norm > _TOL
         if abs(theta.phi) <= 1.96 * se_phi and stalled:
             warn.append(
                 "flat-power: the dispersion interval contains 0 and the power "
@@ -447,7 +449,7 @@ def fit(model: PtwModel, config: FitConfig | None = None,
         covariance=covariance,
         std_errors=std_errors,
         covariance_layout=layout,
-        iterations=iterations,
+        iterations=len(trace),
         trace=trace,
         converged=converged,
         warnings=warn,
@@ -588,7 +590,7 @@ def _solve_rows(A, b, ok) -> np.ndarray:
 @quiet
 def _fit_block(models: list) -> list:
     """Run the chaser at ``FitConfig()`` on every model at once, up to where
-    ``fit`` must take over each one: a resume (theta, trace) per model, or
+    ``fit`` must take over each one: a resume (start, trace) per model, or
     None where ``fit`` must start from scratch (``initialize`` refuses the
     model).
 
@@ -597,12 +599,11 @@ def _fit_block(models: list) -> list:
     are ``initialize``'s, its Newton loop run for all of them at once
     (``_block_starts``); then iteration k is run for every model on (R, n)
     arrays, a dispersion step that needs halving or the power floor taking
-    ``_halve`` on its own row.  The iteration is committed for a model
-    unless it refused something, left p on one of ``_FAST_POWERS`` or
-    converged at iteration 1 or at the power floor; a model that converges
-    otherwise is handed over with its converging iteration committed, and
-    ``fit`` goes straight to the sandwich.  The rest — the uncommitted
-    iteration, every refusal, the budget's last iteration, the sandwich and
+    ``_halve`` on its own row.  The iteration is committed to the model's
+    trace unless it refused something (a non-finite score sup-norm counts)
+    or left p on one of ``_FAST_POWERS``, and the model stops there; it
+    also stops once it converges or has run the budget.  The rest — the
+    uncommitted iteration and all after it, every refusal, the sandwich and
     the warnings — is ``fit``'s, which makes ``fit(model, resume=resume)``
     equal ``fit(model)`` field for field.  The models run in chunks of
     ``_BLOCK_CELLS`` cells.
@@ -673,26 +674,18 @@ def _block_starts(X, models, ws) -> list:
 
 def _lockstep(X, models):
     """``_fit_block`` on one chunk of models, in one workspace."""
-    resumes = [None] * len(models)
     ws = _Workspace(len(models), *X.shape)
     starts = _block_starts(X, models, ws)
-    rows = [i for i, start in enumerate(starts) if start is not None]  # the model of each row
-    if not rows:
+    resumes = [None if start is None else (start, []) for start in starts]
+    running = [resume for resume in resumes if resume is not None]  # one per row
+    if not running:
         return resumes
     ws.compact([start is not None for start in starts], (ws.Y,))
-    traces = {i: [] for i in rows}
-    B = np.array([starts[i].beta for i in rows])
-    phi = np.array([starts[i].phi for i in rows])
-    p = np.array([starts[i].p for i in rows])
-    r, q = len(rows), X.shape[1]
-
-    def hand_over(leave, rows, B, phi, p):
-        """Each row in ``leave`` gets the iterate (B, phi, p) with its trace;
-        after a step its (phi, p) is numpy's, as in fit."""
-        for j in np.flatnonzero(leave).tolist():
-            i = rows[j]
-            theta = Theta(B[j].copy(), phi[j], p[j]) if traces[i] else starts[i]
-            resumes[i] = (theta, traces[i])
+    B = np.array([start.beta for start, _ in running])
+    phi = np.array([start.phi for start, _ in running])
+    p = np.array([start.p for start, _ in running])
+    traces = [trace for _, trace in running]
+    r, q = len(traces), X.shape[1]
 
     # The state fit holds before its first iteration.
     mu, _, resid, _, ok = _block_mean_terms(models[0], ws.Y[:r], B, ws)
@@ -700,19 +693,17 @@ def _lockstep(X, models):
     ok &= ~(np.fmin.reduce(C, axis=1, initial=math.inf) <= 0)
     psi_beta = _psi_beta(X, None, mu, resid, C, ws.scratch1[:r])
     current = np.concatenate([B, phi[:, None], p[:, None]], axis=1)
-    hand_over(~ok, rows, B, phi, p)
 
-    # Iteration _MAX_ITER, the budget's last, is always fit's.
-    for k in range(1, _MAX_ITER):
+    for _ in range(_MAX_ITER):
         if not ok.all():
             if not ok.any():
-                return resumes
-            rows = [i for i, kept in zip(rows, ok.tolist()) if kept]
+                break
+            traces = [trace for trace, kept in zip(traces, ok.tolist()) if kept]
             B, phi, p = B[ok], phi[ok], p[ok]
             psi_beta, current = psi_beta[ok], current[ok]
             ws.compact(ok, (ws.Y, ws.mu, ws.C))  # mu and C feed S_beta
             ok = ok[ok]
-            r = len(rows)
+            r = len(traces)
 
         B_new = B - _solve_rows(_block_sens_beta(X, ws.mu[:r], ws.C[:r], ws), psi_beta, ok)
         ok &= np.isfinite(B_new).all(axis=1)
@@ -748,20 +739,10 @@ def _lockstep(X, models):
         norm = np.abs(score, out=score).max(axis=1)
         new = np.concatenate([B_new, phi_new[:, None], p_new[:, None]], axis=1)
         ok &= np.isfinite(norm)
-        stop = ok & (norm < _TOL) & (np.abs(new - current).max(axis=1) < _TOL)
-        # Convergence is committed, except where fit's record of it is not
-        # the block's: at iteration 1 the rule reads the start, which the
-        # trace does not hold, and a floored p is fit's Python float.
-        if k == 1:
-            ok &= ~stop
-        else:
-            ok &= ~(stop & (p_new == P_FLOOR))
-        hand_over(~ok, rows, B, phi, p)
+        # Each iteration run as fit runs it is committed; a row stops once it
+        # converges, and the budget ends with the loop.
         for j, norm_j in zip(np.flatnonzero(ok).tolist(), norm[ok].tolist()):
-            traces[rows[j]].append((new[j], norm_j))
-        stop &= ok
-        hand_over(stop, rows, B_new, phi_new, p_new)
-        ok &= ~stop
+            traces[j].append((new[j], norm_j))
+        ok &= ~((norm < _TOL) & (np.abs(new - current).max(axis=1) < _TOL))
         B, phi, p, current = B_new, phi_new, p_new, new
-    hand_over(ok, rows, B, phi, p)
     return resumes

@@ -132,7 +132,8 @@ class PtwModel:
 
 @dataclass(frozen=True)
 class Theta:
-    """Full parameter vector theta = (beta, lambda = (phi, p))."""
+    """Full parameter vector theta = (beta, lambda = (phi, p)); phi and p
+    are held as Python floats, whatever real numbers they are given as."""
 
     beta: np.ndarray
     phi: float
@@ -143,6 +144,8 @@ class Theta:
         object.__setattr__(self, "beta", beta)
         _require_finite_beta(beta)
         _require_finite_lambda(self.phi, self.p)
+        object.__setattr__(self, "phi", float(self.phi))
+        object.__setattr__(self, "p", float(self.p))
 
     def as_array(self) -> np.ndarray:
         return _theta_array(self.beta, self.phi, self.p)

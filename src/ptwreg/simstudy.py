@@ -7,8 +7,8 @@ extended model.  Each replicate draws from its own independent RNG
 substream, so a seeded study reproduces exactly.  The replicates at one
 sample size share their design: ``chaser._fit_block`` runs their chaser
 iterations in lockstep, and one ``fit`` call per replicate
-(``_one_replicate``) finishes each from where the block handed it over,
-with the same result as a fit on its own.
+(``_one_replicate``) finishes each from its start and the trace of the
+iterations the block committed, with the same result as a fit on its own.
 """
 
 from __future__ import annotations
@@ -206,8 +206,8 @@ def _replicate_models(scenario: Scenario, n: int, seed: int, index: int) -> list
 
 
 def _one_replicate(model: PtwModel, resume):
-    """Fit one simulated dataset at ``FitConfig()`` from where the lockstep
-    block handed it over; None marks an excluded replicate."""
+    """Fit one simulated dataset at ``FitConfig()`` from the lockstep
+    block's resume, (start, trace); None marks an excluded replicate."""
     try:
         result = fit(model, resume=resume)
     except PtwError:

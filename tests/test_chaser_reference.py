@@ -320,18 +320,28 @@ def test_weighted_dicentrics_fits_match_the_reference(config):
 
 @_DICENTRICS_CONFIGS
 def test_fit_resumed_from_its_converged_trace_is_the_same_fit(monkeypatch, config):
-    # the last two entries meet the stopping rule: fit goes straight to the
-    # sandwich, even on a budget that ends at the trace.  At phi = 0 the
-    # Poisson start is the fit, which converges at iteration 1: its rule
-    # reads the start, so it resumes from there.
+    # the last entry meets the stopping rule against the one before it: fit
+    # goes straight to the sandwich, even on a budget that ends at the
+    # trace.  At phi = 0 the Poisson start is the fit, which converges at
+    # iteration 1: there the rule reads the start
     model = _dicentrics()
     full = fit(model, config)
     assert full.converged and (full.iterations > 1) == (config.phi_fixed != 0.0)
-    resume = (full.theta_hat, full.trace)
-    if full.iterations == 1:
-        resume = (initialize(model, config), [])
     monkeypatch.setattr(chaser, "_MAX_ITER", full.iterations)
-    _assert_same_outcome(fit(model, config, resume), full)
+    _assert_same_outcome(fit(model, config, (initialize(model, config), full.trace)), full)
+
+
+@_DICENTRICS_CONFIGS
+def test_theta_holds_python_floats(config):
+    theta = Theta(np.zeros(2), np.float64(0.5), np.float32(1.5))
+    assert (type(theta.phi), type(theta.p)) == (float, float)
+    assert (theta.phi, theta.p) == (0.5, 1.5)
+    # a fit's estimate too, fresh and resumed, whatever its loop held
+    model = _dicentrics()
+    full = fit(model, config)
+    resumed = fit(model, config, (initialize(model, config), full.trace[:-1]))
+    for result in (full, resumed):
+        assert (type(result.theta_hat.phi), type(result.theta_hat.p)) == (float, float)
 
 
 def test_study_replicate_resumed_from_its_converged_trace_is_the_same_fit(monkeypatch):
@@ -339,7 +349,7 @@ def test_study_replicate_resumed_from_its_converged_trace_is_the_same_fit(monkey
     full = fit(model)
     assert full.converged and full.iterations > 1
     monkeypatch.setattr(chaser, "_MAX_ITER", full.iterations)
-    _assert_same_outcome(fit(model, None, (full.theta_hat, full.trace)), full)
+    _assert_same_outcome(fit(model, None, (initialize(model), full.trace)), full)
 
 
 def test_offset_fit_matches_the_reference():
@@ -372,10 +382,10 @@ def _halve_spy(events):
 
 # What fit meets in its first iteration after a hand-over, read off the
 # resumed fit: the error it raises, a halving or the power floor in
-# ``_halve``, convergence, the end of the budget, or a power on which numpy's
-# ``array ** scalar`` takes another routine.
+# ``_halve``, convergence, or a power on which numpy's ``array ** scalar``
+# takes another routine.
 def _first_resumed_iteration(monkeypatch, model, resume):
-    theta, trace = resume
+    _, trace = resume
     events = set()
     with monkeypatch.context() as patch:
         patch.setattr(chaser, "_halve", _halve_spy(events))
@@ -385,8 +395,6 @@ def _first_resumed_iteration(monkeypatch, model, resume):
         events.add(type(result).__name__)
     elif result.converged:
         events.add("converged")
-    elif len(trace) + 1 == _MAX_ITER:
-        events.add("budget")
     if not isinstance(result, Exception) and result.trace[-1][0][-1] in chaser._FAST_POWERS:
         events.add("fast power")
     return events
@@ -400,7 +408,6 @@ _HAND_OVERS = [
     ("SingularMatrixError", "compoisson-nu2", 100, 0, 1, 7, 20),
     ("VarianceNonpositiveError", "ptw-p2-di2", 100, 0, 0, 5, 5),
     ("InvalidParameterError", "ptw-p3-di20", 100, 0, 1, 5, 4),
-    ("budget", "compoisson-nu2", 100, 0, 1, 4, _MAX_ITER - 1),
     # the power of the next iteration is made one of _FAST_POWERS
     ("fast power", "ptw-p1.5-di5", 100, 0, 0, 0, 2),
 ]
@@ -420,6 +427,15 @@ def test_block_hands_over_each_reason(monkeypatch, reason, name, n, index, seed,
     assert len(resume[1]) == committed
     assert reason in _first_resumed_iteration(monkeypatch, model, resume)
     assert_same_fit(model, FitConfig(), resume)
+
+
+def test_block_commits_the_whole_budget():
+    # a replicate that does not converge: the block commits all of the
+    # budget's iterations, and fit resumes to the end of the budget
+    model = _replicate("compoisson-nu2", 100, 1, 0, 4)
+    (resume,) = _fit_block([model])
+    assert len(resume[1]) == _MAX_ITER
+    assert assert_same_fit(model, FitConfig(), resume) == "nonconverged"
 
 
 # Study replicates whose run in the block takes a halving, the power floor
@@ -446,7 +462,8 @@ def test_block_commits_through(monkeypatch, event, name, n, index, seed, r, comm
     assert len(resume[1]) == committed
     assert event in events if event != "converged" else not events
     if reason == "converged":
-        # a budget that ends at the trace: only a converged trace resumes
+        # a budget that ends at the trace: the converged trace goes straight
+        # to the sandwich
         with monkeypatch.context() as patch:
             patch.setattr(chaser, "_MAX_ITER", committed)
             resumed = fit(model, None, resume)
@@ -484,11 +501,11 @@ def test_block_hands_over_a_halved_power_on_a_fast_power(monkeypatch):
 
 @pytest.mark.parametrize("tol, iterations", [(1e3, 1), (9.5, 2)],
                          ids=["iteration 1", "at the power floor"])
-def test_block_leaves_convergence_it_cannot_record_to_fit(monkeypatch, tol, iterations):
+def test_block_commits_early_or_floored_convergence(monkeypatch, tol, iterations):
     # a wide tolerance makes a replicate converge at iteration 1, whose
     # stopping rule reads the start, or at iteration 2 on a floored power,
-    # which fit holds as the Python float P_FLOOR: the block hands both
-    # over before the converging iteration
+    # which fit holds as the Python float P_FLOOR: the block commits the
+    # converging iteration, and fit reads the rest off the start and trace
     model = _replicate("ptw-p1.1-di2", 100, 0, 0, 39)
     monkeypatch.setattr(chaser, "_TOL", tol)
     want = fit(model)
@@ -496,9 +513,9 @@ def test_block_leaves_convergence_it_cannot_record_to_fit(monkeypatch, tol, iter
     if iterations == 2:
         assert want.theta_hat.p == P_FLOOR and type(want.theta_hat.p) is float
     (resume,) = _fit_block([model])
-    assert len(resume[1]) == iterations - 1
-    if iterations == 1:
-        _same_theta(resume[0], initialize(model))
+    _same_theta(resume[0], initialize(model))
+    assert len(resume[1]) == iterations
+    assert resume[1][-1][0][-1] == want.theta_hat.p
     _assert_same_outcome(fit(model, None, resume), want)
 
 
@@ -509,6 +526,7 @@ def test_block_leaves_a_refused_start_to_fit():
     assert isinstance(_outcome(initialize, refused), PtwError)
     resumes = _fit_block([refused, kept])
     assert resumes[0] is None and resumes[1][1] == []
+    _same_theta(resumes[1][0], initialize(kept))
     for model, resume in zip((refused, kept), resumes):
         assert_same_fit(model, FitConfig(), resume)
 
@@ -622,18 +640,16 @@ def test_block_refuses_models_it_cannot_run_together():
 
 
 def test_fit_resumes_from_every_iterate_of_the_dicentrics_fit():
-    # the weighted free-power fit: each iterate before the last, with the
-    # trace up to it, resumes to the uninterrupted fit
+    # the weighted free-power fit: its start with the trace up to each
+    # iterate, the converged one included, resumes to the uninterrupted fit
     model = _dicentrics()
     full = fit(model)
-    q = model.n_coef
-    iterates = [initialize(model)] + [Theta(current[:q], current[q], current[q + 1])
-                                      for current, _ in full.trace[:-1]]
-    assert len(iterates) == full.iterations > 1
-    for k, theta in enumerate(iterates):
-        _assert_same_outcome(fit(model, None, (theta, full.trace[:k])), full)
+    start = initialize(model)
+    assert full.iterations > 1
+    for k in range(full.iterations + 1):
+        _assert_same_outcome(fit(model, None, (start, full.trace[:k])), full)
     with pytest.raises(PtwError, match="cannot resume"):
-        fit(model, None, (iterates[-1], full.trace[:1] * _MAX_ITER))
+        fit(model, None, (start, full.trace[:1] * (_MAX_ITER + 1)))
 
 
 def test_numpy_special_cases_exactly_the_fast_powers():

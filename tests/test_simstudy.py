@@ -1,13 +1,14 @@
 import hashlib
 import json
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from ptwreg import refdists
+from ptwreg import refdists, simstudy
 from ptwreg.dataio import study_result_dict, study_result_json
-from ptwreg.errors import InvalidParameterError, MissingBaselineError
+from ptwreg.errors import InvalidParameterError, MissingBaselineError, PtwError
 from ptwreg.simstudy import (
     Scenario,
     StudyResult,
@@ -258,3 +259,33 @@ def test_study_fits_leak_no_runtime_warning(name, excluded):
         warnings.simplefilter("error", RuntimeWarning)
         result = run_study(make_scenario(name, sample_sizes=(100,), replicates=50), seed=0)
     assert result.failures == ((100, excluded),)
+
+
+def test_run_study_makes_one_fit_call_per_replicate(monkeypatch):
+    # a traced study counts one chaser.fit call per replicate, and reads why
+    # each excluded replicate was excluded off that call's outcome
+    reasons = []
+    fit = simstudy.fit
+
+    def spy(*args, **kwargs):
+        try:
+            result = fit(*args, **kwargs)
+        except PtwError as exc:
+            reasons.append(type(exc).__name__)
+            raise
+        if not result.converged:
+            reasons.append("nonconverged")
+        elif not np.isfinite(result.std_errors).all():
+            reasons.append("nonfinite_se")
+        else:
+            reasons.append(None)
+        return result
+
+    monkeypatch.setattr(simstudy, "fit", spy)
+    result = run_study(make_scenario("ptw-p3-di2", sample_sizes=(100,), replicates=50), seed=1)
+    assert len(reasons) == 50
+    excluded = Counter(reason for reason in reasons if reason is not None)
+    assert result.failures == ((100, sum(excluded.values())),)
+    assert excluded == {"VarianceNonpositiveError": 8, "SingularMatrixError": 4,
+                        "InvalidParameterError": 2, "RankDeficiencyError": 1,
+                        "nonconverged": 3}
